@@ -4,20 +4,33 @@ The solver answers one question: does a sealed :class:`~swainval.milp.MilpProble
 admit an assignment satisfying every row, bound and integrality restriction?
 It combines
 
-* a bounded-variable phase-1 primal simplex (artificial variables, Dantzig
-  pricing with a Bland anti-cycling fallback, explicit basis inverse with
-  periodic refactorization), and
+* one bounded dual simplex engine, built once per solve, on the static
+  row-activity form ``[A, -I] (x, r) = 0``: each row variable ``r_i`` carries
+  the row's relation as bounds (``r <= b``, ``r >= b`` or ``r = b``).  The
+  slack basis ``-I`` is always a valid start.  Without an objective every
+  basis is dual feasible, so an iteration only has to pick a leaving row
+  (the most infeasible basic variable) and an entering column (the largest
+  ``|alpha|`` of the right sign), switching to Bland's least-index rule
+  when the total infeasibility stops falling; that rule skips pivots far
+  below the largest, which would ruin the basis.  The slack basis is also
+  the fallback when a warm basis turns out singular.  A row with no
+  entering candidate yields the Farkas ray
+  ``+-e_r^T B^-1`` directly.  The basis inverse is kept explicitly, updated
+  by rank-one steps and refactored through the structural kernel of the
+  basis; and
 * depth-first branch and bound on the binaries (most-fractional branching,
   ties broken by lowest index, the 1-branch explored first), with an
-  interval presolve at every node: fixed-variable propagation, redundant-row
-  dropping and bound tightening, which together also propagate the
-  one-active-mode equalities exactly.
+  interval presolve at every node (fixed-variable propagation and bound
+  tightening, which together also propagate the one-active-mode equalities
+  exactly).  Every node re-optimises from its parent's final basis, which
+  rides on the DFS stack as index arrays; rows stay in the LP even when
+  presolve finds them redundant, so every basis fits every node.
 
 Feasible answers always carry a witness that has been re-checked against the
 original problem; infeasible answers at the root carry a dual ray that
 certifies infeasibility against the original rows and bounds.  All rules are
-deterministic: the same problem yields the same answer, witness and node
-count on every run.
+deterministic: the same problem yields the same answer, witness, node and
+pivot count on every run.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import dger as _dger
 
 from .milp import EQ, GE, LE, MilpProblem, Witness, verify
 
@@ -60,14 +74,15 @@ class SolverConfig:
     feas_tolerance: float = 1e-6
     int_tolerance: float = 1e-6
     node_limit: int = 1_000_000
-    time_limit: float | None = None      # wall-clock seconds
+    time_limit: float | None = None      # wall-clock seconds, also between pivots
     branch_rule: str = "most-fractional"  # or "first-fractional"
     node_order: str = "one-first"         # or "zero-first"
     presolve: bool = True
     rounding_heuristic: bool = True
     sos1_branching: bool = True           # s-way branch on exactly-one rows
-    refactor_every: int = 100
-    bland_after: int = 150                # degenerate pivots before Bland mode
+    refactor_every: int = 100             # basis updates between refactorizations
+    bland_after: int = 150                # pivots without a new low in total
+                                          # infeasibility before Bland's rule
 
 
 @dataclass(frozen=True)
@@ -100,156 +115,255 @@ class SolveResult:
         return self.status in (FEASIBLE, INFEASIBLE)
 
 
-# -- bounded-variable phase-1 simplex ----------------------------------------
+# -- bounded dual simplex on the row-activity form ----------------------------
 
-_AT_LB, _AT_UB, _FREE, _BASIC = 0, 1, 2, 3
-_PIV_TOL = 1e-9
-_RC_TOL = 1e-9
+_PIV_TOL = 1e-9       # smallest |alpha| a pivot may use, relative to its row
+_BLAND_PIV = 1e-3     # Bland's rule skips pivots this far below the largest
+_KERNEL_TOL = 1e-7    # largest |K^-1 K - I| entry of a usable refactorization
 
 
-def _phase1_simplex(A: np.ndarray, b: np.ndarray, lo: np.ndarray,
-                    hi: np.ndarray, cfg: SolverConfig,
-                    ) -> tuple[bool, np.ndarray | None, np.ndarray | None, int]:
-    """Find z with A z = b, lo <= z <= hi, or prove none exists.
+class _NumericalTrouble(Exception):
+    """A basis became singular or a solve hit its pivot cap."""
 
-    Returns (feasible, z, duals y, iterations); y is the phase-1 multiplier
-    vector at the final basis (a Farkas ray when infeasible).
+
+class _OutOfTime(Exception):
+    """The solve's deadline passed inside the pivot loop."""
+
+
+@dataclass(frozen=True)
+class _Basis:
+    """A warm start: the basic column of every basis position (the activity
+    of row i is column n + i) and the nonbasic columns at their upper bound."""
+
+    basic: np.ndarray
+    at_upper: np.ndarray
+
+
+@dataclass(frozen=True)
+class _LpResult:
+    feasible: bool
+    x: np.ndarray | None       # structural values when feasible
+    ray: np.ndarray | None     # Farkas multipliers over the rows when infeasible
+    basis: _Basis
+
+
+class _DualSimplex:
+    """Bounded dual simplex for  A x - r = 0,  lo <= x <= hi,  r within rows.
+
+    Column j < n is x_j and column n + i the activity r_i of row i, bounded
+    by b_i from above (``<=``), below (``>=``) or both (``=``).  The matrix
+    and the row bounds never change; :meth:`solve` re-optimises under new
+    structural bounds from a given basis or from the slack basis ``-I``.
+    The engine keeps its last basis and inverse, so a node that starts from
+    the basis the previous solve ended in needs no refactorization.
     """
-    m, n = A.shape
-    if m == 0:
-        z = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-        return True, z, np.zeros(0), 0
 
-    # start every structural/slack variable at a finite bound (or 0 if free)
-    z0 = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
-    state = np.full(n + m, _BASIC, dtype=np.int8)
-    state[:n] = np.where(np.isfinite(lo), _AT_LB,
-                         np.where(np.isfinite(hi), _AT_UB, _FREE))
+    def __init__(self, A: np.ndarray, rel: np.ndarray, b: np.ndarray,
+                 cfg: SolverConfig):
+        self.m, self.n = A.shape
+        self.A = A
+        self.row_lo = np.where(rel == LE, -np.inf, b)
+        self.row_hi = np.where(rel == GE, np.inf, b)
+        self.tol = cfg.feas_tolerance
+        self.refactor_every = cfg.refactor_every
+        self.bland_after = cfg.bland_after
+        self.max_iter = 50 * (self.m + self.n) + 2000
+        self.iterations = 0
+        self._set_slack_basis()
 
-    r = b - A @ z0
-    sgn = np.where(r >= 0.0, 1.0, -1.0)
-    A_ext = np.hstack([A, np.diag(sgn)])
-    lo_ext = np.concatenate([lo, np.zeros(m)])
-    hi_ext = np.concatenate([hi, np.full(m, np.inf)])
-    cost = np.concatenate([np.zeros(n), np.ones(m)])
+    def solve(self, lo: np.ndarray, hi: np.ndarray, start: _Basis | None,
+              deadline: float | None) -> _LpResult:
+        """Decide  lo <= x <= hi  against the rows, warm from ``start``.
 
-    z = np.concatenate([z0, np.zeros(m)])
-    basis = np.arange(n, n + m)
-    B_inv = np.diag(sgn)          # inverse of diag(sgn) is itself
-    x_B = np.abs(r)
-    c_B = np.ones(m)
-
-    fixed = (hi_ext - lo_ext) <= 1e-12
-    max_iter = 50 * (m + n) + 2000
-    bland = False
-    stall = 0
-    last_obj = float(np.sum(x_B))
-    iters = 0
-
-    def refactor():
-        nonlocal B_inv, x_B
+        A warm start that turns singular is abandoned for the slack basis;
+        only a failure from there raises SolverNumericalError.
+        """
         try:
-            B_inv = np.linalg.inv(A_ext[:, basis])
-        except np.linalg.LinAlgError as err:
-            raise SolverNumericalError("singular basis at refactorization") from err
-        nb = state != _BASIC
-        x_B = B_inv @ (b - A_ext[:, nb] @ z[nb])
+            return self._solve_from(lo, hi, start, deadline)
+        except _NumericalTrouble as err:
+            if start is None:
+                raise SolverNumericalError(str(err)) from err
+        try:
+            return self._solve_from(lo, hi, None, deadline)
+        except _NumericalTrouble as err:
+            raise SolverNumericalError(f"{err} (from the slack basis)") from err
 
-    while True:
-        iters += 1
-        if iters > max_iter:
-            raise SolverNumericalError(
-                f"simplex exceeded {max_iter} iterations on a {m}x{n} problem")
+    # -- basis bookkeeping -------------------------------------------------
 
-        y = B_inv.T @ c_B
-        rc = cost - A_ext.T @ y
-        elig = (((state == _AT_LB) & (rc < -_RC_TOL))
-                | ((state == _AT_UB) & (rc > _RC_TOL))
-                | ((state == _FREE) & (np.abs(rc) > _RC_TOL))) & ~fixed
-        if not np.any(elig):
-            obj = float(c_B @ x_B)
-            if obj <= cfg.feas_tolerance:
-                zz = z.copy()
-                zz[basis] = x_B
-                return True, zz[:n], y, iters
-            return False, None, y, iters
+    def _set_slack_basis(self) -> None:
+        self.basis = np.arange(self.n, self.n + self.m)
+        self.B_inv = -np.eye(self.m, order="F")
+        self.updates = 0
 
-        idx = np.where(elig)[0]
-        e = int(idx[0]) if bland else int(idx[int(np.argmax(np.abs(rc[idx])))])
-        d = 1.0 if (state[e] == _AT_LB or (state[e] == _FREE and rc[e] < 0)) else -1.0
+    def _refactor(self) -> None:
+        """Invert the basis through its structural kernel.
 
-        w = B_inv @ A_ext[:, e]
-        dw = d * w
+        With S the structural basic columns and T the rows whose activity
+        is basic, B v = a splits into  A[K, S] v_S = a_K  over the other
+        rows K and  v_T = A[T, S] v_S - a_T,  so only the |S| x |S| kernel
+        A[K, S] needs a dense inverse.
+        """
+        m, n, basis = self.m, self.n, self.basis
+        structural = basis < n
+        s_pos, t_pos = np.flatnonzero(structural), np.flatnonzero(~structural)
+        s_cols, t_rows = basis[s_pos], basis[t_pos] - n
+        kernel_rows = np.ones(m, dtype=bool)
+        kernel_rows[t_rows] = False
+        k_rows = np.flatnonzero(kernel_rows)
+        B_inv = np.zeros((m, m), order="F")
+        if s_pos.size:
+            K = self.A[np.ix_(k_rows, s_cols)]
+            try:
+                K_inv = np.linalg.inv(K)
+            except np.linalg.LinAlgError as err:
+                raise _NumericalTrouble("singular basis at refactorization") from err
+            residual = np.abs(K_inv @ K - np.eye(len(s_pos))).max()
+            if not residual <= _KERNEL_TOL:
+                raise _NumericalTrouble("singular basis at refactorization")
+            B_inv[np.ix_(s_pos, k_rows)] = K_inv
+            B_inv[np.ix_(t_pos, k_rows)] = self.A[np.ix_(t_rows, s_cols)] @ K_inv
+        B_inv[t_pos, t_rows] = -1.0
+        self.B_inv = B_inv
+        self.updates = 0
 
-        # ratio test over blocking basics (both directions merged)
-        down = dw > _PIV_TOL           # basic decreases toward its lower bound
-        up = dw < -_PIV_TOL            # basic increases toward its upper bound
-        positions = np.concatenate([np.where(down)[0], np.where(up)[0]])
-        if positions.size:
-            gaps_dn = np.maximum(x_B[down] - lo_ext[basis[down]], 0.0)
-            gaps_up = np.maximum(hi_ext[basis[up]] - x_B[up], 0.0)
-            ratios = np.concatenate([gaps_dn / dw[down], gaps_up / (-dw[up])])
-            to_upper = np.concatenate([np.zeros(int(down.sum()), dtype=bool),
-                                       np.ones(int(up.sum()), dtype=bool)])
-            rmin = float(np.min(ratios))
-            near = ratios <= rmin + 1e-12
-            cand = np.where(near)[0]
+    def _recompute_basics(self) -> None:
+        z_n = np.where(self.is_basic, 0.0, self.z)
+        self.x_B = -(self.B_inv @ (self.A @ z_n[:self.n] - z_n[self.n:]))
+
+    def _refresh(self) -> None:
+        self._refactor()
+        self._recompute_basics()
+
+    def _values(self) -> np.ndarray:
+        z = self.z.copy()
+        z[self.basis] = self.x_B
+        return z
+
+    def _snapshot(self) -> _Basis:
+        return _Basis(self.basis.copy(), ~self.is_basic & (self.z >= self.hi))
+
+    def _solve_from(self, lo, hi, start, deadline) -> _LpResult:
+        self.lo = np.concatenate([lo, self.row_lo])
+        self.hi = np.concatenate([hi, self.row_hi])
+        if start is None:
+            self._set_slack_basis()
+            at_upper = np.zeros(self.n + self.m, dtype=bool)
+        else:
+            at_upper = start.at_upper
+            if not np.array_equal(start.basic, self.basis):
+                self.basis = start.basic.copy()
+                self._refactor()
+        # nonbasics rest at a finite bound (the upper one where the start
+        # had it), free ones at zero
+        lo_fin, hi_fin = np.isfinite(self.lo), np.isfinite(self.hi)
+        self.z = np.where(at_upper & hi_fin, self.hi,
+                          np.where(lo_fin, self.lo, np.where(hi_fin, self.hi, 0.0)))
+        self.is_basic = np.zeros(self.n + self.m, dtype=bool)
+        self.is_basic[self.basis] = True
+        self.can_up = ~self.is_basic & (self.z < self.hi)
+        self.can_down = ~self.is_basic & (self.z > self.lo)
+        self._recompute_basics()
+        return self._iterate(deadline)
+
+    # -- the pivot loop ----------------------------------------------------
+
+    def _ray_proves(self, y: np.ndarray) -> bool:
+        """Does  y (A x - r) = 0  contradict the bounds of x and r?"""
+        coef = np.concatenate([y @ self.A, -y])
+        coef[np.abs(coef) <= _PIV_TOL] = 0.0
+        pos, neg = coef > 0.0, coef < 0.0
+        if np.any(pos & ~np.isfinite(self.hi)) or np.any(neg & ~np.isfinite(self.lo)):
+            return False
+        return float(coef[pos] @ self.hi[pos] + coef[neg] @ self.lo[neg]) < -0.5 * self.tol
+
+    def _iterate(self, deadline: float | None) -> _LpResult:
+        n, tol = self.n, self.tol
+        lo_B, hi_B = self.lo[self.basis], self.hi[self.basis]
+        best, stall, bland = math.inf, 0, False
+        pivots = 0
+        while True:
+            if deadline is not None and time.perf_counter() > deadline:
+                raise _OutOfTime
+            x_B = self.x_B
+            infeas = np.maximum(lo_B - x_B, x_B - hi_B)
             if bland:
-                pick = int(cand[int(np.argmin(basis[positions[cand]]))])
+                rows = np.flatnonzero(infeas > tol)
+                p = int(rows[np.argmin(self.basis[rows])]) if rows.size else -1
             else:
-                piv_sizes = np.abs(dw[positions[cand]])
-                best = np.where(piv_sizes >= piv_sizes.max() - 1e-15)[0]
-                pick = int(cand[best[int(np.argmin(basis[positions[cand[best]]]))]])
-            step_rows = max(rmin, 0.0)
-            leave_pos = int(positions[pick])
-            leave_to_upper = bool(to_upper[pick])
-        else:
-            step_rows = math.inf
-            leave_pos = -1
-            leave_to_upper = False
+                p = int(np.argmax(infeas)) if infeas.size else -1
+                if p >= 0 and infeas[p] <= tol:
+                    p = -1
+            if p < 0:
+                z = self._values()
+                if self.updates and np.any(
+                        np.abs(self.A @ z[:n] - z[n:]) > tol):
+                    self._refresh()
+                    continue
+                return _LpResult(True, z[:n], None, self._snapshot())
 
-        own_gap = hi_ext[e] - lo_ext[e]
-        flip = math.isfinite(own_gap) and own_gap < step_rows - 1e-12
-        step = own_gap if flip else step_rows
-        if not math.isfinite(step):
-            raise SolverNumericalError("phase-1 ray with unbounded objective decrease")
+            if not bland:
+                total = float(np.sum(np.maximum(infeas, 0.0)))
+                if total < best:
+                    best, stall = total, 0
+                else:
+                    stall += 1
+                    bland = stall > self.bland_after
 
-        if step <= 1e-12:
-            stall += 1
-            if stall > cfg.bland_after:
-                bland = True
-        else:
-            stall = 0
+            # leave row p at its violated bound; enter the column whose
+            # move pushes x_B[p] toward it with the largest |alpha|
+            below = lo_B[p] - x_B[p] > x_B[p] - hi_B[p]
+            target = lo_B[p] if below else hi_B[p]
+            rho = self.B_inv[p].copy()
+            alpha = np.concatenate([rho @ self.A, -rho])
+            toward = alpha if below else -alpha
+            # alphas this small next to the row's largest are rounding noise
+            piv_tol = _PIV_TOL * max(1.0, float(np.abs(alpha).max()))
+            elig = ((self.can_up & (toward < -piv_tol))
+                    | (self.can_down & (toward > piv_tol)))
+            score = np.where(elig, np.abs(alpha), 0.0)
+            q = int(np.argmax(score))
+            if score[q] == 0.0:
+                q = -1
+            elif bland:
+                # lowest index, among pivots that cannot wreck the basis
+                q = int(np.flatnonzero(score >= _BLAND_PIV * score[q])[0])
+            if q < 0:
+                y = -rho if below else rho
+                if self.updates and not self._ray_proves(y):
+                    self._refresh()
+                    continue
+                return _LpResult(False, None, y, self._snapshot())
 
-        x_B -= dw * step
-        if flip:
-            z[e] = hi_ext[e] if d > 0 else lo_ext[e]
-            state[e] = _AT_UB if d > 0 else _AT_LB
-            continue
-
-        leaving = int(basis[leave_pos])
-        piv = w[leave_pos]
-        if abs(piv) < _PIV_TOL / 10:
-            raise SolverNumericalError("pivot element vanished during basis change")
-        enter_val = z[e] + d * step
-        z[leaving] = hi_ext[leaving] if leave_to_upper else lo_ext[leaving]
-        state[leaving] = _AT_UB if leave_to_upper else _AT_LB
-        basis[leave_pos] = e
-        state[e] = _BASIC
-        x_B[leave_pos] = enter_val
-        c_B[leave_pos] = cost[e]
-
-        B_inv[leave_pos, :] /= piv
-        rows = np.arange(m) != leave_pos
-        B_inv[rows, :] -= np.outer(w[rows], B_inv[leave_pos, :])
-
-        if iters % cfg.refactor_every == 0:
-            refactor()
-        obj = float(c_B @ x_B)
-        if obj > last_obj + 1e-7:
-            refactor()                   # monotonicity lost: clean the basis
-            obj = float(c_B @ x_B)
-        last_obj = obj
+            col = (self.B_inv @ self.A[:, q] if q < n
+                   else -self.B_inv[:, q - n])
+            piv = col[p]
+            if self.updates and abs(piv - alpha[q]) > 1e-7 * (1.0 + abs(alpha[q])):
+                self._refresh()          # row and column disagree: drift
+                continue
+            theta = (x_B[p] - target) / piv
+            x_B -= theta * col
+            leaving = int(self.basis[p])
+            self.z[leaving] = target
+            self.is_basic[leaving] = False
+            self.can_up[leaving] = target < self.hi[leaving]
+            self.can_down[leaving] = target > self.lo[leaving]
+            x_B[p] = self.z[q] + theta
+            self.is_basic[q] = True
+            self.can_up[q] = self.can_down[q] = False
+            self.basis[p] = q
+            lo_B[p], hi_B[p] = self.lo[q], self.hi[q]
+            pivot_row = rho / piv
+            self.B_inv = _dger(-1.0, col, pivot_row, a=self.B_inv, overwrite_a=True)
+            self.B_inv[p] = pivot_row
+            self.updates += 1
+            self.iterations += 1
+            pivots += 1
+            if pivots > self.max_iter:
+                raise _NumericalTrouble(
+                    f"dual simplex exceeded {self.max_iter} pivots on a "
+                    f"{self.m}x{self.n} problem")
+            if self.updates >= self.refactor_every:
+                self._refresh()
 
 
 # -- interval presolve --------------------------------------------------------
@@ -274,35 +388,33 @@ class _Presolver:
         self.N_neg = self.N < -1e-12
 
     def run(self, lo: np.ndarray, hi: np.ndarray, feas_tol: float,
-            max_rounds: int = 8) -> tuple[bool, np.ndarray, np.ndarray, np.ndarray]:
-        """Returns (consistent, lo, hi, active_row_mask)."""
+            max_rounds: int = 8) -> tuple[bool, np.ndarray, np.ndarray]:
+        """Returns (consistent, lo, hi)."""
         lo, hi = lo.copy(), hi.copy()
         rel, b = self.rel, self.b
-        m = self.A.shape[0]
-        active = np.ones(m, dtype=bool)
+        le_like, ge_like = rel != GE, rel != LE
         for _ in range(max_rounds):
             if np.any(lo > hi + 1e-9):
-                return False, lo, hi, active
+                return False, lo, hi
             wlo = np.clip(lo, -_HUGE, _HUGE)
             whi = np.clip(hi, -_HUGE, _HUGE)
             minact = self.A_pos @ wlo + self.A_neg @ whi
             maxact = self.A_pos @ whi + self.A_neg @ wlo
-            le_like = rel != GE
-            ge_like = rel != LE
             if np.any(le_like & (minact > b + feas_tol) & (minact < _NEAR_HUGE)):
-                return False, lo, hi, active
+                return False, lo, hi
             if np.any(ge_like & (maxact < b - feas_tol) & (maxact > -_NEAR_HUGE)):
-                return False, lo, hi, active
-            redundant = np.ones(m, dtype=bool)
-            redundant &= np.where(le_like, maxact <= b, True)
-            redundant &= np.where(ge_like, minact >= b, True)
-            active = ~redundant
+                return False, lo, hi
 
             # min activity of the <=-normalized rows, vectorized
             nmin = np.where(self.N_pos, self.N * wlo[None, :], 0.0).sum(axis=1) \
                 + np.where(self.N_neg, self.N * whi[None, :], 0.0).sum(axis=1)
             surplus = self.nb - nmin
             usable = (np.abs(nmin) < _NEAR_HUGE) & (surplus >= -feas_tol)
+            lo_inf, hi_inf = np.isinf(lo), np.isinf(hi)
+            if lo_inf.any() or hi_inf.any():
+                # a clipped infinite term times a small coefficient can pass
+                # for a finite activity; such rows tighten nothing
+                usable &= ~((self.N_pos & lo_inf) | (self.N_neg & hi_inf)).any(axis=1)
             new_lo, new_hi = lo.copy(), hi.copy()
             with np.errstate(divide="ignore", invalid="ignore"):
                 cand_ub = np.where(self.N_pos & usable[:, None],
@@ -328,27 +440,8 @@ class _Presolver:
             if done:
                 break
         if np.any(lo > hi + 1e-9):
-            return False, lo, hi, active
-        return True, lo, hi, active
-
-
-# -- node LP assembly ---------------------------------------------------------
-
-def _solve_node_lp(A, rel, b, lo, hi, active, cfg):
-    """Equality-form build (slack per inequality row) and phase-1 solve."""
-    Aa, ba = A[active], b[active]
-    ra = rel[active]
-    ineq = np.where(ra != EQ)[0]
-    ma = Aa.shape[0]
-    S = np.zeros((ma, len(ineq)))
-    for col, i in enumerate(ineq):
-        S[i, col] = 1.0 if ra[i] == LE else -1.0
-    A_eq = np.hstack([Aa, S]) if len(ineq) else Aa
-    lo_eq = np.concatenate([lo, np.zeros(len(ineq))])
-    hi_eq = np.concatenate([hi, np.full(len(ineq), np.inf)])
-    feasible, zz, y, iters = _phase1_simplex(A_eq, ba, lo_eq, hi_eq, cfg)
-    x = zz[: A.shape[1]] if feasible else None
-    return feasible, x, y, iters
+            return False, lo, hi
+        return True, lo, hi
 
 
 def check_certificate(problem: MilpProblem, y, tol: float = 1e-7) -> bool:
@@ -419,21 +512,21 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
             for j in group:
                 member_group.setdefault(j, group)
     presolver = _Presolver(A, rel, b, is_bin)
-    all_rows = np.ones(len(b), dtype=bool)
+    lp = _DualSimplex(A, rel, b, cfg)
     t0 = time.perf_counter()
+    deadline = None if cfg.time_limit is None else t0 + cfg.time_limit
     nodes = 0
-    iters_total = 0
 
     def out_of_budget() -> bool:
         if nodes >= cfg.node_limit:
             return True
-        return cfg.time_limit is not None and (time.perf_counter() - t0) > cfg.time_limit
+        return deadline is not None and time.perf_counter() > deadline
 
     def make_witness(x: np.ndarray) -> Witness:
         return Witness({name: float(v) for name, v in zip(names, x)})
 
     def finish(status, witness=None, message="", certificate=None) -> SolveResult:
-        return SolveResult(status, witness, nodes, iters_total,
+        return SolveResult(status, witness, nodes, lp.iterations,
                            time.perf_counter() - t0, message, certificate)
 
     def checked_witness(x: np.ndarray) -> Witness:
@@ -445,129 +538,128 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
                 "witness failed verification: " + "; ".join(violations[:4]))
         return w
 
-    def try_assignment(lo, hi, x_hint) -> np.ndarray | None:
+    def try_assignment(lo, hi, x_hint, start) -> np.ndarray | None:
         """Fix every binary at round(x_hint) and solve the continuous rest."""
-        nonlocal iters_total
         lo2, hi2 = lo.copy(), hi.copy()
         snapped = np.round(np.clip(x_hint[bin_idx], 0.0, 1.0))
         lo2[bin_idx] = snapped
         hi2[bin_idx] = snapped
         if cfg.presolve:
-            ok, lo2, hi2, active = presolver.run(lo2, hi2, cfg.feas_tolerance)
+            ok, lo2, hi2 = presolver.run(lo2, hi2, cfg.feas_tolerance)
             if not ok:
                 return None
-        else:
-            active = all_rows
-        feasible, x, _, its = _solve_node_lp(A, rel, b, lo2, hi2, active, cfg)
-        iters_total += its
-        if not feasible:
+        res = lp.solve(lo2, hi2, start, deadline)
+        if not res.feasible:
             return None
-        x = x.copy()
+        x = res.x.copy()
         x[bin_idx] = snapped
         return x
 
-    def root_infeasible(y) -> SolveResult:
+    def root_infeasible(res: _LpResult | None) -> SolveResult:
         """Infeasibility before any branching; attach a clean certificate."""
-        nonlocal iters_total, nodes
+        nonlocal nodes
         if cfg.presolve:
-            # duals from a presolve-tightened LP do not certify the original
-            # bounds; re-derive them on the untouched problem
-            feasible, x, y, its = _solve_node_lp(A, rel, b, lo0, hi0, all_rows, cfg)
-            iters_total += its
+            # a ray under presolve-tightened bounds does not certify the
+            # original ones; re-derive it on the untouched problem
+            res = lp.solve(lo0, hi0, res.basis if res else None, deadline)
             nodes += 1
-            if feasible:
+            if res.feasible:
                 # presolve and LP disagree (numerical edge): restart without it
                 inner = solve_milp(problem, replace(cfg, presolve=False))
                 return SolveResult(inner.status, inner.witness,
                                    nodes + inner.nodes,
-                                   iters_total + inner.lp_iterations,
+                                   lp.iterations + inner.lp_iterations,
                                    time.perf_counter() - t0,
                                    "presolve disagreed; re-solved without it",
                                    inner.certificate)
         cert = None
-        if y is not None and check_certificate(problem, y, cfg.feas_tolerance):
-            cert = tuple(map(float, y))
+        if check_certificate(problem, res.ray, cfg.feas_tolerance):
+            cert = tuple(map(float, res.ray))
         return finish(INFEASIBLE, certificate=cert)
 
     if np.any(lo0 > hi0):
         return finish(INFEASIBLE, message="empty variable bounds")
 
-    # DFS over bound boxes; entries are pushed so the preferred branch pops first
-    stack: list[tuple[np.ndarray, np.ndarray]] = [(lo0.copy(), hi0.copy())]
+    # DFS over bound boxes, each with the basis its parent's LP ended in;
+    # entries are pushed so the preferred branch pops first
+    stack: list[tuple[np.ndarray, np.ndarray, _Basis | None]] = [
+        (lo0.copy(), hi0.copy(), None)]
     branched = False
 
-    while stack:
-        if out_of_budget():
-            return finish(BUDGET_EXCEEDED, message=f"stopped after {nodes} nodes")
-        lo, hi = stack.pop()
-        is_root = not branched and not stack
-        if cfg.presolve:
-            ok, lo, hi, active = presolver.run(lo, hi, cfg.feas_tolerance)
-            if not ok:
+    try:
+        while stack:
+            if out_of_budget():
+                return finish(BUDGET_EXCEEDED, message=f"stopped after {nodes} nodes")
+            lo, hi, start = stack.pop()
+            is_root = not branched and not stack
+            if cfg.presolve:
+                ok, lo, hi = presolver.run(lo, hi, cfg.feas_tolerance)
+                if not ok:
+                    if is_root:
+                        return root_infeasible(None)
+                    continue
+            nodes += 1
+            res = lp.solve(lo, hi, start, deadline)
+            if not res.feasible:
                 if is_root:
-                    return root_infeasible(None)
+                    return root_infeasible(res)
                 continue
-        else:
-            active = all_rows
-        nodes += 1
-        feasible, x, y, its = _solve_node_lp(A, rel, b, lo, hi, active, cfg)
-        iters_total += its
-        if not feasible:
-            if is_root:
-                return root_infeasible(y)
-            continue
+            x, basis = res.x, res.basis
 
-        frac = np.abs(x[bin_idx] - np.round(x[bin_idx]))
-        open_mask = (hi[bin_idx] - lo[bin_idx]) > 0.5   # not yet fixed
-        if is_root and cfg.rounding_heuristic and np.any(frac > cfg.int_tolerance):
-            guess = try_assignment(lo, hi, x)
-            if guess is not None:
-                return finish(FEASIBLE, witness=checked_witness(guess),
-                              message="rounding heuristic")
+            frac = np.abs(x[bin_idx] - np.round(x[bin_idx]))
+            open_mask = (hi[bin_idx] - lo[bin_idx]) > 0.5   # not yet fixed
+            if is_root and cfg.rounding_heuristic and np.any(frac > cfg.int_tolerance):
+                guess = try_assignment(lo, hi, x, basis)
+                if guess is not None:
+                    return finish(FEASIBLE, witness=checked_witness(guess),
+                                  message="rounding heuristic")
 
-        if np.all(frac <= cfg.int_tolerance):
-            if not np.any(open_mask):
-                xx = x.copy()
-                if len(bin_idx):
-                    xx[bin_idx] = np.round(xx[bin_idx])
-                return finish(FEASIBLE, witness=checked_witness(xx))
-            clean = try_assignment(lo, hi, x)
-            if clean is not None:
-                return finish(FEASIBLE, witness=checked_witness(clean))
-            # integral relaxation but the exact fixing failed: split on the
-            # first open binary so the search stays exhaustive
-            j = int(bin_idx[np.where(open_mask)[0][0]])
-        else:
-            masked = np.where(open_mask, frac, -1.0)
-            if cfg.branch_rule == "first-fractional":
-                j = int(bin_idx[int(np.where(masked > cfg.int_tolerance)[0][0])])
+            if np.all(frac <= cfg.int_tolerance):
+                if not np.any(open_mask):
+                    xx = x.copy()
+                    if len(bin_idx):
+                        xx[bin_idx] = np.round(xx[bin_idx])
+                    return finish(FEASIBLE, witness=checked_witness(xx))
+                clean = try_assignment(lo, hi, x, basis)
+                if clean is not None:
+                    return finish(FEASIBLE, witness=checked_witness(clean))
+                # integral relaxation but the exact fixing failed: split on the
+                # first open binary so the search stays exhaustive
+                j = int(bin_idx[np.where(open_mask)[0][0]])
             else:
-                j = int(bin_idx[int(np.argmax(masked))])
-        branched = True
-        group = member_group.get(j)
-        if group is not None:
-            # Enumerate the group's one-hot assignments; push the child the
-            # relaxation prefers last so the DFS dives into it first.
-            pinned = [m for m in group if lo[m] > 0.5]
-            members = pinned[:1] if pinned else [m for m in group if hi[m] > 0.5]
-            members.sort(key=lambda m: (x[m], -m))
-            for m in members:
-                lo_c, hi_c = lo.copy(), hi.copy()
-                lo_c[m] = 1.0
-                for other in group:
-                    if other != m:
-                        hi_c[other] = 0.0
-                stack.append((lo_c, hi_c))
-            continue
-        lo_zero, hi_zero = lo.copy(), hi.copy()
-        hi_zero[j] = 0.0
-        lo_one, hi_one = lo.copy(), hi.copy()
-        lo_one[j] = 1.0
-        if cfg.node_order == "zero-first":
-            stack.append((lo_one, hi_one))
-            stack.append((lo_zero, hi_zero))
-        else:
-            stack.append((lo_zero, hi_zero))
-            stack.append((lo_one, hi_one))
+                masked = np.where(open_mask, frac, -1.0)
+                if cfg.branch_rule == "first-fractional":
+                    j = int(bin_idx[int(np.where(masked > cfg.int_tolerance)[0][0])])
+                else:
+                    j = int(bin_idx[int(np.argmax(masked))])
+            branched = True
+            group = member_group.get(j)
+            if group is not None:
+                # Enumerate the group's one-hot assignments; push the child the
+                # relaxation prefers last so the DFS dives into it first.
+                pinned = [m for m in group if lo[m] > 0.5]
+                members = pinned[:1] if pinned else [m for m in group if hi[m] > 0.5]
+                members.sort(key=lambda m: (x[m], -m))
+                for m in members:
+                    lo_c, hi_c = lo.copy(), hi.copy()
+                    lo_c[m] = 1.0
+                    for other in group:
+                        if other != m:
+                            hi_c[other] = 0.0
+                    stack.append((lo_c, hi_c, basis))
+                continue
+            lo_zero, hi_zero = lo.copy(), hi.copy()
+            hi_zero[j] = 0.0
+            lo_one, hi_one = lo.copy(), hi.copy()
+            lo_one[j] = 1.0
+            if cfg.node_order == "zero-first":
+                stack.append((lo_one, hi_one, basis))
+                stack.append((lo_zero, hi_zero, basis))
+            else:
+                stack.append((lo_zero, hi_zero, basis))
+                stack.append((lo_one, hi_one, basis))
+    except _OutOfTime:
+        return finish(BUDGET_EXCEEDED,
+                      message=f"time limit reached in the LP after {nodes} nodes")
 
     return finish(INFEASIBLE)

@@ -12,6 +12,7 @@ from swainval.detectability import (AffineConverseReport, DetectabilityReport,
                                     matrix_rank_scaled, observability_matrix,
                                     switched_never_detectable_certificate)
 from swainval.encoder import ExplicitWords, StructuredTuple
+from swainval.examples import builtin_pair, scenario_specs
 from swainval.model import (AffineMode, HyperRectangle, SimulationDraw,
                             SwitchedAffineModel, simulate)
 from swainval.solver import SolverConfig
@@ -110,6 +111,16 @@ class TestFindT:
         idem = json.loads(find_T(*contracting_pair, t_max=5).to_json())
         idem.pop("wall_times"), blob.pop("wall_times")  # timing may vary
         assert idem == blob
+
+    def test_sensor_scenario_3_matches_its_spec(self):
+        # its T=3 re-check used to stop on a singular basis
+        spec = {s.name: s for s in scenario_specs()}["sensor-scenario-3"]
+        system, fault = builtin_pair("sensorScenario3",
+                                     uncertainty=spec.uncertainty)
+        rep = find_T(system, fault, t_max=5)
+        assert rep.verdict == "yes"
+        assert f"T={rep.horizon}" == spec.expected
+        assert rep.monotonicity_recheck == "infeasible"
 
 
 class TestFindTWeak:

@@ -6,15 +6,23 @@ exhaustive binary enumeration for small mixed problems.  Witnesses are
 replayed through the independent row checker.
 """
 
+import itertools
 import math
+import time
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, milp as scipy_milp
 from scipy.optimize import Bounds, LinearConstraint as SciLinCon
 
+from swainval import solver
+from swainval.detector import inject_persistent_fault
+from swainval.encoder import encode_invalidation
+from swainval.examples import builtin_pair
 from swainval.milp import MilpProblem, Witness, verify
 from swainval.solver import (
     BUDGET_EXCEEDED,
@@ -22,6 +30,9 @@ from swainval.solver import (
     INFEASIBLE,
     SolverConfig,
     SolveResult,
+    _Basis,
+    _DualSimplex,
+    _OutOfTime,
     check_certificate,
     solve_milp,
 )
@@ -44,6 +55,15 @@ def random_lp(rng, n=6, m=8) -> MilpProblem:
     return p.seal()
 
 
+def _sparsify(A: np.ndarray, drop: np.ndarray) -> np.ndarray:
+    """Zero the dropped entries, except that a row losing all of them keeps
+    its largest: MilpProblem rightly rejects an empty unsatisfiable row."""
+    drop = drop.copy()
+    empty = np.flatnonzero(drop.all(axis=1))
+    drop[empty, np.argmax(np.abs(A[empty]), axis=1)] = False
+    return np.where(drop, 0.0, A)
+
+
 def random_mip(rng, n=4, nb=5, m=7) -> MilpProblem:
     p = MilpProblem("randmip")
     lo = rng.uniform(-3, 0, n)
@@ -54,14 +74,27 @@ def random_mip(rng, n=4, nb=5, m=7) -> MilpProblem:
         p.add_binary(f"d{j}")
     names = [f"v{j}" for j in range(n)] + [f"d{j}" for j in range(nb)]
     centre = np.concatenate([(lo + hi) / 2, np.full(nb, 0.5)])
-    A = rng.uniform(-2, 2, (m, n + nb))
-    A[rng.uniform(size=(m, n + nb)) < 0.35] = 0.0
+    A = _sparsify(rng.uniform(-2, 2, (m, n + nb)),
+                  rng.uniform(size=(m, n + nb)) < 0.35)
     for i in range(m):
         rel = ("<=", ">=", "=")[int(rng.integers(3))]
         rhs = float(A[i] @ centre + rng.uniform(-2.0, 2.0))
         p.add_constraint(f"r{i}", [(A[i, j], names[j]) for j in range(n + nb)],
                          rel, rhs)
     return p.seal()
+
+
+def linprog_feasible(A, rel, b, lo, hi) -> bool:
+    signs = np.where(rel == ">=", -1.0, 1.0)
+    ineq, eq = rel != "=", rel == "="
+    res = linprog(np.zeros(A.shape[1]),
+                  A_ub=(signs[:, None] * A)[ineq] if ineq.any() else None,
+                  b_ub=(signs * b)[ineq] if ineq.any() else None,
+                  A_eq=A[eq] if eq.any() else None,
+                  b_eq=b[eq] if eq.any() else None,
+                  bounds=[(None if math.isinf(l) else l, None if math.isinf(h) else h)
+                          for l, h in zip(lo, hi)], method="highs")
+    return res.status == 0
 
 
 def scipy_feasible(p: MilpProblem) -> bool:
@@ -80,21 +113,7 @@ def scipy_feasible(p: MilpProblem) -> bool:
                          integrality=is_bin.astype(int),
                          bounds=Bounds(lo, hi))
         return res.status == 0
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for i in range(A.shape[0]):
-        if rel[i] == "<=":
-            A_ub.append(A[i]); b_ub.append(b[i])
-        elif rel[i] == ">=":
-            A_ub.append(-A[i]); b_ub.append(-b[i])
-        else:
-            A_eq.append(A[i]); b_eq.append(b[i])
-    res = linprog(np.zeros(n),
-                  A_ub=np.array(A_ub) if A_ub else None,
-                  b_ub=np.array(b_ub) if b_ub else None,
-                  A_eq=np.array(A_eq) if A_eq else None,
-                  b_eq=np.array(b_eq) if b_eq else None,
-                  bounds=list(zip(lo, hi)), method="highs")
-    return res.status == 0
+    return linprog_feasible(A, rel, b, lo, hi)
 
 
 def enumerate_feasible(p: MilpProblem) -> bool:
@@ -102,27 +121,12 @@ def enumerate_feasible(p: MilpProblem) -> bool:
     with scipy."""
     A, rel, b, lo, hi, is_bin, _ = p.to_arrays()
     bins = np.where(is_bin)[0]
-    n = A.shape[1]
     for bits in range(2 ** len(bins)):
         lo2, hi2 = lo.copy(), hi.copy()
         for pos, j in enumerate(bins):
             v = float((bits >> pos) & 1)
             lo2[j] = hi2[j] = v
-        A_ub, b_ub, A_eq, b_eq = [], [], [], []
-        for i in range(A.shape[0]):
-            if rel[i] == "<=":
-                A_ub.append(A[i]); b_ub.append(b[i])
-            elif rel[i] == ">=":
-                A_ub.append(-A[i]); b_ub.append(-b[i])
-            else:
-                A_eq.append(A[i]); b_eq.append(b[i])
-        res = linprog(np.zeros(n),
-                      A_ub=np.array(A_ub) if A_ub else None,
-                      b_ub=np.array(b_ub) if b_ub else None,
-                      A_eq=np.array(A_eq) if A_eq else None,
-                      b_eq=np.array(b_eq) if b_eq else None,
-                      bounds=list(zip(lo2, hi2)), method="highs")
-        if res.status == 0:
+        if linprog_feasible(A, rel, b, lo2, hi2):
             return True
     return False
 
@@ -340,3 +344,129 @@ class TestWitnessQuality:
         if res.is_feasible:
             ok, violations = verify(p, res.witness, tol=1e-6)
             assert ok, violations
+
+
+def random_bounded_lp(rng, n=5, m=6) -> MilpProblem:
+    """Random LP mixing <=, >= and = rows with boxed, one-sided and free
+    variables; roughly half are feasible."""
+    p = MilpProblem("randlp")
+    centre = rng.uniform(-3, 3, n)
+    for j in range(n):
+        kind = int(rng.integers(4))
+        lo = centre[j] - rng.uniform(0.2, 4) if kind in (0, 1) else -math.inf
+        hi = centre[j] + rng.uniform(0.2, 4) if kind in (0, 2) else math.inf
+        p.add_continuous(f"v{j}", lo, hi)
+    A = _sparsify(rng.uniform(-2, 2, (m, n)), rng.uniform(size=(m, n)) < 0.4)
+    for i in range(m):
+        rel = ("<=", ">=", "=")[int(rng.integers(3))]
+        rhs = float(A[i] @ centre + rng.uniform(-4, 4))
+        p.add_constraint(f"r{i}", [(A[i, j], f"v{j}") for j in range(n)], rel, rhs)
+    return p.seal()
+
+
+def tightened(rng, lo, hi):
+    """A random sub-box of [lo, hi]; unbounded sides may become finite."""
+    lo2, hi2 = lo.copy(), hi.copy()
+    for j in range(len(lo)):
+        if rng.uniform() < 0.5:
+            continue
+        a = lo[j] if math.isfinite(lo[j]) else min(hi[j], 0.0) - rng.uniform(0, 6)
+        c = hi[j] if math.isfinite(hi[j]) else max(a, 0.0) + rng.uniform(0, 6)
+        lo2[j], hi2[j] = np.sort(rng.uniform(a, c, 2))
+    return lo2, hi2
+
+
+def rows_hold(A, rel, b, x, tol) -> bool:
+    act = A @ x
+    return bool(np.all(np.where(rel == "<=", act <= b + tol,
+                                np.where(rel == ">=", act >= b - tol,
+                                         np.abs(act - b) <= tol))))
+
+
+class TestDualSimplexProperties:
+    """The node LP engine against scipy's linprog on random bounded LPs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    @example(2487)  # presolve once read a tiny coefficient on an infinite bound as finite
+    def test_feasibility_witness_and_certificate(self, seed):
+        p = random_bounded_lp(np.random.default_rng(seed))
+        A, rel, b, lo, hi, _, _ = p.to_arrays()
+        res = solve_milp(p)
+        assert res.decided
+        assert res.is_feasible == linprog_feasible(A, rel, b, lo, hi)
+        if res.is_feasible:
+            ok, violations = verify(p, res.witness)
+            assert ok, violations
+        else:
+            assert res.certificate is not None
+            assert check_certificate(p, res.certificate)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_warm_resolve_after_tightening_agrees_with_cold(self, seed):
+        rng = np.random.default_rng(seed)
+        A, rel, b, lo, hi, _, _ = random_bounded_lp(rng).to_arrays()
+        cfg = SolverConfig()
+        engine = _DualSimplex(A, rel, b, cfg)
+        first = engine.solve(lo, hi, None, None)
+        lo2, hi2 = tightened(rng, lo, hi)
+        expected = linprog_feasible(A, rel, b, lo2, hi2)
+        cold = _DualSimplex(A, rel, b, cfg).solve(lo2, hi2, None, None)
+        # warm in the engine that holds the basis, and in a fresh engine
+        # that has to refactor it
+        warm = engine.solve(lo2, hi2, first.basis, None)
+        refactored = _DualSimplex(A, rel, b, cfg).solve(lo2, hi2, first.basis, None)
+        for res in (cold, warm, refactored):
+            assert res.feasible == expected
+            if res.feasible:
+                tol = 10 * cfg.feas_tolerance
+                assert np.all(res.x >= lo2 - tol) and np.all(res.x <= hi2 + tol)
+                assert rows_hold(A, rel, b, res.x, tol)
+
+
+def test_singular_warm_start_falls_back_to_the_slack_basis():
+    p = MilpProblem()
+    p.add_continuous("x", 0.0, 2.0)
+    p.add_continuous("y", 0.0, 2.0)
+    p.add_constraint("r0", [(1.0, "x"), (1.0, "y")], ">=", 3.0)
+    p.add_constraint("r1", [(2.0, "x"), (2.0, "y")], "<=", 7.0)
+    A, rel, b, lo, hi, _, _ = p.seal().to_arrays()
+    engine = _DualSimplex(A, rel, b, SolverConfig())
+    # x and y have parallel columns, so a basis holding both is singular
+    res = engine.solve(lo, hi, _Basis(np.array([0, 1]), np.zeros(4, dtype=bool)), None)
+    assert res.feasible and rows_hold(A, rel, b, res.x, 1e-6)
+
+
+@pytest.fixture(scope="module")
+def radiant_window() -> MilpProblem:
+    system, fault = builtin_pair("radiant")
+    trace = inject_persistent_fault(system, fault, onset=15, total=20, seed=0)
+    return encode_invalidation(system, trace.window(2, 6)).problem.seal()
+
+
+class TestTimeLimitInsideLp:
+    def test_expired_deadline_stops_before_the_first_pivot(self, radiant_window):
+        A, rel, b, lo, hi, _, _ = radiant_window.to_arrays()
+        engine = _DualSimplex(A, rel, b, SolverConfig())
+        with pytest.raises(_OutOfTime):
+            engine.solve(lo, hi, None, time.perf_counter() - 1.0)
+        assert engine.iterations == 0
+
+    def test_radiant_window_stops_within_a_pivot_of_the_limit(
+            self, radiant_window, monkeypatch):
+        # A clock that advances one tick per reading makes the solver's own
+        # readings its unit of time; the pivot loop reads it once per pivot.
+        ticks = itertools.count()
+        monkeypatch.setattr(solver, "time", SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
+        base = SolverConfig(rounding_heuristic=False)
+        root = solve_milp(radiant_window, replace(base, node_limit=1))
+        limit = 10.0
+        assert root.lp_iterations > 2 * limit
+        res = solve_milp(radiant_window, replace(base, time_limit=limit))
+        assert res.status == BUDGET_EXCEEDED
+        # a limit checked only between nodes would finish the root LP first
+        assert res.lp_iterations < limit
+        # the reading that found the limit passed, then the final one
+        assert res.wall_time - limit <= 2.0
