@@ -6,7 +6,7 @@ whether observed input/output data is consistent with a switched affine
 model (invalidation), and whether two such models can ever produce the same
 data over a horizon (detectability).  A bundled branch-and-bound solver
 answers the feasibility questions exactly; an external solver can be
-plugged in through LP files.
+plugged in through LP files (``SolverConfig.external_command``).
 """
 
 from .model import (
@@ -36,7 +36,6 @@ from .milp import (
     BadBigM,
     add_abs_var,
     encode_abs_leq,
-    big_m_for_pair,
     export_lp,
     parse_lp,
     verify,
@@ -84,13 +83,11 @@ from .detectability import (
     ConversePathsDisagree,
     check_t_detectability,
     find_T,
-    find_T_weak,
     observability_matrix,
     is_observable,
     concatenated_system,
     AffineConverseReport,
     affine_never_detectable,
-    switched_never_detectable_certificate,
 )
 from .detector import (
     WindowVerdict,
@@ -131,7 +128,6 @@ from .fileio import (
 from .external import (
     ExternalSolverError,
     external_command_from_env,
-    solve_with_command,
 )
 
 __version__ = "0.1.0"
@@ -145,7 +141,7 @@ __all__ = [
     "build_attack_model", "concat_cascaded", "submodel",
     # milp
     "MilpProblem", "Witness", "UnboundedSet", "BadBigM", "add_abs_var",
-    "encode_abs_leq", "big_m_for_pair", "export_lp", "parse_lp", "verify",
+    "encode_abs_leq", "export_lp", "parse_lp", "verify",
     # solver
     "FEASIBLE", "INFEASIBLE", "BUDGET_EXCEEDED", "SolverConfig",
     "SolveResult", "SolverNumericalError", "solve_milp", "check_certificate",
@@ -159,10 +155,9 @@ __all__ = [
     "CommonBehavior", "InvalidationResult", "check_invalidation",
     # detectability
     "TDetectabilityResult", "DetectabilityReport", "MonotonicityViolation",
-    "ConversePathsDisagree", "check_t_detectability", "find_T", "find_T_weak",
+    "ConversePathsDisagree", "check_t_detectability", "find_T",
     "observability_matrix", "is_observable", "concatenated_system",
     "AffineConverseReport", "affine_never_detectable",
-    "switched_never_detectable_certificate",
     # detector
     "WindowVerdict", "DetectionReport", "StreamingDetector", "run_receding",
     "run_streaming", "inject_persistent_fault", "default_window_config",
@@ -176,6 +171,6 @@ __all__ = [
     "load_trajectory", "trajectory_to_csv", "trajectory_from_csv",
     "save_indicator", "load_indicator", "parse_indicator_arg",
     # external
-    "ExternalSolverError", "external_command_from_env", "solve_with_command",
+    "ExternalSolverError", "external_command_from_env",
     "__version__",
 ]

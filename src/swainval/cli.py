@@ -14,8 +14,13 @@ randomness is seeded (``--seed``, default 0); identical inputs and seed
 reproduce identical outputs byte for byte, except for the explicitly
 documented wall-clock columns (``solve_ms`` in alarm CSVs, ``solve_s`` in
 bench CSVs).  The environment variable ``SWAINVAL_EXTERNAL_SOLVER`` names
-an external command consuming an LP file and printing a witness protocol;
-when set, ``invalidate`` and ``find-t`` route their solves through it.
+an external command consuming an LP file and printing a witness protocol
+(see :mod:`swainval.external`); when set, every subcommand that solves
+(``invalidate``, ``find-t``, ``detect`` and ``bench``) passes it on as
+``SolverConfig.external_command``, so ``solve_milp`` routes the solves
+through it.  The subcommands only call library functions; a library error
+(bad input, a numerical failure, a failing external solver) ends the run
+with exit code 1 and a one-line ``error:`` message on stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -34,14 +38,15 @@ from pathlib import Path
 import numpy as np
 
 from .detectability import (NOT_UP_TO, UNDECIDED as SEARCH_UNDECIDED, YES,
-                            DetectabilityReport, find_T)
+                            ConversePathsDisagree, DetectabilityReport,
+                            MonotonicityViolation, find_T)
 from .detector import (default_window_config, inject_persistent_fault,
                        run_receding, run_streaming)
-from .encoder import (CONSISTENT, INVALIDATED, UNDECIDED,
-                      InputOutsideAdmissibleSet, encode_invalidation,
+from .encoder import (CONSISTENT, INVALIDATED, InputOutsideAdmissibleSet,
+                      check_invalidation, encode_invalidation,
                       encode_t_detectability)
 from .examples import BUILTIN_NAMES, UnknownName, load_builtin
-from .external import external_command_from_env, solve_with_command
+from .external import ExternalSolverError, external_command_from_env
 from .fileio import (FileFormatError, load_model, load_trajectory,
                      parse_indicator_arg, save_trajectory, trajectory_from_csv,
                      trajectory_to_csv)
@@ -49,7 +54,7 @@ from .milp import UnboundedSet, export_lp
 from .model import (DimensionError, HyperRectangle, NoAdmissibleDraw,
                     RandomPolicy, SwitchedAffineModel, simulate_random,
                     submodel, validate_model)
-from .solver import FEASIBLE, INFEASIBLE, SolverConfig, solve_milp
+from .solver import SolverConfig, SolverNumericalError
 
 __all__ = ["main", "build_parser", "CliError"]
 
@@ -115,11 +120,12 @@ def _resolve_model(args, attr: str = "model") -> SwitchedAffineModel:
     return model
 
 
-def _solver_config(args) -> SolverConfig:
-    cfg = SolverConfig()
-    if getattr(args, "time_limit", None) is not None:
+def _solver_config(args, base: SolverConfig = SolverConfig()) -> SolverConfig:
+    """``base`` with the budget flags and the external solver applied."""
+    cfg = replace(base, external_command=external_command_from_env())
+    if args.time_limit is not None:
         cfg = replace(cfg, time_limit=float(args.time_limit))
-    if getattr(args, "node_limit", None) is not None:
+    if args.node_limit is not None:
         cfg = replace(cfg, node_limit=int(args.node_limit))
     return cfg
 
@@ -223,36 +229,27 @@ def _cmd_invalidate(args) -> int:
             raise CliError(f"--window {args.window} does not fit a trajectory "
                            f"of {len(traj)} samples")
         traj = traj.window(len(traj) - args.window - 1, len(traj))
-    try:
-        enc = encode_invalidation(model, traj)
-    except InputOutsideAdmissibleSet as err:
-        if args.export:
+    if args.export:
+        try:
+            problem = encode_invalidation(model, traj).problem.seal()
+        except InputOutsideAdmissibleSet as err:
             raise CliError("cannot export: an observed input already lies "
                            "outside the admissible input set") from err
-        print(f"INVALIDATED  input sample {err.k} outside the admissible input set")
-        return EXIT_INVALIDATED
-    enc.problem.seal()
-    if args.export:
-        _write_text(args.export, export_lp(enc.problem))
+        _write_text(args.export, export_lp(problem))
         if args.export != "-":
-            print(f"exported {enc.problem.n_vars} variables / "
-                  f"{enc.problem.n_rows} rows to {args.export}")
+            print(f"exported {problem.n_vars} variables / "
+                  f"{problem.n_rows} rows to {args.export}")
         return EXIT_OK
-    cfg = _solver_config(args)
-    external = external_command_from_env()
-    if external:
-        res = solve_with_command(enc.problem, external,
-                                 time_limit=cfg.time_limit)
-    else:
-        res = solve_milp(enc.problem, cfg)
-    stats = f"nodes={res.nodes} lp_iterations={res.lp_iterations}"
-    if res.status == FEASIBLE:
-        print(f"CONSISTENT  {stats}")
+    res = check_invalidation(model, traj, config=_solver_config(args))
+    detail = res.reason if res.solve is None else \
+        f"nodes={res.solve.nodes} lp_iterations={res.solve.lp_iterations}"
+    if res.verdict == CONSISTENT:
+        print(f"CONSISTENT  {detail}")
         return EXIT_OK
-    if res.status == INFEASIBLE:
-        print(f"INVALIDATED  {stats}")
+    if res.verdict == INVALIDATED:
+        print(f"INVALIDATED  {detail}")
         return EXIT_INVALIDATED
-    print(f"UNDECIDED  solver budget exhausted ({res.message})", file=sys.stderr)
+    print(f"UNDECIDED  {res.reason}", file=sys.stderr)
     return EXIT_ERROR
 
 
@@ -263,31 +260,13 @@ def _report_to_jsonable(report: DetectabilityReport) -> dict:
     return doc
 
 
-def _verdict_lines(report: DetectabilityReport) -> list[str]:
-    if report.verdict == YES:
-        head = f"T={report.horizon}"
-    elif report.verdict == NOT_UP_TO:
-        head = f"NOT DETECTABLE up to {report.searched_up_to}"
-    else:
-        head = f"UNDECIDED at T={report.undecided_at}"
-    lines = [head]
-    lines += [f"  T={T}: {report.per_t_status[T]}"
-              for T in sorted(report.per_t_status)]
-    if report.monotonicity_recheck is not None:
-        lines.append(f"  recheck at T={(report.horizon or 0) + 1}: "
-                     f"{report.monotonicity_recheck}")
-    lines += [f"  note: {n}" for n in report.notes]
-    return lines
-
-
 def _cmd_find_t(args) -> int:
     system = _resolve_model(args)
     fault = _load_model_arg(args.fault, uncertainty=not args.no_uncertainty)
     indicator = parse_indicator_arg(args.indicator) if args.indicator else None
     report = find_T(system, fault, indicator=indicator, t0=args.t0,
-                    t_max=args.tmax, config=_solver_config(args),
-                    external_command=external_command_from_env())
-    print("\n".join(_verdict_lines(report)))
+                    t_max=args.tmax, config=_solver_config(args))
+    print(report.to_text())
     if args.export:
         _write_text(args.export,
                     json.dumps(_report_to_jsonable(report), indent=2,
@@ -297,11 +276,7 @@ def _cmd_find_t(args) -> int:
 
 def _cmd_detect(args) -> int:
     model = _resolve_model(args)
-    cfg = default_window_config()
-    if args.time_limit is not None:
-        cfg = replace(cfg, time_limit=float(args.time_limit))
-    if args.node_limit is not None:
-        cfg = replace(cfg, node_limit=int(args.node_limit))
+    cfg = _solver_config(args, default_window_config())
     if args.stdin_stream:
         traj = trajectory_from_csv(sys.stdin.read())
         samples = ((traj.inputs[k], traj.outputs[k]) for k in range(len(traj)))
@@ -356,22 +331,15 @@ def _cmd_export_milp(args) -> int:
 
 
 def _bench_case(payload):
-    """One (horizon, seed) cell: simulate data, time the consistency solve."""
-    model, data_model, horizon, seed, time_limit, node_limit = payload
+    """One (horizon, seed) cell: simulate data, time the consistency check."""
+    model, data_model, horizon, seed, cfg = payload
     traj, _ = simulate_random(data_model, seed=seed, steps=horizon + 1)
-    cfg = SolverConfig()
-    if time_limit is not None:
-        cfg = replace(cfg, time_limit=float(time_limit))
-    if node_limit is not None:
-        cfg = replace(cfg, node_limit=int(node_limit))
     start = time.perf_counter()
-    enc = encode_invalidation(model, traj)
-    enc.problem.seal()
-    res = solve_milp(enc.problem, cfg)
+    res = check_invalidation(model, traj, config=cfg)
     elapsed = time.perf_counter() - start
-    verdict = {FEASIBLE: CONSISTENT, INFEASIBLE: INVALIDATED}.get(
-        res.status, UNDECIDED)
-    return (horizon, seed, verdict, res.nodes, res.lp_iterations, elapsed)
+    solve = res.solve
+    return (horizon, seed, res.verdict, solve.nodes if solve else 0,
+            solve.lp_iterations if solve else 0, elapsed)
 
 
 def _cmd_bench(args) -> int:
@@ -381,8 +349,8 @@ def _cmd_bench(args) -> int:
                   if args.fault else model)
     if args.t0 < 1 or args.tmax < args.t0:
         raise CliError("bench needs 1 <= --t0 <= --tmax")
-    cases = [(model, data_model, horizon, args.seed + s,
-              args.time_limit, args.node_limit)
+    cfg = _solver_config(args)
+    cases = [(model, data_model, horizon, args.seed + s, cfg)
              for horizon in range(args.t0, args.tmax + 1)
              for s in range(args.seeds)]
     if args.jobs > 1:
@@ -561,11 +529,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except (FileFormatError, DimensionError, UnknownName, UnboundedSet,
-            NoAdmissibleDraw, IndexError, ValueError, OSError) as err:
+    except (CliError, FileFormatError, DimensionError, UnknownName, UnboundedSet,
+            NoAdmissibleDraw, IndexError, ValueError, OSError,
+            SolverNumericalError, MonotonicityViolation,
+            ConversePathsDisagree, ExternalSolverError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

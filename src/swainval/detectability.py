@@ -6,16 +6,12 @@ monitor then flags any persistent change within T steps.  ``find_T``
 searches the smallest such horizon by solving one coupled feasibility
 problem per candidate and certifying the first infeasible one (plus a
 re-check one step later, since detectability is monotone in the horizon).
-``find_T_weak`` does the same under an indicator that restricts the change
-model's early mode choices; at horizons shorter than the indicator window
-the restriction is weakened to what it implies about word prefixes.
 
 The module also hosts the converse tools: mode-sequence observability
 matrices, the concatenated difference system whose unobservable directions
-are exactly the indistinguishable initial conditions, a closed-form
+are exactly the indistinguishable initial conditions, and a closed-form
 never-detectable test for affine (single-mode) pairs that is cross-checked
-against the feasibility encoding, and a witness-producing certificate that
-a switched pair is not detectable up to a given horizon.
+against the feasibility encoding.
 """
 
 from __future__ import annotations
@@ -37,10 +33,9 @@ __all__ = [
     "YES", "NOT_UP_TO", "UNDECIDED", "NEVER_FINITE",
     "MonotonicityViolation", "ConversePathsDisagree",
     "TDetectabilityResult", "check_t_detectability",
-    "DetectabilityReport", "find_T", "find_T_weak",
+    "DetectabilityReport", "find_T",
     "observability_matrix", "matrix_rank_scaled", "is_observable",
     "concatenated_system", "AffineConverseReport", "affine_never_detectable",
-    "switched_never_detectable_certificate",
 ]
 
 YES = "yes"
@@ -91,25 +86,25 @@ def check_t_detectability(system: SwitchedAffineModel,
                           fault: SwitchedAffineModel, horizon: int, *,
                           indicator: Indicator | None = None,
                           config: SolverConfig | None = None,
-                          external_command: str | None = None,
-                          big_m: float | None = None) -> TDetectabilityResult:
-    """Decide whether a shared behaviour of ``horizon`` transitions exists."""
+                          ) -> TDetectabilityResult:
+    """Decide whether a shared behaviour of ``horizon`` transitions exists.
+
+    Feasibility produces a shared behaviour whose prefixes defeat every
+    shorter horizon as well (monotonicity), so a feasible answer at a cap
+    shows the pair is not detectable at any horizon up to it; infeasibility
+    certifies detectability at ``horizon``.  The solve runs on the backend
+    ``config`` names (see :func:`solve_milp`).
+    """
     start = time.perf_counter()
     try:
         enc = encode_t_detectability(system, fault, horizon,
-                                     indicator=indicator, big_m=big_m)
+                                     indicator=indicator)
     except EmptyInputIntersection:
         return TDetectabilityResult(
             horizon, INFEASIBLE, None, None, time.perf_counter() - start,
             note="the admissible input sets do not intersect")
     enc.problem.seal()
-    if external_command:
-        from .external import solve_with_command
-        limit = config.time_limit if config else None
-        res = solve_with_command(enc.problem, external_command,
-                                 time_limit=limit)
-    else:
-        res = solve_milp(enc.problem, config or SolverConfig())
+    res = solve_milp(enc.problem, config)
     behavior = (decode_pair_witness(enc, res.witness)
                 if res.status == FEASIBLE else None)
     return TDetectabilityResult(horizon, res.status, res, behavior,
@@ -153,8 +148,7 @@ class DetectabilityReport:
             head = f"UNDECIDED at T={self.undecided_at}"
         lines = [head]
         for T in sorted(self.per_t_status):
-            lines.append(f"  T={T}: {self.per_t_status[T]}"
-                         f" ({self.wall_times[T]:.3f}s)")
+            lines.append(f"  T={T}: {self.per_t_status[T]}")
         if self.monotonicity_recheck is not None:
             lines.append(f"  recheck at T={(self.horizon or 0) + 1}:"
                          f" {self.monotonicity_recheck}")
@@ -183,16 +177,16 @@ class DetectabilityReport:
 
 def find_T(system: SwitchedAffineModel, fault: SwitchedAffineModel, *,
            indicator: Indicator | None = None, t0: int = 1, t_max: int = 100,
-           config: SolverConfig | None = None,
-           external_command: str | None = None,
-           big_m: float | None = None) -> DetectabilityReport:
+           config: SolverConfig | None = None) -> DetectabilityReport:
     """Search the smallest horizon at which the pair becomes detectable.
 
     Feasibility is monotone (a longer shared behaviour restricts to a
     shorter one), so the first infeasible horizon is the answer; it is
     reconfirmed one step later and a violation raises
-    MonotonicityViolation.  With an indicator, each horizon applies the
-    restriction the indicator implies about length-T mode-word prefixes.
+    MonotonicityViolation.  An indicator restricts the change model's early
+    mode choices; at horizons shorter than its window the restriction is
+    weakened to what it implies about length-T mode-word prefixes
+    (:func:`~swainval.encoder.prefix_indicator`).
     """
     if t0 < 1:
         raise ValueError("the search must start at a horizon >= 1")
@@ -206,9 +200,7 @@ def find_T(system: SwitchedAffineModel, fault: SwitchedAffineModel, *,
     def probe(T: int) -> TDetectabilityResult:
         ind_T = prefix_indicator(indicator, T) if indicator is not None else None
         r = check_t_detectability(system, fault, T, indicator=ind_T,
-                                  config=config,
-                                  external_command=external_command,
-                                  big_m=big_m)
+                                  config=config)
         per_t[T] = r.status
         walls[T] = r.wall_time
         if r.note:
@@ -234,14 +226,6 @@ def find_T(system: SwitchedAffineModel, fault: SwitchedAffineModel, *,
     return DetectabilityReport(NOT_UP_TO, None, t0, t_max, per_t, walls,
                                last_witness, None, None, indicator,
                                tuple(notes))
-
-
-def find_T_weak(system: SwitchedAffineModel, fault: SwitchedAffineModel,
-                indicator: Indicator, **kwargs) -> DetectabilityReport:
-    """``find_T`` with a mandatory indicator restricting the change model."""
-    if indicator is None:
-        raise ValueError("find_T_weak needs an indicator; use find_T otherwise")
-    return find_T(system, fault, indicator=indicator, **kwargs)
 
 
 # -- observability and converse results --------------------------------------
@@ -418,17 +402,3 @@ def affine_never_detectable(system: SwitchedAffineModel,
                 f"returned {milp.status} at T={horizon}")
     return AffineConverseReport(never, (x0, xb0) if never else None,
                                 residual, horizon, milp.status)
-
-
-def switched_never_detectable_certificate(
-        system: SwitchedAffineModel, fault: SwitchedAffineModel, n_cap: int, *,
-        config: SolverConfig | None = None,
-        external_command: str | None = None) -> TDetectabilityResult:
-    """Witness that the pair is *not* detectable at any horizon up to n_cap.
-
-    Feasibility at the cap produces a shared behaviour whose prefixes defeat
-    every shorter horizon as well (monotonicity); infeasibility conversely
-    certifies detectability at the cap.  Uses the models' own admissible
-    sets, unlike the affine test."""
-    return check_t_detectability(system, fault, n_cap, config=config,
-                                 external_command=external_command)

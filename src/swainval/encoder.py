@@ -45,8 +45,7 @@ image of the admissible state box (hulled over modes, intersected with the
 box, padded by a hair against rounding), and every mode-gated row carries
 the smallest big-M constant valid for its own mode, step and row, derived
 from the same intervals.  The ``big_m`` field on an encoding records the
-largest row constant actually used (or the caller's override, applied to
-every row).
+largest row constant actually used.
 """
 
 from __future__ import annotations
@@ -56,19 +55,19 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .milp import (EQ, FEAS_TOL, GE, LE, MilpProblem, Witness, add_abs_var,
-                   bound_by_abs, _interval_product, _require_bounded)
+from .milp import (EQ, GE, LE, MilpProblem, UnboundedSet, Witness,
+                   add_abs_var, bound_by_abs)
 from .model import (DimensionError, HyperRectangle, SimulationDraw,
                     SwitchedAffineModel, Trajectory)
-from .solver import (BUDGET_EXCEEDED, FEASIBLE, INFEASIBLE, SolveResult,
-                     SolverConfig, solve_milp)
+from .solver import (FEASIBLE, INFEASIBLE, SolveResult, SolverConfig,
+                     solve_milp)
 
 __all__ = [
     "CONSISTENT", "INVALIDATED", "UNDECIDED",
     "InputOutsideAdmissibleSet", "EmptyInputIntersection",
     "WindowTooLong", "BadMode", "BadIndicator",
     "ExplicitWords", "StructuredTuple", "CountBand", "Indicator",
-    "prefix_indicator", "indicator_window",
+    "prefix_indicator",
     "InvalidationEncoding", "PairEncoding",
     "encode_invalidation", "encode_t_detectability", "apply_indicator",
     "Explanation", "CommonBehavior",
@@ -87,7 +86,7 @@ class InputOutsideAdmissibleSet(ValueError):
     """An observed input sample falls outside the model's input set."""
 
     def __init__(self, k: int, value: np.ndarray):
-        super().__init__(f"input sample {k} lies outside the admissible input set")
+        super().__init__(f"input sample {k} outside the admissible input set")
         self.k = k
         self.value = np.asarray(value, dtype=float)
 
@@ -203,10 +202,6 @@ class CountBand:
 
 
 Indicator = Union[ExplicitWords, StructuredTuple, CountBand]
-
-
-def indicator_window(indicator: Indicator) -> int:
-    return indicator.window
 
 
 def prefix_indicator(indicator: Indicator, horizon: int) -> Indicator:
@@ -330,6 +325,19 @@ def _add_interval_vars(p: MilpProblem, stem: str, k: int,
 
 
 _TUBE_PAD = 1e-9
+
+
+def _require_bounded(box: HyperRectangle, what: str) -> None:
+    if not box.is_bounded:
+        raise UnboundedSet(f"{what} must be bounded to derive a big-M constant")
+
+
+def _interval_product(mat: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Componentwise interval of mat @ v for v in the box [lo, hi]."""
+    pos = np.clip(mat, 0.0, None)
+    neg = np.clip(mat, None, 0.0)
+    return pos @ lo + neg @ hi, pos @ hi + neg @ lo
 
 
 def _propagate_boxes(model: SwitchedAffineModel, n_samples: int, drive):
@@ -474,8 +482,8 @@ def _output_terms(p: MilpProblem, var_index: dict, absx: _AbsCache, mode,
     return rows
 
 
-def encode_invalidation(model: SwitchedAffineModel, trajectory: Trajectory,
-                        *, big_m: float | None = None) -> InvalidationEncoding:
+def encode_invalidation(model: SwitchedAffineModel,
+                        trajectory: Trajectory) -> InvalidationEncoding:
     """Build the consistency feasibility problem for one data window.
 
     Raises InputOutsideAdmissibleSet when an observed input violates the
@@ -495,51 +503,37 @@ def encode_invalidation(model: SwitchedAffineModel, trajectory: Trajectory,
     # Row-specific big-M values and per-sample state bounds: the reachability
     # envelope (the observed input enters exactly, not via its box) shrinks
     # the variable boxes, and each gated row gets the smallest constant that
-    # provably relaxes it over the envelope.  An explicit ``big_m`` bypasses
-    # the interval machinery entirely and is applied to every row.
-    if big_m is not None:
-        fixed = float(big_m)
-        tube = [(np.asarray(model.state_set.lower, dtype=float),
-                 np.asarray(model.state_set.upper, dtype=float))] * N
+    # provably relaxes it over the envelope.
+    _require_bounded(model.state_set, "the state set")
+    _require_bounded(model.noise_set, "the noise set")
 
-        def dyn_m(i: int, k: int, r: int) -> float:
-            return fixed
+    def data_drive(i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        if not model.n_u:
+            zero = np.zeros(model.n)
+            return zero, zero
+        mode = model.modes[i - 1]
+        push = mode.B @ trajectory.inputs[k]
+        slack = mode.hatB @ np.abs(trajectory.inputs[k])
+        return push - slack, push + slack
 
-        def out_m(i: int, k: int, q: int) -> float:
-            return fixed
+    tube, step_lo, step_hi, expr_lo, expr_hi = \
+        _propagate_boxes(model, N, data_drive)
 
-        M = fixed
-    else:
-        _require_bounded(model.state_set, "the state set")
-        _require_bounded(model.noise_set, "the noise set")
+    def dyn_m(i: int, k: int, r: int) -> float:
+        lo_next, hi_next = tube[k + 1]
+        return 1.05 * max(hi_next[r] - step_lo[k][i - 1][r],
+                          step_hi[k][i - 1][r] - lo_next[r], 1e-6)
 
-        def data_drive(i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-            if not model.n_u:
-                zero = np.zeros(model.n)
-                return zero, zero
-            mode = model.modes[i - 1]
-            push = mode.B @ trajectory.inputs[k]
-            slack = mode.hatB @ np.abs(trajectory.inputs[k])
-            return push - slack, push + slack
+    def out_m(i: int, k: int, q: int) -> float:
+        y = float(trajectory.outputs[k, q])
+        return 1.05 * max(y - expr_lo[k][i - 1][q],
+                          expr_hi[k][i - 1][q] - y, 1e-6)
 
-        tube, step_lo, step_hi, expr_lo, expr_hi = \
-            _propagate_boxes(model, N, data_drive)
-
-        def dyn_m(i: int, k: int, r: int) -> float:
-            lo_next, hi_next = tube[k + 1]
-            return 1.05 * max(hi_next[r] - step_lo[k][i - 1][r],
-                              step_hi[k][i - 1][r] - lo_next[r], 1e-6)
-
-        def out_m(i: int, k: int, q: int) -> float:
-            y = float(trajectory.outputs[k, q])
-            return 1.05 * max(y - expr_lo[k][i - 1][q],
-                              expr_hi[k][i - 1][q] - y, 1e-6)
-
-        M = max(max((dyn_m(i, k, r) for i in range(1, model.s + 1)
-                     for k in range(N - 1) for r in range(model.n)),
-                    default=0.0),
-                max(out_m(i, k, q) for i in range(1, model.s + 1)
-                    for k in range(N) for q in range(model.n_y)))
+    M = max(max((dyn_m(i, k, r) for i in range(1, model.s + 1)
+                 for k in range(N - 1) for r in range(model.n)),
+                default=0.0),
+            max(out_m(i, k, q) for i in range(1, model.s + 1)
+                for k in range(N) for q in range(model.n_y)))
 
     p = MilpProblem(name=f"invalidation[{model.name or 'model'}][N={N}]")
     var_index: dict = {}
@@ -608,8 +602,7 @@ def _common_certain_output(system: SwitchedAffineModel,
 
 def encode_t_detectability(system: SwitchedAffineModel,
                            fault: SwitchedAffineModel, horizon: int, *,
-                           indicator: Indicator | None = None,
-                           big_m: float | None = None) -> PairEncoding:
+                           indicator: Indicator | None = None) -> PairEncoding:
     """Couple two models over one unknown input for ``horizon`` transitions.
 
     The problem is feasible iff some input-output window of horizon + 1
@@ -636,72 +629,56 @@ def encode_t_detectability(system: SwitchedAffineModel,
 
     # Row-specific big-M values and per-sample state bounds from each side's
     # reachability envelope (inputs enter via the shared box); the scalar
-    # stored on the encoding is the largest row constant (or the caller's
-    # override, which bypasses the interval machinery and binds every row).
-    if big_m is not None:
-        fixed = float(big_m)
-        tube1 = [(np.asarray(system.state_set.lower, dtype=float),
-                  np.asarray(system.state_set.upper, dtype=float))] * (T + 1)
-        tube2 = [(np.asarray(fault.state_set.lower, dtype=float),
-                  np.asarray(fault.state_set.upper, dtype=float))] * (T + 1)
+    # stored on the encoding is the largest row constant.
+    for model in (system, fault):
+        _require_bounded(model.state_set, "the state set")
+        _require_bounded(model.noise_set, "the noise set")
+    if n_u:
+        _require_bounded(U, "the input set")
 
-        def dyn_m(side: int, i: int, k: int, r: int) -> float:
-            return fixed
+    def box_drive(model: SwitchedAffineModel):
+        if not n_u:
+            zero = np.zeros(model.n)
+            per_mode = [(zero, zero)] * model.s
+        else:
+            ul = np.asarray(U.lower, dtype=float)
+            uu = np.asarray(U.upper, dtype=float)
+            um = np.maximum(np.abs(ul), np.abs(uu))
+            per_mode = []
+            for mode in model.modes:
+                blo, bhi = _interval_product(mode.B, ul, uu)
+                spread = mode.hatB @ um
+                per_mode.append((blo - spread, bhi + spread))
+        return lambda i, k: per_mode[i - 1]
 
-        def match_m(i: int, j: int, k: int, q: int) -> float:
-            return fixed
+    tube1, s_lo, s_hi, s_olo, s_ohi = \
+        _propagate_boxes(system, T + 1, box_drive(system))
+    tube2, f_lo, f_hi, f_olo, f_ohi = \
+        _propagate_boxes(fault, T + 1, box_drive(fault))
 
-        M = fixed
-    else:
-        for model in (system, fault):
-            _require_bounded(model.state_set, "the state set")
-            _require_bounded(model.noise_set, "the noise set")
-        if n_u:
-            _require_bounded(U, "the input set")
+    def dyn_m(side: int, i: int, k: int, r: int) -> float:
+        if side == 1:
+            tube, lo, hi = tube1, s_lo, s_hi
+        else:
+            tube, lo, hi = tube2, f_lo, f_hi
+        lo_next, hi_next = tube[k + 1]
+        return 1.05 * max(hi_next[r] - lo[k][i - 1][r],
+                          hi[k][i - 1][r] - lo_next[r], 1e-6)
 
-        def box_drive(model: SwitchedAffineModel):
-            if not n_u:
-                zero = np.zeros(model.n)
-                per_mode = [(zero, zero)] * model.s
-            else:
-                ul = np.asarray(U.lower, dtype=float)
-                uu = np.asarray(U.upper, dtype=float)
-                um = np.maximum(np.abs(ul), np.abs(uu))
-                per_mode = []
-                for mode in model.modes:
-                    blo, bhi = _interval_product(mode.B, ul, uu)
-                    spread = mode.hatB @ um
-                    per_mode.append((blo - spread, bhi + spread))
-            return lambda i, k: per_mode[i - 1]
+    def match_m(i: int, j: int, k: int, q: int) -> float:
+        return 1.05 * max(s_ohi[k][i - 1][q] - f_olo[k][j - 1][q],
+                          f_ohi[k][j - 1][q] - s_olo[k][i - 1][q], 1e-6)
 
-        tube1, s_lo, s_hi, s_olo, s_ohi = \
-            _propagate_boxes(system, T + 1, box_drive(system))
-        tube2, f_lo, f_hi, f_olo, f_ohi = \
-            _propagate_boxes(fault, T + 1, box_drive(fault))
-
-        def dyn_m(side: int, i: int, k: int, r: int) -> float:
-            if side == 1:
-                tube, lo, hi = tube1, s_lo, s_hi
-            else:
-                tube, lo, hi = tube2, f_lo, f_hi
-            lo_next, hi_next = tube[k + 1]
-            return 1.05 * max(hi_next[r] - lo[k][i - 1][r],
-                              hi[k][i - 1][r] - lo_next[r], 1e-6)
-
-        def match_m(i: int, j: int, k: int, q: int) -> float:
-            return 1.05 * max(s_ohi[k][i - 1][q] - f_olo[k][j - 1][q],
-                              f_ohi[k][j - 1][q] - s_olo[k][i - 1][q], 1e-6)
-
-        M = max(max(dyn_m(1, i, k, r) for i in range(1, system.s + 1)
-                    for k in range(T) for r in range(system.n)),
-                max(dyn_m(2, j, k, r) for j in range(1, fault.s + 1)
-                    for k in range(T) for r in range(fault.n)))
-        if not collapsed:
-            M = max(M, max(match_m(i, j, k, q)
-                           for i in range(1, system.s + 1)
-                           for j in range(1, fault.s + 1)
-                           for k in range(T + 1)
-                           for q in range(system.n_y)))
+    M = max(max(dyn_m(1, i, k, r) for i in range(1, system.s + 1)
+                for k in range(T) for r in range(system.n)),
+            max(dyn_m(2, j, k, r) for j in range(1, fault.s + 1)
+                for k in range(T) for r in range(fault.n)))
+    if not collapsed:
+        M = max(M, max(match_m(i, j, k, q)
+                       for i in range(1, system.s + 1)
+                       for j in range(1, fault.s + 1)
+                       for k in range(T + 1)
+                       for q in range(system.n_y)))
 
     p = MilpProblem(name=f"detectability[T={T}]")
     var_index: dict = {}
@@ -833,7 +810,7 @@ def apply_indicator(enc: PairEncoding, indicator: Indicator) -> None:
     """
     if enc.indicator is not None:
         raise BadIndicator("this encoding already carries an indicator")
-    W = indicator_window(indicator)
+    W = indicator.window
     if W > enc.horizon:
         raise WindowTooLong(
             f"indicator window {W} exceeds the encoding horizon {enc.horizon}")
@@ -1042,16 +1019,15 @@ class InvalidationResult:
 
 
 def check_invalidation(model: SwitchedAffineModel, trajectory: Trajectory, *,
-                       config: SolverConfig | None = None,
-                       big_m: float | None = None) -> InvalidationResult:
-    """Decide whether a data window lies in the model's behaviour set."""
-    config = config or SolverConfig()
+                       config: SolverConfig | None = None) -> InvalidationResult:
+    """Decide whether a data window lies in the model's behaviour set.
+
+    The solve runs on the backend ``config`` names (see :func:`solve_milp`).
+    """
     try:
-        enc = encode_invalidation(model, trajectory, big_m=big_m)
+        enc = encode_invalidation(model, trajectory)
     except InputOutsideAdmissibleSet as err:
-        return InvalidationResult(
-            INVALIDATED,
-            f"input sample {err.k} lies outside the admissible input set")
+        return InvalidationResult(INVALIDATED, str(err))
     enc.problem.seal()
     res = solve_milp(enc.problem, config)
     if res.status == FEASIBLE:
@@ -1063,5 +1039,5 @@ def check_invalidation(model: SwitchedAffineModel, trajectory: Trajectory, *,
                                   "no admissible explanation exists", res,
                                   None, enc)
     return InvalidationResult(UNDECIDED,
-                              f"solver budget exhausted: {res.message}", res,
+                              f"solver budget exhausted ({res.message})", res,
                               None, enc)

@@ -5,11 +5,14 @@ Any command that accepts an LP file path as its last argument and prints
     FEASIBLE | INFEASIBLE | UNDECIDED
     <variable name> <value>          (one line per variable when feasible)
 
-can serve as a drop-in feasibility backend; ``solve_with_command`` exports a
-problem, runs the command and re-verifies any witness against the original
-rows before accepting it.  When a time limit is set, the command receives
-``--time-limit <seconds>`` ahead of the path.  The environment variable ``SWAINVAL_EXTERNAL_SOLVER``
-conventionally holds such a command line for cross-checks.
+can serve as a drop-in feasibility backend: with it as
+``SolverConfig.external_command``, ``solve_milp`` hands each problem to
+``solve_with_command``, which exports it, runs the command and re-verifies
+any witness against the original rows.  A time limit reaches the command as
+``--time-limit <seconds>`` ahead of the path; after ``max(10, 3 x limit)``
+seconds the command is stopped and the solve is undecided.  A failing
+command or an unparseable answer raises ExternalSolverError.  The CLI reads
+the command line from the environment variable ``SWAINVAL_EXTERNAL_SOLVER``.
 
 This module is itself runnable — ``python -m swainval.external problem.lp``
 solves the file with scipy's HiGhS-backed mixed-integer solver and speaks
@@ -108,7 +111,10 @@ def _parse_protocol(problem: MilpProblem, text: str, wall: float) -> SolveResult
         parts = ln.rsplit(None, 1)
         if len(parts) != 2:
             raise ExternalSolverError(f"bad witness line {ln!r}")
-        values[parts[0]] = float(parts[1])
+        try:
+            values[parts[0]] = float(parts[1])
+        except ValueError:
+            raise ExternalSolverError(f"bad witness value in {ln!r}") from None
     missing = [v for v in problem.variable_names if v not in values]
     if missing:
         raise ExternalSolverError(f"witness misses variables, e.g. {missing[:3]}")
@@ -136,9 +142,14 @@ def solve_with_command(problem: MilpProblem, command: str,
     try:
         if time_limit is not None:
             argv = argv + ["--time-limit", str(float(time_limit))]
-        proc = subprocess.run(argv + [path], capture_output=True, text=True,
-                              timeout=None if time_limit is None
-                              else max(10.0, 3 * float(time_limit)))
+        try:
+            proc = subprocess.run(argv + [path], capture_output=True, text=True,
+                                  timeout=None if time_limit is None
+                                  else max(10.0, 3 * float(time_limit)))
+        except subprocess.TimeoutExpired:
+            return SolveResult(BUDGET_EXCEEDED, None, nodes=0, lp_iterations=0,
+                               wall_time=time.perf_counter() - start,
+                               message="external: timed out")
         if proc.returncode != 0:
             raise ExternalSolverError(
                 f"external solver exited with {proc.returncode}: "

@@ -5,8 +5,6 @@ variables and linear rows, then seals into an immutable instance that the
 solver, the LP-format writer and the witness verifier consume.  Also here:
 
 * ``encode_abs_leq`` — the exact big-M transform of ``|x| <= c*|y|``;
-* ``big_m_for_pair`` — interval-arithmetic row bounds for the mode-gated
-  dynamics/output rows of one model or of a model pair;
 * ``export_lp`` / ``parse_lp`` — a deterministic LP-format writer and its
   inverse (17 significant digits, fixed row order, bit-stable);
 * ``verify`` — checks a candidate assignment against every row and bound.
@@ -22,8 +20,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .model import HyperRectangle, SwitchedAffineModel
-
 __all__ = [
     "LinearConstraint",
     "MilpProblem",
@@ -36,10 +32,6 @@ __all__ = [
     "add_abs_var",
     "bound_by_abs",
     "encode_abs_leq",
-    "big_m_for_pair",
-    "expression_intervals",
-    "mode_expression_intervals",
-    "row_bounds",
     "export_lp",
     "parse_lp",
     "verify",
@@ -262,138 +254,6 @@ def encode_abs_leq(p: MilpProblem, x: str, c: float, y: str, big_m: float,
     z, b = add_abs_var(p, y, big_m, tag)
     bound_by_abs(p, x, c, z)
     return z, b
-
-
-def _box_abs_max(box: HyperRectangle) -> np.ndarray:
-    return np.maximum(np.abs(np.asarray(box.lower)), np.abs(np.asarray(box.upper)))
-
-
-def _require_bounded(box: HyperRectangle, what: str) -> None:
-    if not box.is_bounded:
-        raise UnboundedSet(f"{what} must be bounded to derive a big-M constant")
-
-
-def _interval_product(mat: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise interval of mat @ v for v in the box [lo, hi]."""
-    pos = np.clip(mat, 0.0, None)
-    neg = np.clip(mat, None, 0.0)
-    return pos @ lo + neg @ hi, pos @ hi + neg @ lo
-
-
-def mode_expression_intervals(model: SwitchedAffineModel,
-                              input_set: HyperRectangle | None = None, *,
-                              include_inputs: bool = True,
-                              ) -> tuple[np.ndarray, np.ndarray,
-                                         np.ndarray, np.ndarray]:
-    """Per-mode interval bounds of the one-step update and output expression.
-
-    Returns arrays (state_lo, state_hi, out_lo, out_hi) of shapes (s, n) and
-    (s, n_y): row ``i`` bounds A_i x + B_i u + f_i (+ uncertainty terms) and
-    C_i x + noise (+ uncertainty) over the admissible sets.  With
-    ``include_inputs=False`` the B u and input-uncertainty contributions are
-    omitted (useful when the inputs are observed data rather than variables).
-    Raises UnboundedSet when a needed admissible set is unbounded.
-    """
-    if input_set is None:
-        input_set = model.input_set
-    if include_inputs and model.n_u:
-        _require_bounded(input_set, "the input set")
-    _require_bounded(model.state_set, "the state set")
-    _require_bounded(model.noise_set, "the noise set")
-    xl = np.asarray(model.state_set.lower, dtype=float)
-    xu = np.asarray(model.state_set.upper, dtype=float)
-    el = np.asarray(model.noise_set.lower, dtype=float)
-    eu = np.asarray(model.noise_set.upper, dtype=float)
-    xmax = _box_abs_max(model.state_set)
-    with_inputs = include_inputs and model.n_u > 0
-    if with_inputs:
-        ul = np.asarray(input_set.lower, dtype=float)
-        uu = np.asarray(input_set.upper, dtype=float)
-        umax = _box_abs_max(input_set)
-    state_lo = np.zeros((model.s, model.n))
-    state_hi = np.zeros((model.s, model.n))
-    out_lo = np.zeros((model.s, model.n_y))
-    out_hi = np.zeros((model.s, model.n_y))
-    for i, mode in enumerate(model.modes):
-        slo, shi = _interval_product(mode.A, xl, xu)
-        spread = mode.hatA @ xmax + mode.hatf
-        if with_inputs:
-            blo, bhi = _interval_product(mode.B, ul, uu)
-            slo, shi = slo + blo, shi + bhi
-            spread = spread + mode.hatB @ umax
-        state_lo[i] = slo + mode.f - spread
-        state_hi[i] = shi + mode.f + spread
-        olo, ohi = _interval_product(mode.C, xl, xu)
-        ospread = mode.hatC @ xmax
-        out_lo[i] = olo + el - ospread
-        out_hi[i] = ohi + eu + ospread
-    return state_lo, state_hi, out_lo, out_hi
-
-
-def expression_intervals(model: SwitchedAffineModel,
-                         input_set: HyperRectangle | None = None,
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Interval hulls of the one-step update and the output expression.
-
-    Returns componentwise vectors (state_lo, state_hi, out_lo, out_hi)
-    bounding A x + B u + f (+ uncertainty terms) and C x + noise
-    (+ uncertainty) over all modes and admissible draws.  Raises
-    UnboundedSet when a needed admissible set is unbounded.
-    """
-    state_lo, state_hi, out_lo, out_hi = \
-        mode_expression_intervals(model, input_set)
-    return (state_lo.min(axis=0), state_hi.max(axis=0),
-            out_lo.min(axis=0), out_hi.max(axis=0))
-
-
-def _state_residual_bound(model: SwitchedAffineModel, state_lo: np.ndarray,
-                          state_hi: np.ndarray) -> float:
-    xl = np.asarray(model.state_set.lower, dtype=float)
-    xu = np.asarray(model.state_set.upper, dtype=float)
-    if not len(xl):
-        return 0.0
-    return max(float(np.max(xu - state_lo)), float(np.max(state_hi - xl)), 0.0)
-
-
-def big_m_for_pair(system: SwitchedAffineModel,
-                   fault: SwitchedAffineModel | None = None,
-                   input_set: HyperRectangle | None = None,
-                   inflation: float = 1.05) -> float:
-    """Interval bound on every mode-gated row residual, inflated by 5%.
-
-    State rows are bounded by the interval of x_next minus the one-step
-    update expression; for a pair, the output-*matching* row subtracts the
-    fault side's output expression, so the bound is the widest gap between
-    the two expression intervals.  Raises UnboundedSet when a needed
-    admissible set is unbounded.
-    """
-    if input_set is None:
-        input_set = system.input_set if fault is None \
-            else system.input_set.intersect(fault.input_set)
-    s_slo, s_shi, s_olo, s_ohi = expression_intervals(system, input_set)
-    s_state = _state_residual_bound(system, s_slo, s_shi)
-    if fault is None:
-        s_out = max(float(np.max(np.abs(s_olo), initial=0.0)),
-                    float(np.max(np.abs(s_ohi), initial=0.0)))
-        return inflation * max(s_state, s_out, _M_FLOOR)
-    f_slo, f_shi, f_olo, f_ohi = expression_intervals(fault, input_set)
-    f_state = _state_residual_bound(fault, f_slo, f_shi)
-    match = max(float(np.max(s_ohi - f_olo, initial=0.0)),
-                float(np.max(f_ohi - s_olo, initial=0.0)), 0.0)
-    return inflation * max(s_state, f_state, match, _M_FLOOR)
-
-
-_M_FLOOR = 1e-6
-
-
-def row_bounds(model: SwitchedAffineModel,
-               input_set: HyperRectangle | None = None) -> tuple[float, float]:
-    """Uninflated (state residual bound, output expression bound)."""
-    state_lo, state_hi, out_lo, out_hi = expression_intervals(model, input_set)
-    out_bound = max(float(np.max(np.abs(out_lo), initial=0.0)),
-                    float(np.max(np.abs(out_hi), initial=0.0)))
-    return _state_residual_bound(model, state_lo, state_hi), out_bound
 
 
 # -- LP-format export ------------------------------------------------------

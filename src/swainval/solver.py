@@ -31,6 +31,10 @@ original problem; infeasible answers at the root carry a dual ray that
 certifies infeasibility against the original rows and bounds.  All rules are
 deterministic: the same problem yields the same answer, witness, node and
 pivot count on every run.
+
+``solve_milp`` is the only place that chooses a backend: with
+``SolverConfig.external_command`` set it hands the problem to that command
+(see :mod:`swainval.external`) instead of the bundled solver.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.blas import dger as _dger
 
-from .milp import EQ, GE, LE, MilpProblem, Witness, verify
+from .milp import EQ, FEAS_TOL, GE, INT_TOL, LE, MilpProblem, Witness, verify
 
 __all__ = [
     "SolverConfig",
@@ -69,20 +73,20 @@ class SolverNumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, budgets and rule choices for :func:`solve_milp`."""
+    """Budgets, presolve switches and the backend for :func:`solve_milp`.
 
-    feas_tolerance: float = 1e-6
-    int_tolerance: float = 1e-6
+    With ``external_command`` set, :func:`solve_milp` hands the problem to
+    that command through the LP-file bridge of :mod:`swainval.external`
+    (``time_limit`` travels along; the other fields are the bundled
+    solver's).  Feasibility and integrality tolerances are
+    :data:`~swainval.milp.FEAS_TOL` and :data:`~swainval.milp.INT_TOL`.
+    """
+
     node_limit: int = 1_000_000
     time_limit: float | None = None      # wall-clock seconds, also between pivots
-    branch_rule: str = "most-fractional"  # or "first-fractional"
-    node_order: str = "one-first"         # or "zero-first"
     presolve: bool = True
     rounding_heuristic: bool = True
-    sos1_branching: bool = True           # s-way branch on exactly-one rows
-    refactor_every: int = 100             # basis updates between refactorizations
-    bland_after: int = 150                # pivots without a new low in total
-                                          # infeasibility before Bland's rule
+    external_command: str | None = None  # LP-file solver command line
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,9 @@ class SolveResult:
 _PIV_TOL = 1e-9       # smallest |alpha| a pivot may use, relative to its row
 _BLAND_PIV = 1e-3     # Bland's rule skips pivots this far below the largest
 _KERNEL_TOL = 1e-7    # largest |K^-1 K - I| entry of a usable refactorization
+_REFACTOR_EVERY = 100  # basis updates between refactorizations
+_BLAND_AFTER = 150     # pivots without a new low in total infeasibility
+                       # before Bland's rule
 
 
 class _NumericalTrouble(Exception):
@@ -158,15 +165,12 @@ class _DualSimplex:
     the basis the previous solve ended in needs no refactorization.
     """
 
-    def __init__(self, A: np.ndarray, rel: np.ndarray, b: np.ndarray,
-                 cfg: SolverConfig):
+    def __init__(self, A: np.ndarray, rel: np.ndarray, b: np.ndarray):
         self.m, self.n = A.shape
         self.A = A
         self.row_lo = np.where(rel == LE, -np.inf, b)
         self.row_hi = np.where(rel == GE, np.inf, b)
-        self.tol = cfg.feas_tolerance
-        self.refactor_every = cfg.refactor_every
-        self.bland_after = cfg.bland_after
+        self.tol = FEAS_TOL
         self.max_iter = 50 * (self.m + self.n) + 2000
         self.iterations = 0
         self._set_slack_basis()
@@ -307,7 +311,7 @@ class _DualSimplex:
                     best, stall = total, 0
                 else:
                     stall += 1
-                    bland = stall > self.bland_after
+                    bland = stall > _BLAND_AFTER
 
             # leave row p at its violated bound; enter the column whose
             # move pushes x_B[p] toward it with the largest |alpha|
@@ -362,7 +366,7 @@ class _DualSimplex:
                 raise _NumericalTrouble(
                     f"dual simplex exceeded {self.max_iter} pivots on a "
                     f"{self.m}x{self.n} problem")
-            if self.updates >= self.refactor_every:
+            if self.updates >= _REFACTOR_EVERY:
                 self._refresh()
 
 
@@ -500,19 +504,23 @@ def _sos1_groups(A, rel, b, is_bin) -> list[tuple[int, ...]]:
 
 def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
                ) -> SolveResult:
-    """Decide feasibility of a sealed problem; witnesses are re-verified."""
+    """Decide feasibility of a sealed problem on the configured backend;
+    witnesses are re-verified."""
     cfg = config or SolverConfig()
     if not problem.sealed:
         problem.seal()
+    if cfg.external_command:
+        from .external import solve_with_command
+        return solve_with_command(problem, cfg.external_command,
+                                  time_limit=cfg.time_limit)
     A, rel, b, lo0, hi0, is_bin, names = problem.to_arrays()
     bin_idx = np.where(is_bin)[0]
     member_group: dict[int, tuple[int, ...]] = {}
-    if cfg.sos1_branching:
-        for group in _sos1_groups(A, rel, b, is_bin):
-            for j in group:
-                member_group.setdefault(j, group)
+    for group in _sos1_groups(A, rel, b, is_bin):
+        for j in group:
+            member_group.setdefault(j, group)
     presolver = _Presolver(A, rel, b, is_bin)
-    lp = _DualSimplex(A, rel, b, cfg)
+    lp = _DualSimplex(A, rel, b)
     t0 = time.perf_counter()
     deadline = None if cfg.time_limit is None else t0 + cfg.time_limit
     nodes = 0
@@ -531,8 +539,7 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
 
     def checked_witness(x: np.ndarray) -> Witness:
         w = make_witness(x)
-        ok, violations = verify(problem, w, tol=10 * cfg.feas_tolerance,
-                                int_tol=cfg.int_tolerance)
+        ok, violations = verify(problem, w, tol=10 * FEAS_TOL)
         if not ok:
             raise SolverNumericalError(
                 "witness failed verification: " + "; ".join(violations[:4]))
@@ -545,7 +552,7 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
         lo2[bin_idx] = snapped
         hi2[bin_idx] = snapped
         if cfg.presolve:
-            ok, lo2, hi2 = presolver.run(lo2, hi2, cfg.feas_tolerance)
+            ok, lo2, hi2 = presolver.run(lo2, hi2, FEAS_TOL)
             if not ok:
                 return None
         res = lp.solve(lo2, hi2, start, deadline)
@@ -573,7 +580,7 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
                                    "presolve disagreed; re-solved without it",
                                    inner.certificate)
         cert = None
-        if check_certificate(problem, res.ray, cfg.feas_tolerance):
+        if check_certificate(problem, res.ray, FEAS_TOL):
             cert = tuple(map(float, res.ray))
         return finish(INFEASIBLE, certificate=cert)
 
@@ -593,7 +600,7 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
             lo, hi, start = stack.pop()
             is_root = not branched and not stack
             if cfg.presolve:
-                ok, lo, hi = presolver.run(lo, hi, cfg.feas_tolerance)
+                ok, lo, hi = presolver.run(lo, hi, FEAS_TOL)
                 if not ok:
                     if is_root:
                         return root_infeasible(None)
@@ -608,13 +615,13 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
 
             frac = np.abs(x[bin_idx] - np.round(x[bin_idx]))
             open_mask = (hi[bin_idx] - lo[bin_idx]) > 0.5   # not yet fixed
-            if is_root and cfg.rounding_heuristic and np.any(frac > cfg.int_tolerance):
+            if is_root and cfg.rounding_heuristic and np.any(frac > INT_TOL):
                 guess = try_assignment(lo, hi, x, basis)
                 if guess is not None:
                     return finish(FEASIBLE, witness=checked_witness(guess),
                                   message="rounding heuristic")
 
-            if np.all(frac <= cfg.int_tolerance):
+            if np.all(frac <= INT_TOL):
                 if not np.any(open_mask):
                     xx = x.copy()
                     if len(bin_idx):
@@ -628,10 +635,7 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
                 j = int(bin_idx[np.where(open_mask)[0][0]])
             else:
                 masked = np.where(open_mask, frac, -1.0)
-                if cfg.branch_rule == "first-fractional":
-                    j = int(bin_idx[int(np.where(masked > cfg.int_tolerance)[0][0])])
-                else:
-                    j = int(bin_idx[int(np.argmax(masked))])
+                j = int(bin_idx[int(np.argmax(masked))])
             branched = True
             group = member_group.get(j)
             if group is not None:
@@ -652,12 +656,8 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
             hi_zero[j] = 0.0
             lo_one, hi_one = lo.copy(), hi.copy()
             lo_one[j] = 1.0
-            if cfg.node_order == "zero-first":
-                stack.append((lo_one, hi_one, basis))
-                stack.append((lo_zero, hi_zero, basis))
-            else:
-                stack.append((lo_zero, hi_zero, basis))
-                stack.append((lo_one, hi_one, basis))
+            stack.append((lo_zero, hi_zero, basis))
+            stack.append((lo_one, hi_one, basis))
     except _OutOfTime:
         return finish(BUDGET_EXCEEDED,
                       message=f"time limit reached in the LP after {nodes} nodes")

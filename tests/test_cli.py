@@ -1,0 +1,232 @@
+"""Golden tests of the command-line front end.
+
+Every subcommand runs in process through ``cli.main`` on bundled models and
+seeded data; exit codes and stdout are compared byte for byte.  LP exports
+are compared by SHA-256 digest.  The only wall-clock columns
+(``solve_ms`` of ``detect``, ``solve_s`` of ``bench``) are masked.
+"""
+
+import hashlib
+
+import pytest
+
+from swainval import cli
+
+FAULTY_CSV = """\
+k,y_1,y_2,y_3,y_4,y_5,y_6
+0,17.003558291058106,18.834403566643097,15.543089177525946,18.782112488198642,16.22899962469764,16.71243949941808
+1,17.415242829285326,17.92615351084759,16.96300388159891,17.404628651092505,16.939433924906023,17.337347084329252
+2,17.48858421459532,17.68041195446751,17.07300956788592,17.178878266820753,17.12567334722585,17.205088424089485
+3,17.53920935851157,17.536910346490593,17.189658862689196,17.18927772824425,17.16168707906776,17.207603709091558
+4,17.13091100898564,17.435048622864244,16.953296849633738,17.06303207887244,17.003998537884804,17.046489275381127
+5,17.477188861627265,17.40364018047987,17.02511636573565,17.005148569587934,16.969088899344307,17.01346190812522
+6,17.016341143367516,17.3690922291414,16.86207197327739,16.943371779359527,16.868280694860616,16.911352547245144
+7,17.440128819693726,17.310586225203753,16.92684841640213,16.961475380429118,16.905921297795157,16.980738264902488
+8,16.9343821140252,17.349743571203657,16.782645863477647,16.864588480719203,16.840202557030008,16.932982392067224
+9,16.729099910021386,17.269394182749714,16.663574797505078,16.76947415414861,16.63401625391253,16.862348439134145
+"""
+
+# numeric6 admits inputs in [-1000, 1000]; sample 1 is far outside
+OFF_INPUT_CSV = "k,u_1,y_1\n0,0.5,-12.0\n1,5000.0,-13.0\n2,0.5,-9.0\n"
+
+REPORT_JSON = """\
+{
+  "horizon": 1,
+  "monotonicity_recheck": "infeasible",
+  "notes": [],
+  "per_t_status": {
+    "1": "infeasible",
+    "2": "infeasible"
+  },
+  "searched_from": 1,
+  "searched_up_to": 1,
+  "undecided_at": null,
+  "verdict": "yes"
+}
+"""
+
+SENSOR_PAIR = ["--model", "sensorScenario1", "--fault", "sensorScenario1Fault",
+               "--no-uncertainty"]
+PAIR_LP_SHA256 = "1674c5348178dac2b09efd3dcf4871a98c83dc8dfb2b96efd2987ad90615581b"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def mask_column(csv_text: str, column: int) -> str:
+    lines = csv_text.splitlines(keepends=True)
+    out = [lines[0]]
+    for line in lines[1:]:
+        cells = line.rstrip("\n").split(",")
+        cells[column] = "*"
+        out.append(",".join(cells) + "\n")
+    return "".join(out)
+
+
+@pytest.fixture(autouse=True)
+def bundled_solver(monkeypatch):
+    monkeypatch.delenv("SWAINVAL_EXTERNAL_SOLVER", raising=False)
+
+
+@pytest.fixture()
+def run(capsys):
+    def run(*argv):
+        code = cli.main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+    return run
+
+
+@pytest.fixture()
+def data(tmp_path):
+    """The faulty radiant trace (onset 3) and a hand-made off-input window."""
+    faulty = tmp_path / "faulty.csv"
+    faulty.write_text(FAULTY_CSV)
+    off_input = tmp_path / "off_input.csv"
+    off_input.write_text(OFF_INPUT_CSV)
+    return faulty, off_input
+
+
+class TestGolden:
+    def test_validate(self, run):
+        assert run("validate", "--model", "radiant") == (
+            0, "VALID  name=radiant modes=4 n=6 n_u=0 n_y=6\n", "")
+
+    def test_simulate_with_fault(self, run):
+        assert run("simulate", "--model", "radiant", "--fault", "radiantFault",
+                   "--onset", "3", "--steps", "10", "--seed", "1") == (
+            0, FAULTY_CSV, "")
+
+    def test_invalidate_consistent(self, run, tmp_path):
+        healthy = tmp_path / "healthy.csv"
+        assert run("simulate", "--model", "radiant", "--steps", "10",
+                   "--seed", "1", "--out", healthy) == (
+            0, f"wrote 10 samples to {healthy}\n", "")
+        assert run("invalidate", "--model", "radiant", "--trajectory", healthy,
+                   "--window", "3") == (
+            0, "CONSISTENT  nodes=5 lp_iterations=146\n", "")
+
+    def test_invalidate_invalidated(self, run, data):
+        faulty, _ = data
+        assert run("invalidate", "--model", "radiant",
+                   "--trajectory", faulty) == (
+            2, "INVALIDATED  nodes=1 lp_iterations=89\n", "")
+
+    def test_invalidate_input_outside_the_input_set(self, run, data):
+        _, off_input = data
+        assert run("invalidate", "--model", "numeric6",
+                   "--trajectory", off_input) == (
+            2, "INVALIDATED  input sample 1 outside the admissible input set\n",
+            "")
+
+    def test_invalidate_bad_window(self, run, data):
+        faulty, _ = data
+        assert run("invalidate", "--model", "radiant", "--trajectory", faulty,
+                   "--window", "30") == (
+            1, "", "error: --window 30 does not fit a trajectory of 10 samples\n")
+
+    def test_invalidate_out_of_budget(self, run, data):
+        faulty, _ = data
+        assert run("invalidate", "--model", "radiant", "--trajectory", faulty,
+                   "--window", "3", "--node-limit", "0") == (
+            1, "", "UNDECIDED  solver budget exhausted (stopped after 0 nodes)\n")
+
+    def test_invalidate_export(self, run, data, tmp_path):
+        faulty, _ = data
+        code, out, err = run("invalidate", "--model", "radiant",
+                             "--trajectory", faulty, "--window", "1",
+                             "--export", "-")
+        assert (code, err) == (0, "")
+        assert sha256(out) == \
+            "766bec24d93c967790d1e0a0d327404ea7fb0706a51d0a2432b9cb0937cdb43e"
+        lp = tmp_path / "window.lp"
+        assert run("invalidate", "--model", "radiant", "--trajectory", faulty,
+                   "--window", "1", "--export", lp) == (
+            0, f"exported 56 variables / 146 rows to {lp}\n", "")
+        assert lp.read_text() == out
+
+    def test_find_t_then_report(self, run, tmp_path):
+        report = tmp_path / "report.json"
+        assert run("find-t", *SENSOR_PAIR, "--tmax", "5",
+                   "--export", report) == (
+            0, "T=1\n  T=1: infeasible\n  T=2: infeasible\n"
+               "  recheck at T=2: infeasible\n", "")
+        assert report.read_text() == REPORT_JSON
+        assert run("report", "--input", report) == (
+            0, "detectable: smallest horizon T=1\n  T=1: infeasible\n"
+               "  T=2: infeasible\n"
+               "  confirmation one step past the answer: infeasible\n", "")
+
+    def test_detect(self, run, data):
+        faulty, _ = data
+        code, out, err = run("detect", "--model", "radiant",
+                             "--trajectory", faulty, "--window", "3")
+        assert (code, err) == (0, "")
+        assert mask_column(out, 2) == (
+            "k,verdict,solve_ms,nodes\n"
+            "3,invalidated,*,1\n4,invalidated,*,5\n5,invalidated,*,5\n"
+            "6,invalidated,*,5\n7,invalidated,*,1\n8,invalidated,*,1\n"
+            "9,invalidated,*,1\n")
+
+    def test_bench(self, run):
+        code, out, err = run("bench", "--model", "radiant", "--t0", "1",
+                             "--tmax", "2", "--seeds", "2")
+        assert (code, err) == (0, "")
+        assert mask_column(out, 5) == (
+            "horizon,seed,verdict,nodes,lp_iterations,solve_s\n"
+            "1,0,consistent,3,47,*\n1,1,consistent,3,57,*\n"
+            "2,0,consistent,4,85,*\n2,1,consistent,3,94,*\n")
+
+    def test_export_milp_consistency_problem(self, run, tmp_path):
+        window = tmp_path / "window.csv"
+        assert run("simulate", "--model", "radiant", "--steps", "3",
+                   "--seed", "2", "--out", window) == (
+            0, f"wrote 3 samples to {window}\n", "")
+        code, out, err = run("export-milp", "--model", "radiant",
+                             "--trajectory", window)
+        assert (code, err) == (0, "")
+        assert sha256(out) == \
+            "ca1fff57fd4bb24d29e4f96b2d738555b0ed713fe0637b59fb1b8332ecb1fdd0"
+
+    def test_export_milp_pair_problem(self, run, tmp_path):
+        code, out, err = run("export-milp", *SENSOR_PAIR, "--window", "1")
+        assert (code, err) == (0, "")
+        assert sha256(out) == PAIR_LP_SHA256
+        lp = tmp_path / "pair.lp"
+        code, out, err = run("export-milp", *SENSOR_PAIR, "--window", "1",
+                             "--export", lp)
+        assert (code, out, err) == (
+            0, f"exported 56 variables / 85 rows to {lp}\n", "")
+        assert sha256(lp.read_text()) == PAIR_LP_SHA256
+
+    def test_usage_error_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["bogus"])
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "swainval: error: argument command: invalid choice: 'bogus'")
+
+
+class TestLibraryErrors:
+    """A library error ends the run with exit 1 and one ``error:`` line."""
+
+    def test_failing_external_solver(self, run, data, monkeypatch):
+        faulty, _ = data
+        monkeypatch.setenv("SWAINVAL_EXTERNAL_SOLVER", "false")
+        code, out, err = run("invalidate", "--model", "radiant",
+                             "--trajectory", faulty, "--window", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: external solver exited with 1: \n"
+
+    @pytest.mark.parametrize("error", [
+        "SolverNumericalError", "MonotonicityViolation",
+        "ConversePathsDisagree", "ExternalSolverError"])
+    def test_runtime_errors_map_to_exit_1(self, run, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise getattr(cli, error)("the solve went wrong")
+        monkeypatch.setattr(cli, "find_T", fail)
+        assert run("find-t", *SENSOR_PAIR) == (
+            1, "", "error: the solve went wrong\n")

@@ -8,9 +8,8 @@ import pytest
 from swainval.detectability import (AffineConverseReport, DetectabilityReport,
                                     affine_never_detectable,
                                     check_t_detectability, concatenated_system,
-                                    find_T, find_T_weak, is_observable,
-                                    matrix_rank_scaled, observability_matrix,
-                                    switched_never_detectable_certificate)
+                                    find_T, is_observable, matrix_rank_scaled,
+                                    observability_matrix)
 from swainval.encoder import ExplicitWords, StructuredTuple
 from swainval.examples import builtin_pair, scenario_specs
 from swainval.model import (AffineMode, HyperRectangle, SimulationDraw,
@@ -95,7 +94,7 @@ class TestFindT:
     def test_external_backend_agrees(self, contracting_pair):
         internal = find_T(*contracting_pair, t_max=5)
         external = find_T(*contracting_pair, t_max=5,
-                          external_command=EXTERNAL)
+                          config=SolverConfig(external_command=EXTERNAL))
         assert external.verdict == internal.verdict == "yes"
         assert external.horizon == internal.horizon
         assert external.per_t_status == internal.per_t_status
@@ -124,15 +123,13 @@ class TestFindT:
 
 
 class TestFindTWeak:
-    def test_indicator_required(self, drift_jump_pair):
-        with pytest.raises(ValueError):
-            find_T_weak(*drift_jump_pair, None)
+    """find_T under an indicator on the change model's early modes."""
 
     def test_weak_is_no_harder_than_strong(self, drift_jump_pair):
         system, fault = drift_jump_pair
         strong = find_T(system, fault, t_max=8)
-        weak = find_T_weak(system, fault,
-                           StructuredTuple([2], 1, 1, "="), t_max=8)
+        weak = find_T(system, fault,
+                      indicator=StructuredTuple([2], 1, 1, "="), t_max=8)
         # the fault can start 0.2 below and drift up through the noise band,
         # so unrestricted it hides for two transitions
         assert strong.verdict == "yes" and strong.horizon == 3
@@ -142,7 +139,7 @@ class TestFindTWeak:
     def test_prefix_band_weakens_early_horizons(self, drift_jump_pair):
         system, fault = drift_jump_pair
         late = StructuredTuple([2], window=3, count=2, relation=">")
-        rep = find_T_weak(system, fault, late, t_max=6)
+        rep = find_T(system, fault, indicator=late, t_max=6)
         # at T=1 the prefix may still contain zero jumps, so it hides;
         # at T=2 at least one jump must already have happened
         assert rep.per_t_status[1] == "feasible"
@@ -150,7 +147,8 @@ class TestFindTWeak:
 
     def test_word_indicator_inside_the_search(self, drift_jump_pair):
         system, fault = drift_jump_pair
-        rep = find_T_weak(system, fault, ExplicitWords([(2,), (1,)]), t_max=4)
+        rep = find_T(system, fault, indicator=ExplicitWords([(2,), (1,)]),
+                     t_max=4)
         # the drift word keeps the escape open, so the answer matches the
         # unrestricted search
         assert rep.per_t_status[1] == "feasible"
@@ -285,15 +283,17 @@ class TestConcatenatedSystem:
 
 
 class TestSwitchedCertificate:
+    """A feasible check at a cap witnesses non-detectability up to it."""
+
     def test_self_pair_yields_a_witness_at_the_cap(self, contracting_pair):
         system, _ = contracting_pair
-        cert = switched_never_detectable_certificate(system, system, 4)
+        cert = check_t_detectability(system, system, 4)
         assert cert.status == "feasible" and cert.detectable is False
         assert cert.behavior is not None
         assert cert.behavior.outputs.shape == (5, 1)
 
     def test_detectable_pair_fails_the_cap(self, contracting_pair):
-        cert = switched_never_detectable_certificate(*contracting_pair, 3)
+        cert = check_t_detectability(*contracting_pair, 3)
         assert cert.status == "infeasible" and cert.detectable is True
         assert cert.behavior is None
 

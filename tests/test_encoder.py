@@ -10,7 +10,7 @@ from swainval.encoder import (BadIndicator, BadMode, CountBand,
                               check_invalidation, decode_pair_witness,
                               encode_invalidation, encode_t_detectability,
                               prefix_indicator)
-from swainval.milp import big_m_for_pair, encode_abs_leq, MilpProblem
+from swainval.milp import encode_abs_leq, MilpProblem
 from swainval.model import (AffineMode, DimensionError, HyperRectangle,
                             RandomPolicy, SwitchedAffineModel, Trajectory,
                             simulate, simulate_random)
@@ -181,6 +181,9 @@ class TestSoundnessWithUncertainty:
 
 
 class TestBigMDomination:
+    """Sampled residuals of every gated row stay within the encoding's big-M
+    wherever the encoding's own variable bounds allow the states."""
+
     def test_sampled_residuals_stay_below_big_m(self):
         rng = np.random.default_rng(3)
         m1 = AffineMode(A=[[0.6, 0.1], [0.0, 0.5]], B=[[1.0], [0.5]],
@@ -193,14 +196,22 @@ class TestBigMDomination:
                                 C=[[0.8, 0.1]], f=[-0.1, 0.2])
         fault = SwitchedAffineModel([m2], state_set=box(4, 2),
                                     noise_set=box(0.05, 1), input_set=box(1, 1))
-        M = big_m_for_pair(system, fault)
-        U = system.input_set.intersect(fault.input_set)
+        enc = encode_t_detectability(system, fault, 1)
+        M = enc.big_m
+
+        def var_box(role: str, k: int) -> HyperRectangle:
+            bounds = [enc.problem.bounds_of(v) for v in enc.var_index[(role, k)]]
+            return HyperRectangle(*zip(*bounds))
+
+        x_box, xb_box = var_box("x", 0), var_box("xb", 0)
+        xn_box, xbn_box = var_box("x", 1), var_box("xb", 1)
+        U = enc.input_set
         for _ in range(1000):
-            x, xn = box(4, 2).sample(rng), box(4, 2).sample(rng)
-            xb = box(4, 2).sample(rng)
+            x, xn = x_box.sample(rng), xn_box.sample(rng)
+            xb, xbn = xb_box.sample(rng), xbn_box.sample(rng)
             u = U.sample(rng)
             e1, e2 = box(0.05, 1).sample(rng), box(0.05, 1).sample(rng)
-            for model, state in ((system, x), (fault, xb)):
+            for model, state, nxt in ((system, x, xn), (fault, xb, xbn)):
                 for mode in model.modes:
                     DA = rng.uniform(-1, 1, mode.hatA.shape)
                     DB = rng.uniform(-1, 1, mode.hatB.shape)
@@ -208,11 +219,12 @@ class TestBigMDomination:
                     step = ((mode.A + mode.hatA * DA) @ state
                             + (mode.B + mode.hatB * DB) @ u
                             + mode.f + mode.hatf * Df)
-                    assert np.all(np.abs(xn - step) <= M)
-            DC1 = rng.uniform(-1, 1, m1.hatC.shape)
-            y1 = (m1.C + m1.hatC * DC1) @ x + e1
-            y2 = m2.C @ xb + e2
-            assert np.all(np.abs(y1 - y2) <= M)
+                    assert np.all(np.abs(nxt - step) <= M)
+            for state, other in ((x, xb), (xn, xbn)):
+                DC1 = rng.uniform(-1, 1, m1.hatC.shape)
+                y1 = (m1.C + m1.hatC * DC1) @ state + e1
+                y2 = m2.C @ other + e2
+                assert np.all(np.abs(y1 - y2) <= M)
 
 
 class TestPairEncoding:

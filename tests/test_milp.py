@@ -1,5 +1,5 @@
-"""Tests for the MILP feasibility container, abs-value transform, big-M
-derivation, LP-format round trip and witness verification.
+"""Tests for the MILP feasibility container, abs-value transform, the
+encodings' big-M derivation, LP-format round trip and witness verification.
 
 Big-M oracles are hand-computed interval bounds; the abs-value transform is
 checked by exhaustive witness evaluation over a sign/value grid.
@@ -21,15 +21,15 @@ from swainval.milp import (
     UnboundedSet,
     Witness,
     add_abs_var,
-    big_m_for_pair,
     bound_by_abs,
     encode_abs_leq,
     export_lp,
     parse_lp,
-    row_bounds,
     verify,
 )
-from swainval.model import AffineMode, HyperRectangle, SwitchedAffineModel
+from swainval.encoder import encode_invalidation, encode_t_detectability
+from swainval.model import (AffineMode, HyperRectangle, SwitchedAffineModel,
+                            Trajectory)
 
 
 def scalar_model(a=0.5, b=1.0, c=2.0, f=1.0, x_bound=10.0, noise=0.5, u_bound=2.0):
@@ -178,27 +178,52 @@ class TestAbsTransform:
             bound_by_abs(p, "x", -1.0, z)
 
 
+def gate_coefficient(enc, row: str) -> float:
+    """The big-M constant of a gated row pair: its gate binary's coefficient."""
+    (r,) = [c for c in enc.problem.constraints if c.name == f"{row}+"]
+    return max(coef for coef, var in r.terms if enc.problem.is_binary(var))
+
+
 class TestBigM:
+    """Row constants of the encodings, against hand-computed intervals.
+
+    Each gated row gets 1.05 times the widest residual its expression can
+    reach over the reachability envelope; the encoding's ``big_m`` is the
+    largest of them."""
+
     def test_single_model_hand_computed(self):
-        # state row: 0.5*10 + 1*2 + 1 + 10 = 18; output row: 2*10 + 0.5 = 20.5
         model = scalar_model()
-        state, out = row_bounds(model)
-        assert state == pytest.approx(18.0)
-        assert out == pytest.approx(20.5)
-        assert big_m_for_pair(model) == pytest.approx(1.05 * 20.5)
+        window = Trajectory(np.array([[0.0], [0.0]]), np.array([[0.0], [0.0]]))
+        enc = encode_invalidation(model, window)
+        # x1 = 0.5 * [-10, 10] + 1 * 0 + 1 = [-4, 6]
+        assert enc.problem.bounds_of("x[1][0]") == (
+            pytest.approx(-4.0), pytest.approx(6.0))
+        # state row: x1 - step spans at most 6 - (-4) = 10
+        assert gate_coefficient(enc, "dyn[1][0][0]") == pytest.approx(1.05 * 10.0)
+        # output rows: |y - 2 x - eta| <= 2 * 10 + 0.5, then 2 * 6 + 0.5
+        assert gate_coefficient(enc, "out[1][0][0]") == pytest.approx(1.05 * 20.5)
+        assert gate_coefficient(enc, "out[1][1][0]") == pytest.approx(1.05 * 12.5)
+        assert enc.big_m == pytest.approx(1.05 * 20.5)
 
     def test_pair_sums_output_bounds(self):
-        # matching row couples both outputs: M >= out_a + out_b
-        model = scalar_model()
-        assert big_m_for_pair(model, model) == pytest.approx(1.05 * 41.0)
+        # the matching row couples both outputs: 2 * 10 + 0.5 and 1 * 10 + 0.5
+        enc = encode_t_detectability(scalar_model(), scalar_model(c=1.0), 1)
+        assert not enc.collapsed
+        assert gate_coefficient(enc, "match[1][1][0][0]") == \
+            pytest.approx(1.05 * 31.0)
+        assert enc.big_m == pytest.approx(1.05 * 31.0)
 
     def test_pair_uses_input_intersection(self):
         a = scalar_model(u_bound=2.0)
         b = scalar_model(u_bound=1.0)
-        # intersection U = [-1, 1]: state rows 0.5*10 + 1 + 1 + 10 = 17
-        state, _ = row_bounds(a, a.input_set.intersect(b.input_set))
-        assert state == pytest.approx(17.0)
-        assert big_m_for_pair(a, b) == pytest.approx(1.05 * 41.0)
+        enc = encode_t_detectability(a, b, 1)
+        # intersection U = [-1, 1]: x1 = 0.5 * [-10, 10] + [-1, 1] + 1 = [-5, 7]
+        assert (enc.input_set.lower, enc.input_set.upper) == ((-1.0,), (1.0,))
+        assert enc.problem.bounds_of("x[1][0]") == (
+            pytest.approx(-5.0), pytest.approx(7.0))
+        assert gate_coefficient(enc, "dyn[1][0][0]") == pytest.approx(1.05 * 12.0)
+        # identical certain outputs collapse to ungated matching rows
+        assert enc.collapsed and enc.big_m == pytest.approx(1.05 * 12.0)
 
     def test_uncertainty_radii_enter(self):
         mode = AffineMode(A=[[0.5]], B=[[1.0]], C=[[2.0]], f=[1.0],
@@ -206,19 +231,28 @@ class TestBigM:
         model = SwitchedAffineModel([mode], HyperRectangle.ball(10, 1),
                                     HyperRectangle.ball(0.5, 1),
                                     HyperRectangle.ball(2, 1))
-        state, out = row_bounds(model)
-        # (0.5+0.1)*10 + (1+0.2)*2 + 1 + 0.4 + 10 = 19.8
-        assert state == pytest.approx(19.8)
-        # (2+0.3)*10 + 0.5 = 23.5
-        assert out == pytest.approx(23.5)
+        enc = encode_t_detectability(model, model, 1)
+        # x1 = 1 +- ((0.5 + 0.1) * 10 + (1 + 0.2) * 2 + 0.4) = [-7.8, 9.8]
+        assert enc.problem.bounds_of("x[1][0]") == (
+            pytest.approx(-7.8), pytest.approx(9.8))
+        assert gate_coefficient(enc, "dyn[1][0][0]") == pytest.approx(1.05 * 17.6)
+        # each output within (2 + 0.3) * 10 + 0.5 = 23.5 of zero
+        assert gate_coefficient(enc, "match[1][1][0][0]") == \
+            pytest.approx(1.05 * 47.0)
+        assert enc.big_m == pytest.approx(1.05 * 47.0)
 
     def test_unbounded_sets_rejected(self):
         model = SwitchedAffineModel(
             [AffineMode.certain([[1.0]], [[1.0]], [[1.0]], [0.0])],
             HyperRectangle([-math.inf], [math.inf]),
             HyperRectangle.ball(1, 1), HyperRectangle.ball(1, 1))
+        window = Trajectory(np.array([[0.0], [0.0]]), np.array([[0.0], [0.0]]))
         with pytest.raises(UnboundedSet):
-            big_m_for_pair(model)
+            encode_invalidation(model, window)
+        with pytest.raises(UnboundedSet):
+            encode_t_detectability(model, model, 1)
+        with pytest.raises(UnboundedSet):
+            encode_t_detectability(scalar_model(), model, 1)
 
 
 def build_round_trip_problem() -> MilpProblem:

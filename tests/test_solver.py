@@ -23,7 +23,7 @@ from swainval import solver
 from swainval.detector import inject_persistent_fault
 from swainval.encoder import encode_invalidation
 from swainval.examples import builtin_pair
-from swainval.milp import MilpProblem, Witness, verify
+from swainval.milp import FEAS_TOL, MilpProblem, Witness, verify
 from swainval.solver import (
     BUDGET_EXCEEDED,
     FEASIBLE,
@@ -407,20 +407,19 @@ class TestDualSimplexProperties:
     def test_warm_resolve_after_tightening_agrees_with_cold(self, seed):
         rng = np.random.default_rng(seed)
         A, rel, b, lo, hi, _, _ = random_bounded_lp(rng).to_arrays()
-        cfg = SolverConfig()
-        engine = _DualSimplex(A, rel, b, cfg)
+        engine = _DualSimplex(A, rel, b)
         first = engine.solve(lo, hi, None, None)
         lo2, hi2 = tightened(rng, lo, hi)
         expected = linprog_feasible(A, rel, b, lo2, hi2)
-        cold = _DualSimplex(A, rel, b, cfg).solve(lo2, hi2, None, None)
+        cold = _DualSimplex(A, rel, b).solve(lo2, hi2, None, None)
         # warm in the engine that holds the basis, and in a fresh engine
         # that has to refactor it
         warm = engine.solve(lo2, hi2, first.basis, None)
-        refactored = _DualSimplex(A, rel, b, cfg).solve(lo2, hi2, first.basis, None)
+        refactored = _DualSimplex(A, rel, b).solve(lo2, hi2, first.basis, None)
         for res in (cold, warm, refactored):
             assert res.feasible == expected
             if res.feasible:
-                tol = 10 * cfg.feas_tolerance
+                tol = 10 * FEAS_TOL
                 assert np.all(res.x >= lo2 - tol) and np.all(res.x <= hi2 + tol)
                 assert rows_hold(A, rel, b, res.x, tol)
 
@@ -432,7 +431,7 @@ def test_singular_warm_start_falls_back_to_the_slack_basis():
     p.add_constraint("r0", [(1.0, "x"), (1.0, "y")], ">=", 3.0)
     p.add_constraint("r1", [(2.0, "x"), (2.0, "y")], "<=", 7.0)
     A, rel, b, lo, hi, _, _ = p.seal().to_arrays()
-    engine = _DualSimplex(A, rel, b, SolverConfig())
+    engine = _DualSimplex(A, rel, b)
     # x and y have parallel columns, so a basis holding both is singular
     res = engine.solve(lo, hi, _Basis(np.array([0, 1]), np.zeros(4, dtype=bool)), None)
     assert res.feasible and rows_hold(A, rel, b, res.x, 1e-6)
@@ -448,7 +447,7 @@ def radiant_window() -> MilpProblem:
 class TestTimeLimitInsideLp:
     def test_expired_deadline_stops_before_the_first_pivot(self, radiant_window):
         A, rel, b, lo, hi, _, _ = radiant_window.to_arrays()
-        engine = _DualSimplex(A, rel, b, SolverConfig())
+        engine = _DualSimplex(A, rel, b)
         with pytest.raises(_OutOfTime):
             engine.solve(lo, hi, None, time.perf_counter() - 1.0)
         assert engine.iterations == 0
