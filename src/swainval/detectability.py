@@ -17,6 +17,7 @@ against the feasibility encoding.
 from __future__ import annotations
 
 import json
+import logging
 import time
 from dataclasses import dataclass, field
 
@@ -37,6 +38,8 @@ __all__ = [
     "observability_matrix", "matrix_rank_scaled", "is_observable",
     "concatenated_system", "AffineConverseReport", "affine_never_detectable",
 ]
+
+_log = logging.getLogger(__name__)
 
 YES = "yes"
 NOT_UP_TO = "notUpTo"
@@ -187,6 +190,14 @@ def find_T(system: SwitchedAffineModel, fault: SwitchedAffineModel, *,
     mode choices; at horizons shorter than its window the restriction is
     weakened to what it implies about length-T mode-word prefixes
     (:func:`~swainval.encoder.prefix_indicator`).
+
+    The search has no overall budget: ``config`` bounds each probe, and the
+    probes go on until one is infeasible, one runs out of budget, or
+    ``t_max`` is reached.  A probe's cost grows with T (its problem grows
+    linearly in T and its branch tree can grow exponentially), so a pair
+    that stays feasible can run for a long time.  Every probe logs one INFO
+    record on the ``swainval.detectability`` logger with T, the status, the
+    node count and the wall time.
     """
     if t0 < 1:
         raise ValueError("the search must start at a horizon >= 1")
@@ -203,6 +214,8 @@ def find_T(system: SwitchedAffineModel, fault: SwitchedAffineModel, *,
                                   config=config)
         per_t[T] = r.status
         walls[T] = r.wall_time
+        _log.info("find_T probe T=%d: %s, %d nodes, %.3f s", T, r.status,
+                  r.solve.nodes if r.solve else 0, r.wall_time)
         if r.note:
             notes.append(f"T={T}: {r.note}")
         return r

@@ -20,9 +20,11 @@ It combines
   basis; and
 * depth-first branch and bound on the binaries (most-fractional branching,
   ties broken by lowest index, the 1-branch explored first), with an
-  interval presolve at every node (fixed-variable propagation and bound
-  tightening, which together also propagate the one-active-mode equalities
-  exactly).  Every node re-optimises from its parent's final basis, which
+  interval presolve at every node: activity-bound propagation over the
+  nonzeros of the rows, which fixes variables, tightens bounds and so also
+  propagates the one-active-mode equalities exactly.  Its index arrays are
+  built once per solve and each round costs time linear in the number of
+  nonzeros.  Every node re-optimises from its parent's final basis, which
   rides on the DFS stack as index arrays; rows stay in the LP even when
   presolve finds them redundant, so every basis fits every node.
 
@@ -63,7 +65,6 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 BUDGET_EXCEEDED = "budget_exceeded"
 
-_HUGE = 1e30
 _NEAR_HUGE = 1e29
 
 
@@ -373,66 +374,70 @@ class _DualSimplex:
 # -- interval presolve --------------------------------------------------------
 
 class _Presolver:
-    """Bound propagation over the fixed rows; built once, run per node."""
+    """Activity-bound propagation over the nonzeros of the rows.
+
+    Every row is normalized to ``<=`` form (``>=`` rows negated, ``=`` rows
+    entering once per side) and only its nonzeros are kept: ``(row, col,
+    val)`` with the positive entries first and each sign block in column
+    order, so a column's entries of one sign form one segment.  A round
+    gathers the bound every entry reads in the row's minimum activity (``lo``
+    under a positive coefficient, ``hi`` under a negative one), sums the
+    activities per row, rejects the box when a row's surplus ``rhs - minact``
+    is below ``-tol``, and lets every other row that reads no infinite bound
+    cap each of its variables at ``bound + surplus / val`` (an upper bound
+    under a positive coefficient, a lower one under a negative).  The work
+    per round is linear in the number of nonzeros.  Built once per solve,
+    run per node.
+    """
 
     def __init__(self, A: np.ndarray, rel: np.ndarray, b: np.ndarray,
                  is_bin: np.ndarray):
-        self.A, self.rel, self.b, self.is_bin = A, rel, b, is_bin
-        self.A_pos = np.maximum(A, 0.0)
-        self.A_neg = np.minimum(A, 0.0)
-        # every row normalized to <= form for tightening; EQ rows enter twice
-        blocks, rhs = [], []
-        for mask, sgn in ((rel != GE, 1.0), (rel != LE, -1.0)):
-            if np.any(mask):
-                blocks.append(sgn * A[mask])
-                rhs.append(sgn * b[mask])
-        self.N = np.vstack(blocks) if blocks else np.zeros((0, A.shape[1]))
-        self.nb = np.concatenate(rhs) if rhs else np.zeros(0)
-        self.N_pos = self.N > 1e-12
-        self.N_neg = self.N < -1e-12
+        up, down = rel != GE, rel != LE
+        self.n_up = int(up.sum())
+        # normalized row k is +row source[k] for k < n_up, -row source[k] after
+        self.source = np.concatenate([np.flatnonzero(up), np.flatnonzero(down)])
+        self.rhs = np.concatenate([b[up], -b[down]])
+        r, c = np.nonzero(np.abs(A) > 1e-12)
+        v = A[r, c]
+        in_up, in_down = up[r], down[r]
+        row = np.concatenate([(np.cumsum(up) - 1)[r[in_up]],
+                              (self.n_up + np.cumsum(down) - 1)[r[in_down]]])
+        col = np.concatenate([c[in_up], c[in_down]])
+        val = np.concatenate([v[in_up], -v[in_down]])
+        order = np.lexsort((row, col, val < 0.0))
+        self.row, self.col, self.val = row[order], col[order], val[order]
+        self.n_pos = int(np.count_nonzero(val > 0.0))
+        self.pos_cols, self.pos_starts = _segments(self.col[:self.n_pos])
+        self.neg_cols, self.neg_starts = _segments(self.col[self.n_pos:])
+        self.is_bin = is_bin
 
     def run(self, lo: np.ndarray, hi: np.ndarray, feas_tol: float,
             max_rounds: int = 8) -> tuple[bool, np.ndarray, np.ndarray]:
-        """Returns (consistent, lo, hi)."""
-        lo, hi = lo.copy(), hi.copy()
-        rel, b = self.rel, self.b
-        le_like, ge_like = rel != GE, rel != LE
+        """Returns (consistent, lo, hi); the given arrays are not modified."""
+        row, col, val, k = self.row, self.col, self.val, self.n_pos
         for _ in range(max_rounds):
             if np.any(lo > hi + 1e-9):
                 return False, lo, hi
-            wlo = np.clip(lo, -_HUGE, _HUGE)
-            whi = np.clip(hi, -_HUGE, _HUGE)
-            minact = self.A_pos @ wlo + self.A_neg @ whi
-            maxact = self.A_pos @ whi + self.A_neg @ wlo
-            if np.any(le_like & (minact > b + feas_tol) & (minact < _NEAR_HUGE)):
+            bound = np.concatenate([lo[col[:k]], hi[col[k:]]])
+            minact = np.bincount(row, val * bound, minlength=len(self.rhs))
+            surplus = self.rhs - minact
+            # a row reading an infinite bound has an infinite (or NaN)
+            # minimum activity: it can neither be violated nor tighten
+            finite = np.abs(minact) < _NEAR_HUGE
+            if np.any(finite & (surplus < -feas_tol)):
                 return False, lo, hi
-            if np.any(ge_like & (maxact < b - feas_tol) & (maxact > -_NEAR_HUGE)):
-                return False, lo, hi
-
-            # min activity of the <=-normalized rows, vectorized
-            nmin = np.where(self.N_pos, self.N * wlo[None, :], 0.0).sum(axis=1) \
-                + np.where(self.N_neg, self.N * whi[None, :], 0.0).sum(axis=1)
-            surplus = self.nb - nmin
-            usable = (np.abs(nmin) < _NEAR_HUGE) & (surplus >= -feas_tol)
-            lo_inf, hi_inf = np.isinf(lo), np.isinf(hi)
-            if lo_inf.any() or hi_inf.any():
-                # a clipped infinite term times a small coefficient can pass
-                # for a finite activity; such rows tighten nothing
-                usable &= ~((self.N_pos & lo_inf) | (self.N_neg & hi_inf)).any(axis=1)
-            new_lo, new_hi = lo.copy(), hi.copy()
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cand_ub = np.where(self.N_pos & usable[:, None],
-                                   wlo[None, :] + surplus[:, None] / self.N,
-                                   np.inf)
-                ub = cand_ub.min(axis=0) if cand_ub.size else np.full(len(lo), np.inf)
-                cand_lb = np.where(self.N_neg & usable[:, None],
-                                   whi[None, :] + surplus[:, None] / self.N,
-                                   -np.inf)
-                lb = cand_lb.max(axis=0) if cand_lb.size else np.full(len(lo), -np.inf)
-            ub = np.where(np.isnan(ub) | (ub > _NEAR_HUGE), np.inf, ub)
-            lb = np.where(np.isnan(lb) | (lb < -_NEAR_HUGE), -np.inf, lb)
-            new_hi = np.minimum(new_hi, ub)
-            new_lo = np.maximum(new_lo, lb)
+            # NaN marks the entries of rows that tighten nothing
+            cand = bound + np.where(finite, surplus, np.nan)[row] / val
+            ub = np.full(len(lo), np.inf)
+            lb = np.full(len(lo), -np.inf)
+            if k:
+                ub[self.pos_cols] = np.fmin.reduceat(cand[:k], self.pos_starts)
+            if k < len(cand):
+                lb[self.neg_cols] = np.fmax.reduceat(cand[k:], self.neg_starts)
+            ub[~(ub <= _NEAR_HUGE)] = np.inf
+            lb[~(lb >= -_NEAR_HUGE)] = -np.inf
+            new_hi = np.minimum(hi, ub)
+            new_lo = np.maximum(lo, lb)
             # integrality rounding for binaries
             bb = self.is_bin
             new_lo[bb] = np.where(new_lo[bb] > 1e-9, 1.0, 0.0)
@@ -446,6 +451,12 @@ class _Presolver:
         if np.any(lo > hi + 1e-9):
             return False, lo, hi
         return True, lo, hi
+
+
+def _segments(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a sorted array and the index where each starts."""
+    starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    return cols[starts], starts
 
 
 def check_certificate(problem: MilpProblem, y, tol: float = 1e-7) -> bool:
@@ -477,25 +488,33 @@ def check_certificate(problem: MilpProblem, y, tol: float = 1e-7) -> bool:
 
 # -- branch and bound -----------------------------------------------------------
 
-def _sos1_groups(A, rel, b, is_bin) -> list[tuple[int, ...]]:
+def _sos1_groups(presolver: _Presolver, rel, b, is_bin) -> list[tuple[int, ...]]:
     """Exactly-one rows over binaries: EQ rows of +1 coefficients, rhs 1.
 
     Any integral solution sets exactly one member of such a group to 1, so
     branching can enumerate the members instead of splitting one binary at
     a time — the branch tree then follows the problem's own choice
-    structure (one mode per step) instead of a generic 0/1 tree.
+    structure (one mode per step) instead of a generic 0/1 tree.  Groups
+    come in row order, each once; the rows are read from the presolver's
+    nonzeros, where coefficients of magnitude 1e-12 or less count as zero.
     """
+    one_rows = (rel == EQ) & (np.abs(b - 1.0) <= 1e-12)
+    rows = presolver.source[presolver.row]
+    # the + copy of an EQ row carries its coefficients unchanged
+    keep = (presolver.row < presolver.n_up) & one_rows[rows]
+    rows, cols = rows[keep], presolver.col[keep]
+    unit = is_bin[cols] & (np.abs(presolver.val[keep] - 1.0) <= 1e-12)
+    order = np.lexsort((cols, rows))
+    rows, cols, unit = rows[order], cols[order], unit[order]
+    _, starts = _segments(rows)
+    if not starts.size:
+        return []
+    ends = np.append(starts[1:], len(rows))
+    ok = np.logical_and.reduceat(unit, starts) & (ends - starts >= 2)
     groups: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    for i in range(A.shape[0]):
-        if rel[i] != EQ or abs(b[i] - 1.0) > 1e-12:
-            continue
-        cols = np.nonzero(A[i])[0]
-        if len(cols) < 2 or not np.all(is_bin[cols]):
-            continue
-        if not np.allclose(A[i, cols], 1.0, rtol=0.0, atol=1e-12):
-            continue
-        key = tuple(int(c) for c in cols)
+    for s, e in zip(starts[ok], ends[ok]):
+        key = tuple(int(c) for c in cols[s:e])
         if key not in seen:
             seen.add(key)
             groups.append(key)
@@ -515,11 +534,11 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
                                   time_limit=cfg.time_limit)
     A, rel, b, lo0, hi0, is_bin, names = problem.to_arrays()
     bin_idx = np.where(is_bin)[0]
+    presolver = _Presolver(A, rel, b, is_bin)
     member_group: dict[int, tuple[int, ...]] = {}
-    for group in _sos1_groups(A, rel, b, is_bin):
+    for group in _sos1_groups(presolver, rel, b, is_bin):
         for j in group:
             member_group.setdefault(j, group)
-    presolver = _Presolver(A, rel, b, is_bin)
     lp = _DualSimplex(A, rel, b)
     t0 = time.perf_counter()
     deadline = None if cfg.time_limit is None else t0 + cfg.time_limit
@@ -571,8 +590,13 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
             res = lp.solve(lo0, hi0, res.basis if res else None, deadline)
             nodes += 1
             if res.feasible:
-                # presolve and LP disagree (numerical edge): restart without it
-                inner = solve_milp(problem, replace(cfg, presolve=False))
+                # presolve and LP disagree (numerical edge): restart without
+                # it, on what is left of both budgets
+                left = (None if deadline is None
+                        else max(deadline - time.perf_counter(), 0.0))
+                inner = solve_milp(problem, replace(
+                    cfg, presolve=False, time_limit=left,
+                    node_limit=max(cfg.node_limit - nodes, 0)))
                 return SolveResult(inner.status, inner.witness,
                                    nodes + inner.nodes,
                                    lp.iterations + inner.lp_iterations,

@@ -4,7 +4,11 @@ These deliberately avoid the package's own encoder and solver: consistency
 is decided by enumerating every hidden mode sequence and solving a plain
 bounded linear program per sequence with scipy, so agreement is meaningful.
 Only models without structured uncertainty are supported (enumeration over
-the uncertainty would not be finite)."""
+the uncertainty would not be finite).
+
+``DensePresolver`` and ``sos1_groups_by_rows`` are the solver's bound
+propagation and SOS1 group detection in their first, dense forms: the
+references the sparse versions are compared against."""
 
 from __future__ import annotations
 
@@ -13,7 +17,11 @@ import itertools
 import numpy as np
 from scipy.optimize import linprog
 
+from swainval.milp import EQ, GE, LE
 from swainval.model import SwitchedAffineModel, Trajectory
+
+_HUGE = 1e30
+_NEAR_HUGE = 1e29
 
 
 def _box_bounds(box) -> list[tuple[float, float]]:
@@ -136,3 +144,104 @@ def pair_feasible_by_enumeration(system: SwitchedAffineModel,
             if _lp_feasible(np.array(rows), np.array(rhs), bounds):
                 return True
     return False
+
+
+class DensePresolver:
+    """The bundled solver's bound propagation as it was first written: every
+    round works on dense (2m x n) arrays.  Same rules, kept as the reference
+    for the sparse presolver."""
+
+    def __init__(self, A: np.ndarray, rel: np.ndarray, b: np.ndarray,
+                 is_bin: np.ndarray):
+        self.A, self.rel, self.b, self.is_bin = A, rel, b, is_bin
+        self.A_pos = np.maximum(A, 0.0)
+        self.A_neg = np.minimum(A, 0.0)
+        # every row normalized to <= form for tightening; EQ rows enter twice
+        blocks, rhs = [], []
+        for mask, sgn in ((rel != GE, 1.0), (rel != LE, -1.0)):
+            if np.any(mask):
+                blocks.append(sgn * A[mask])
+                rhs.append(sgn * b[mask])
+        self.N = np.vstack(blocks) if blocks else np.zeros((0, A.shape[1]))
+        self.nb = np.concatenate(rhs) if rhs else np.zeros(0)
+        self.N_pos = self.N > 1e-12
+        self.N_neg = self.N < -1e-12
+
+    def run(self, lo: np.ndarray, hi: np.ndarray, feas_tol: float,
+            max_rounds: int = 8) -> tuple[bool, np.ndarray, np.ndarray]:
+        """Returns (consistent, lo, hi)."""
+        lo, hi = lo.copy(), hi.copy()
+        rel, b = self.rel, self.b
+        le_like, ge_like = rel != GE, rel != LE
+        for _ in range(max_rounds):
+            if np.any(lo > hi + 1e-9):
+                return False, lo, hi
+            wlo = np.clip(lo, -_HUGE, _HUGE)
+            whi = np.clip(hi, -_HUGE, _HUGE)
+            minact = self.A_pos @ wlo + self.A_neg @ whi
+            maxact = self.A_pos @ whi + self.A_neg @ wlo
+            if np.any(le_like & (minact > b + feas_tol) & (minact < _NEAR_HUGE)):
+                return False, lo, hi
+            if np.any(ge_like & (maxact < b - feas_tol) & (maxact > -_NEAR_HUGE)):
+                return False, lo, hi
+
+            # min activity of the <=-normalized rows, vectorized
+            nmin = np.where(self.N_pos, self.N * wlo[None, :], 0.0).sum(axis=1) \
+                + np.where(self.N_neg, self.N * whi[None, :], 0.0).sum(axis=1)
+            surplus = self.nb - nmin
+            usable = (np.abs(nmin) < _NEAR_HUGE) & (surplus >= -feas_tol)
+            lo_inf, hi_inf = np.isinf(lo), np.isinf(hi)
+            if lo_inf.any() or hi_inf.any():
+                # a clipped infinite term times a small coefficient can pass
+                # for a finite activity; such rows tighten nothing
+                usable &= ~((self.N_pos & lo_inf) | (self.N_neg & hi_inf)).any(axis=1)
+            new_lo, new_hi = lo.copy(), hi.copy()
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand_ub = np.where(self.N_pos & usable[:, None],
+                                   wlo[None, :] + surplus[:, None] / self.N,
+                                   np.inf)
+                ub = cand_ub.min(axis=0) if cand_ub.size else np.full(len(lo), np.inf)
+                cand_lb = np.where(self.N_neg & usable[:, None],
+                                   whi[None, :] + surplus[:, None] / self.N,
+                                   -np.inf)
+                lb = cand_lb.max(axis=0) if cand_lb.size else np.full(len(lo), -np.inf)
+            ub = np.where(np.isnan(ub) | (ub > _NEAR_HUGE), np.inf, ub)
+            lb = np.where(np.isnan(lb) | (lb < -_NEAR_HUGE), -np.inf, lb)
+            new_hi = np.minimum(new_hi, ub)
+            new_lo = np.maximum(new_lo, lb)
+            # integrality rounding for binaries
+            bb = self.is_bin
+            new_lo[bb] = np.where(new_lo[bb] > 1e-9, 1.0, 0.0)
+            new_hi[bb] = np.where(new_hi[bb] < 1.0 - 1e-9, 0.0, 1.0)
+            new_lo = np.maximum(new_lo, lo)
+            new_hi = np.minimum(new_hi, hi)
+            done = (np.all(new_lo <= lo + 1e-9) and np.all(new_hi >= hi - 1e-9))
+            lo, hi = new_lo, new_hi
+            if done:
+                break
+        if np.any(lo > hi + 1e-9):
+            return False, lo, hi
+        return True, lo, hi
+
+
+def sos1_groups_by_rows(A, rel, b, is_bin) -> list[tuple[int, ...]]:
+    """Exactly-one rows over binaries: EQ rows of +1 coefficients, rhs 1.
+
+    The solver's SOS1 group detection as it was first written, one row at
+    a time; groups come in row order, each once.
+    """
+    groups: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    for i in range(A.shape[0]):
+        if rel[i] != EQ or abs(b[i] - 1.0) > 1e-12:
+            continue
+        cols = np.nonzero(A[i])[0]
+        if len(cols) < 2 or not np.all(is_bin[cols]):
+            continue
+        if not np.allclose(A[i, cols], 1.0, rtol=0.0, atol=1e-12):
+            continue
+        key = tuple(int(c) for c in cols)
+        if key not in seen:
+            seen.add(key)
+            groups.append(key)
+    return groups

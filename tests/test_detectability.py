@@ -1,5 +1,7 @@
 """Minimal-horizon search, observability tools and converse certificates."""
 
+import logging
+import re
 import sys
 
 import numpy as np
@@ -110,6 +112,20 @@ class TestFindT:
         idem = json.loads(find_T(*contracting_pair, t_max=5).to_json())
         idem.pop("wall_times"), blob.pop("wall_times")  # timing may vary
         assert idem == blob
+
+    def test_every_probe_logs_one_record(self, caplog):
+        system, fault = builtin_pair("sensorScenario1", uncertainty=False)
+        with caplog.at_level(logging.INFO, logger="swainval.detectability"):
+            rep = find_T(system, fault)
+        records = [r for r in caplog.records
+                   if r.name == "swainval.detectability"]
+        assert rep.verdict == "yes" and rep.horizon == 1
+        assert [r.levelno for r in records] == [logging.INFO] * 2
+        # T=1 is infeasible, then the re-check at T=2
+        for record, T in zip(records, sorted(rep.per_t_status)):
+            text = record.getMessage()
+            assert text.startswith(f"find_T probe T={T}: {rep.per_t_status[T]}, ")
+            assert re.search(r", \d+ nodes, \d+\.\d{3} s$", text)
 
     def test_sensor_scenario_3_matches_its_spec(self):
         # its T=3 re-check used to stop on a singular basis

@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog, milp as scipy_milp
 from scipy.optimize import Bounds, LinearConstraint as SciLinCon
 
+from oracles import DensePresolver, sos1_groups_by_rows
 from swainval import solver
 from swainval.detector import inject_persistent_fault
-from swainval.encoder import encode_invalidation
+from swainval.encoder import encode_invalidation, encode_t_detectability
 from swainval.examples import builtin_pair
 from swainval.milp import FEAS_TOL, MilpProblem, Witness, verify
 from swainval.solver import (
@@ -302,6 +303,50 @@ class TestBudgets:
         assert res.status == BUDGET_EXCEEDED
 
 
+class TestPresolveFallbackBudgets:
+    """When presolve calls a feasible root box empty, the re-solve without
+    presolve runs on what is left of both budgets, not on fresh ones."""
+
+    @pytest.fixture
+    def inner_configs(self, monkeypatch):
+        monkeypatch.setattr(solver._Presolver, "run",
+                            lambda self, lo, hi, tol, max_rounds=8: (False, lo, hi))
+        configs, outer = [], solver.solve_milp
+
+        def recording(problem, config=None):
+            configs.append(config)
+            return outer(problem, config)
+
+        monkeypatch.setattr(solver, "solve_milp", recording)
+        return configs
+
+    def test_node_limit_is_shared(self, radiant_window, inner_configs):
+        # without presolve the window needs 31 nodes; the root re-solve
+        # that exposes the disagreement is node 1 of the 3 allowed
+        cfg = SolverConfig(rounding_heuristic=False, node_limit=3)
+        res = solve_milp(radiant_window, cfg)
+        assert res.status == BUDGET_EXCEEDED
+        assert res.message == "presolve disagreed; re-solved without it"
+        assert res.nodes <= 3
+        [inner] = inner_configs
+        assert not inner.presolve and inner.node_limit == 2
+
+    def test_time_limit_is_shared(self, radiant_window, inner_configs,
+                                  monkeypatch):
+        # one tick per clock reading; the root re-solve alone takes 34 pivots
+        ticks = itertools.count()
+        monkeypatch.setattr(solver, "time", SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
+        limit = 60.0
+        res = solve_milp(radiant_window,
+                         SolverConfig(rounding_heuristic=False, time_limit=limit))
+        assert res.status == BUDGET_EXCEEDED
+        [inner] = inner_configs
+        assert inner.time_limit < limit - 30
+        # a few readings pass between the deadlines of the two solves
+        assert res.wall_time <= limit + 5
+
+
 class TestCertificates:
     def test_infeasible_lp_has_valid_certificate(self):
         p = MilpProblem()
@@ -422,6 +467,94 @@ class TestDualSimplexProperties:
                 tol = 10 * FEAS_TOL
                 assert np.all(res.x >= lo2 - tol) and np.all(res.x <= hi2 + tol)
                 assert rows_hold(A, rel, b, res.x, tol)
+
+
+def random_box_problem(seed: int):
+    """Arrays of a random LP (boxed, one-sided and free variables) or MIP,
+    with a random sub-box of its bounds half of the time."""
+    rng = np.random.default_rng(seed)
+    p = random_bounded_lp(rng) if seed % 2 else random_mip(rng)
+    A, rel, b, lo, hi, is_bin, _ = p.to_arrays()
+    if rng.uniform() < 0.5:
+        lo, hi = tightened(rng, lo, hi)
+        lo[is_bin], hi[is_bin] = np.floor(lo[is_bin]), np.ceil(hi[is_bin])
+    return rng, A, rel, b, lo, hi, is_bin
+
+
+def close_bounds(a, b) -> bool:
+    with np.errstate(invalid="ignore"):   # inf - inf where both are infinite
+        return bool(np.all((a == b) | (np.abs(a - b) <= 1e-9 * (1 + np.abs(a)))))
+
+
+class TestPresolverProperties:
+    """The sparse presolver against the dense reference, and soundness."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    @example(2487)  # presolve once read a tiny coefficient on an infinite bound as finite
+    def test_agrees_with_the_dense_reference(self, seed):
+        _, A, rel, b, lo, hi, is_bin = random_box_problem(seed)
+        ok, lo1, hi1 = solver._Presolver(A, rel, b, is_bin).run(lo, hi, FEAS_TOL)
+        ok0, lo0, hi0 = DensePresolver(A, rel, b, is_bin).run(lo, hi, FEAS_TOL)
+        assert ok == ok0
+        assert close_bounds(lo1, lo0) and close_bounds(hi1, hi0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_never_cuts_off_a_point_that_satisfies_the_rows(self, seed):
+        rng, A, rel, _, lo, hi, is_bin = random_box_problem(seed)
+        # a point of the box (binaries integral), and rows built to hold there
+        left = np.where(np.isfinite(lo), lo, np.minimum(hi, 0.0) - 5.0)
+        right = np.where(np.isfinite(hi), hi, np.maximum(lo, 0.0) + 5.0)
+        x = rng.uniform(left, right)
+        x[is_bin] = rng.integers(lo[is_bin], hi[is_bin] + 1)
+        slack = rng.uniform(0.0, 2.0, len(rel)) * (rng.uniform(size=len(rel)) < 0.5)
+        b = A @ x + np.select([rel == "<=", rel == ">="], [slack, -slack], 0.0)
+        ok, lo1, hi1 = solver._Presolver(A, rel, b, is_bin).run(lo, hi, FEAS_TOL)
+        assert ok
+        tol = 1e-9 * (1 + np.abs(x))
+        assert np.all(lo1 <= x + tol) and np.all(x <= hi1 + tol)
+
+
+@pytest.mark.parametrize("rel, rhs, empty", [
+    ("<=", 1.0 - 5 * FEAS_TOL, True), ("<=", 1.0 - 1e-10, False),
+    (">=", 3.0 + 5 * FEAS_TOL, True), (">=", 3.0 + 1e-10, False)])
+def test_presolve_empties_the_box_of_a_violated_row(rel, rhs, empty):
+    # x + 2 y over the box [1, 2] x [0, 0.5] ranges over [1, 3]
+    A = np.array([[1.0, 2.0]])
+    presolver = solver._Presolver(A, np.array([rel]), np.array([rhs]),
+                                  np.zeros(2, dtype=bool))
+    ok, _, _ = presolver.run(np.array([1.0, 0.0]), np.array([2.0, 0.5]), FEAS_TOL)
+    assert ok is not empty
+
+
+def test_sos1_groups_are_the_exactly_one_rows_over_binaries():
+    p = MilpProblem()
+    for j in range(5):
+        p.add_binary(f"d{j}")
+    p.add_continuous("x", 0.0, 1.0)
+    p.add_constraint("pair", [(1.0, "d3"), (1.0, "d4")], "=", 1.0)
+    p.add_constraint("triple", [(1.0, "d2"), (1.0, "d0"), (1.0, "d1")], "=", 1.0)
+    p.add_constraint("pair_again", [(1.0, "d4"), (1.0, "d3")], "=", 1.0)
+    p.add_constraint("scaled", [(1.0, "d0"), (2.0, "d3")], "=", 1.0)
+    p.add_constraint("mixed", [(1.0, "d1"), (1.0, "x")], "=", 1.0)
+    p.add_constraint("at_most", [(1.0, "d0"), (1.0, "d4")], "<=", 1.0)
+    p.add_constraint("two", [(1.0, "d1"), (1.0, "d2")], "=", 2.0)
+    p.add_constraint("alone", [(1.0, "d1")], "=", 1.0)
+    A, rel, b, _, _, is_bin, _ = p.seal().to_arrays()
+    presolver = solver._Presolver(A, rel, b, is_bin)
+    assert solver._sos1_groups(presolver, rel, b, is_bin) == [(3, 4), (0, 1, 2)]
+    assert sos1_groups_by_rows(A, rel, b, is_bin) == [(3, 4), (0, 1, 2)]
+
+
+def test_sos1_groups_match_the_row_by_row_reference(radiant_window):
+    system, fault = builtin_pair("sensorScenario4", uncertainty=False)
+    pair = encode_t_detectability(system, fault, 3).problem.seal()
+    for p in (radiant_window, pair):
+        A, rel, b, _, _, is_bin, _ = p.to_arrays()
+        groups = solver._sos1_groups(solver._Presolver(A, rel, b, is_bin),
+                                     rel, b, is_bin)
+        assert groups and groups == sos1_groups_by_rows(A, rel, b, is_bin)
 
 
 def test_singular_warm_start_falls_back_to_the_slack_basis():
