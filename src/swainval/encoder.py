@@ -46,6 +46,18 @@ box, padded by a hair against rounding), and every mode-gated row carries
 the smallest big-M constant valid for its own mode, step and row, derived
 from the same intervals.  The ``big_m`` field on an encoding records the
 largest row constant actually used.
+
+Rows are emitted by index, not term by term.  Each mode's ``out``/``dyn``/
+``match`` rows come from a template (``_GatedRows``) that holds the sparsity
+of A, C, B and hatf as column slots, built once per distinct mode and
+shared by later encodings of the same model; a (mode, step) block maps the
+slots to that step's columns and adds its own big-M and rhs vectors.
+These blocks, the ``mode``/``pair`` rows and the abs-transform rows wait
+in one buffer (``_RowSink``) that enters the problem through a single
+``MilpProblem.add_rows`` call.  Rows keep the order in which they are
+emitted and each row its term order, so the exported LP text is
+byte-stable (``tests/test_golden_lp.py`` pins it).  Indicator rows are
+few and are added one by one afterwards.
 """
 
 from __future__ import annotations
@@ -398,88 +410,258 @@ def _propagate_boxes(model: SwitchedAffineModel, n_samples: int, drive):
     return boxes, dyn_lo, dyn_hi, out_lo, out_hi
 
 
+class _RowSink:
+    """Rows waiting to enter the problem in one ``add_rows`` call.
+
+    Rows enter in the order they were added.  The sink also stands in for
+    the problem in ``add_abs_var`` and ``bound_by_abs``: their variables
+    go straight to the problem and their rows wait here with the rest.
+    """
+
+    def __init__(self, p: MilpProblem):
+        self.p = p
+        self._names: list[str] = []
+        self._parts: list[tuple] = []
+
+    def add_rows(self, names, rows, cols, vals, relations, rhs) -> None:
+        self._parts.append((np.asarray(rows) + len(self._names), cols, vals,
+                            relations, rhs))
+        self._names.extend(names)
+
+    def flush(self) -> None:
+        if self._names:
+            self.p.add_rows(self._names,
+                            *(np.concatenate(part) for part in zip(*self._parts)))
+            self._names, self._parts = [], []
+
+    def add_continuous(self, name: str, lower: float, upper: float) -> str:
+        return self.p.add_continuous(name, lower, upper)
+
+    def add_binary(self, name: str) -> str:
+        return self.p.add_binary(name)
+
+    def bounds_of(self, name: str) -> tuple[float, float]:
+        return self.p.bounds_of(name)
+
+    def index_of(self, name: str) -> int:
+        return self.p.index_of(name)
+
+
+class _GatedRows:
+    """One mode's gated rows as a template: built once, shifted per step.
+
+    ``parts`` lists the terms ``(row, slot, coef)`` of the base rows in term
+    order; a NaN coefficient is set per block (``free`` of :meth:`emit`).
+    A block turns base row r into the pair
+
+        stem[r]+:  terms + M_r * gate  <=  rhs_r + M_r
+        stem[r]-:  terms - M_r * gate  >=  rhs_r - M_r
+
+    which binds exactly when the gate, a sum of binaries at
+    ``gate_slots``, is 1.  Slots index the column map each block passes
+    in, so one template serves every step; big-M and rhs vectors are the
+    block's own.
+    """
+
+    def __init__(self, parts, n_rows: int, gate_slots):
+        rows, slots, coefs = (np.concatenate(column) for column in zip(*parts))
+        order = np.argsort(rows, kind="stable")
+        rows, slots = rows[order], slots[order]
+        self.coefs = coefs[order]
+        self.free = np.flatnonzero(np.isnan(self.coefs))
+        n_terms, gate_slots = len(rows), np.asarray(gate_slots)
+        g_rows = np.repeat(np.arange(n_rows), len(gate_slots))
+        g_slots = np.tile(gate_slots, n_rows)
+        # r+ is row 2r and r- row 2r+1: the base terms, then the gate at
+        # +M_r or -M_r; coefficients are drawn from (coefs, M) by src
+        rows = np.concatenate([2 * rows, 2 * rows + 1, 2 * g_rows, 2 * g_rows + 1])
+        slots = np.concatenate([slots, slots, g_slots, g_slots])
+        src = np.concatenate([np.arange(n_terms), np.arange(n_terms),
+                              n_terms + g_rows, n_terms + g_rows])
+        sign = np.repeat([1.0, 1.0, 1.0, -1.0],
+                         [n_terms, n_terms, len(g_rows), len(g_rows)])
+        order = np.argsort(rows, kind="stable")
+        self.rows, self.slots = rows[order], slots[order]
+        self.src, self.sign = src[order], sign[order]
+        self.rel = np.tile(np.array([LE, GE]), n_rows)
+        self.labels = [f"[{r}]{side}" for r in range(n_rows) for side in "+-"]
+
+    def emit(self, sink: _RowSink, stem: str, colmap: np.ndarray,
+             rhs: np.ndarray, big_m: np.ndarray, free=()) -> None:
+        coefs = self.coefs
+        if self.free.size:
+            coefs = coefs.copy()
+            coefs[self.free] = free
+        vals = np.concatenate([coefs, big_m])[self.src] * self.sign
+        bounds = np.empty(len(self.labels))
+        np.add(rhs, big_m, out=bounds[0::2])
+        np.subtract(rhs, big_m, out=bounds[1::2])
+        sink.add_rows([stem + label for label in self.labels], self.rows,
+                      colmap[self.slots], vals, self.rel, bounds)
+
+
+_TEMPLATES: dict[tuple, _GatedRows] = {}
+_TEMPLATES_MAX = 256
+
+
+def _fingerprint(mode) -> tuple:
+    """A mode's matrices by value: the key of its templates."""
+    return tuple((a.shape, a.tobytes()) for a in (
+        mode.A, mode.B, mode.C, mode.f, mode.hatA, mode.hatB, mode.hatC, mode.hatf))
+
+
+def _memo(key: tuple, build, *args) -> _GatedRows:
+    """``build(*args)``, once per key.  Templates depend only on mode
+    matrices and are never modified, so the encodings of one model (a
+    monitor's windows, find_T's probes) share them."""
+    template = _TEMPLATES.get(key)
+    if template is None:
+        if len(_TEMPLATES) >= _TEMPLATES_MAX:
+            _TEMPLATES.clear()
+        template = _TEMPLATES[key] = build(*args)
+    return template
+
+
+def _nonzeros(mat: np.ndarray, first_slot: int, sign: float):
+    """Terms ``sign * mat[r, c]`` at slot ``first_slot + c``, row-major."""
+    r, c = np.nonzero(mat)
+    return r, first_slot + c, sign * mat[r, c]
+
+
+def _one_each(rows: np.ndarray, first_slot: int, coefs):
+    """One term per entry of ``rows``, on consecutive slots."""
+    return rows, first_slot + np.arange(len(rows)), np.full(len(rows), coefs)
+
+
+def _output_parts(mode, first_slot: int, sign: float):
+    """Terms of ``sign * ((C + hatC DC) x + eta)`` per output row.
+
+    Slots from ``first_slot``: x (n), eta (n_y), ZC (one per nonzero of
+    hatC).  Returns the parts and the number of slots used.
+    """
+    q = np.arange(mode.n_y)
+    zc_rows = np.nonzero(mode.hatC)[0]
+    parts = [_nonzeros(mode.C, first_slot, sign),
+             _one_each(q, first_slot + mode.n, sign),
+             _one_each(zc_rows, first_slot + mode.n + mode.n_y, sign)]
+    return parts, mode.n + mode.n_y + len(zc_rows)
+
+
+def _output_rows(mode) -> _GatedRows:
+    """Gated rows of ``(C + hatC DC) x + eta = y``; the gate binary last."""
+    parts, width = _output_parts(mode, 0, 1.0)
+    return _GatedRows(parts, mode.n_y, [width])
+
+
+def _match_rows(mode1, mode2) -> _GatedRows:
+    """Gated rows equating the outputs of mode1 and mode2; the gate last."""
+    parts1, width1 = _output_parts(mode1, 0, 1.0)
+    parts2, width2 = _output_parts(mode2, width1, -1.0)
+    return _GatedRows(parts1 + parts2, mode1.n_y, [width1 + width2])
+
+
+def _state_rows(mode, n_gates: int, data_input: bool) -> _GatedRows:
+    """Gated rows of ``x_{k+1} = (A + hatA DA) x_k + f + hatf Df + input``.
+
+    Slots: x_{k+1} (n), x_k (n), ZA (one per nonzero of hatA), Df (one per
+    nonzero of hatf), then the input: DB (one per nonzero of hatB, its
+    coefficient ``-hatB u_k`` set per step) when the input is data, or
+    u_k (n_u) and ZB (one per nonzero of hatB) when it is a variable; the
+    gate binaries come last.
+    """
+    n = mode.n
+    za_rows = np.nonzero(mode.hatA)[0]
+    df_rows = np.flatnonzero(mode.hatf)
+    zb_rows = np.nonzero(mode.hatB)[0]
+    slot = 2 * n + len(za_rows)
+    parts = [_one_each(np.arange(n), 0, 1.0),
+             _nonzeros(mode.A, n, -1.0),
+             _one_each(za_rows, 2 * n, -1.0),
+             _one_each(df_rows, slot, -mode.hatf[df_rows])]
+    slot += len(df_rows)
+    if data_input:
+        parts.append(_one_each(zb_rows, slot, np.nan))
+    else:
+        parts += [_nonzeros(mode.B, slot, -1.0),
+                  _one_each(zb_rows, slot + mode.n_u, -1.0)]
+        slot += mode.n_u
+    slot += len(zb_rows)
+    return _GatedRows(parts, n, slot + np.arange(n_gates))
+
+
+_NO_COLS = np.zeros(0, dtype=np.intp)
+
+
+def _cols(p: MilpProblem, names) -> np.ndarray:
+    return np.array([p.index_of(v) for v in names], dtype=np.intp)
+
+
+def _keys(hat: np.ndarray) -> list:
+    """Nonzero positions of hat, row-major: r for a vector, (r, c) otherwise."""
+    index = [ix.tolist() for ix in np.nonzero(hat)]
+    return index[0] if hat.ndim == 1 else list(zip(*index))
+
+
 class _AbsCache:
     """Shared |v| auxiliaries: one (z, binary) pair per underlying variable."""
 
-    def __init__(self, p: MilpProblem, var_index: dict, stem: str):
-        self.p = p
+    def __init__(self, sink: _RowSink, var_index: dict, stem: str):
+        self.sink = sink
         self.var_index = var_index
         self.stem = stem
         self._cache: dict[tuple[int, int], str] = {}
 
-    def get(self, k: int, c: int, name: str, sup_abs: float) -> str:
+    def bound(self, var: str, hat: float, k: int, c: int, carrier: str,
+              sup_abs: float) -> None:
+        """Add |var| <= hat * |carrier| through the shared |carrier| of (k, c)."""
         key = (k, c)
         if key not in self._cache:
-            z, _b = add_abs_var(self.p, name, big_m=2.0 * sup_abs,
+            z, _b = add_abs_var(self.sink, carrier, big_m=2.0 * sup_abs,
                                 tag=f"{self.stem}[{k}][{c}]")
             self._cache[key] = z
             self.var_index[(self.stem, k, c)] = z
-        return self._cache[key]
+        bound_by_abs(self.sink, var, hat, self._cache[key])
 
 
-def _gated_rows(p: MilpProblem, stem: str, terms, rhs: float, big_m: float,
-                gate_terms) -> None:
-    """Add |sum(terms) - rhs| <= big_m * (1 - gate) as two rows.
-
-    ``gate_terms`` is a list of (coef, binary) whose integral value is 0
-    or 1; the row pair binds exactly when the gate is 1.
-    """
-    up = list(terms) + [(big_m * c, v) for c, v in gate_terms]
-    lo = list(terms) + [(-big_m * c, v) for c, v in gate_terms]
-    p.add_constraint(f"{stem}+", up, LE, rhs + big_m)
-    p.add_constraint(f"{stem}-", lo, GE, rhs - big_m)
-
-
-def _uncertain_state_terms(p: MilpProblem, var_index: dict, absx: _AbsCache,
-                           mode, za_role: str, df_role: str, i: int, k: int,
-                           x_names, xmax) -> dict[int, list[tuple[float, str]]]:
-    """Create ZA / Df variables for (mode i, step k); return per-row terms."""
-    per_row: dict[int, list[tuple[float, str]]] = {}
-    za_names: dict[tuple[int, int], str] = {}
-    for r, c in zip(*np.nonzero(mode.hatA)):
-        r, c = int(r), int(c)
-        bound = mode.hatA[r, c] * xmax[c]
-        za = p.add_continuous(f"{za_role}[{i}][{k}][{r}][{c}]", -bound, bound)
-        z = absx.get(k, c, x_names[c], xmax[c])
-        bound_by_abs(p, za, float(mode.hatA[r, c]), z)
-        za_names[(r, c)] = za
-        per_row.setdefault(r, []).append((-1.0, za))
-    if za_names:
-        var_index[(za_role, i, k)] = za_names
-    df_names: dict[int, str] = {}
-    for r in np.nonzero(mode.hatf)[0]:
-        r = int(r)
-        df = p.add_continuous(f"{df_role}[{i}][{k}][{r}]", -1.0, 1.0)
-        df_names[r] = df
-        per_row.setdefault(r, []).append((-float(mode.hatf[r]), df))
-    if df_names:
-        var_index[(df_role, i, k)] = df_names
-    return per_row
+def _add_products(p: MilpProblem, var_index: dict, absx: _AbsCache, role: str,
+                  i: int, k: int, hat: np.ndarray, keys: list, carrier,
+                  carrier_max) -> np.ndarray:
+    """One ``role[i][k][r][c]`` per nonzero (r, c) of hat in ``keys``: the
+    product hat[r, c] * Delta[r, c] * carrier[c], bounded by
+    hat[r, c] |carrier[c]|.  Returns their columns."""
+    if not keys:
+        return _NO_COLS
+    names: dict[tuple[int, int], str] = {}
+    for r, c in keys:
+        bound = hat[r, c] * carrier_max[c]
+        z = p.add_continuous(f"{role}[{i}][{k}][{r}][{c}]", -bound, bound)
+        absx.bound(z, float(hat[r, c]), k, c, carrier[c], carrier_max[c])
+        names[(r, c)] = z
+    var_index[(role, i, k)] = names
+    return _cols(p, names.values())
 
 
-def _output_terms(p: MilpProblem, var_index: dict, absx: _AbsCache, mode,
-                  role: str, i: int, k: int, x_names, eta_names, xmax,
-                  sign: float = 1.0) -> list[list[tuple[float, str]]]:
-    """Terms of the uncertain output map for (mode i, sample k), per row q."""
-    n_y = mode.n_y
-    rows: list[list[tuple[float, str]]] = [[] for _ in range(n_y)]
-    for q in range(n_y):
-        for j, coef in enumerate(mode.C[q]):
-            if coef != 0.0:
-                rows[q].append((sign * float(coef), x_names[j]))
-        rows[q].append((sign, eta_names[q]))
-    zc_names: dict[tuple[int, int], str] = {}
-    for q, c in zip(*np.nonzero(mode.hatC)):
-        q, c = int(q), int(c)
-        bound = mode.hatC[q, c] * xmax[c]
-        zc = p.add_continuous(f"{role}[{i}][{k}][{q}][{c}]", -bound, bound)
-        z = absx.get(k, c, x_names[c], xmax[c])
-        bound_by_abs(p, zc, float(mode.hatC[q, c]), z)
-        zc_names[(q, c)] = zc
-        rows[q].append((sign, zc))
-    if zc_names:
-        var_index[(role, i, k)] = zc_names
-    return rows
+def _add_draws(p: MilpProblem, var_index: dict, role: str, i: int, k: int,
+               keys: list) -> np.ndarray:
+    """One normalized draw in [-1, 1] per key: ``role[i][k][r]`` for a key
+    r (Df), ``role[i][k][r][c]`` for a key (r, c) (DB).  Returns their
+    columns."""
+    if not keys:
+        return _NO_COLS
+    first, stem = p.n_vars, f"{role}[{i}][{k}]"
+    var_index[(role, i, k)] = {
+        key: p.add_continuous(
+            stem + ("".join(f"[{x}]" for x in key) if isinstance(key, tuple)
+                    else f"[{key}]"), -1.0, 1.0)
+        for key in keys}
+    return np.arange(first, p.n_vars)
+
+
+def _one_hot_rows(sink: _RowSink, names: list[str], cols: np.ndarray) -> None:
+    """Row t: the binaries ``cols[t]`` sum to one."""
+    n_rows, width = cols.shape
+    sink.add_rows(names, np.repeat(np.arange(n_rows), width), cols.ravel(),
+                  np.ones(cols.size), np.full(n_rows, EQ), np.ones(n_rows))
 
 
 def encode_invalidation(model: SwitchedAffineModel,
@@ -518,24 +700,20 @@ def encode_invalidation(model: SwitchedAffineModel,
 
     tube, step_lo, step_hi, expr_lo, expr_hi = \
         _propagate_boxes(model, N, data_drive)
-
-    def dyn_m(i: int, k: int, r: int) -> float:
-        lo_next, hi_next = tube[k + 1]
-        return 1.05 * max(hi_next[r] - step_lo[k][i - 1][r],
-                          step_hi[k][i - 1][r] - lo_next[r], 1e-6)
-
-    def out_m(i: int, k: int, q: int) -> float:
-        y = float(trajectory.outputs[k, q])
-        return 1.05 * max(y - expr_lo[k][i - 1][q],
-                          expr_hi[k][i - 1][q] - y, 1e-6)
-
-    M = max(max((dyn_m(i, k, r) for i in range(1, model.s + 1)
-                 for k in range(N - 1) for r in range(model.n)),
-                default=0.0),
-            max(out_m(i, k, q) for i in range(1, model.s + 1)
-                for k in range(N) for q in range(model.n_y)))
+    s = model.s
+    dyn_m = {(i, k): 1.05 * np.maximum(np.maximum(
+                 tube[k + 1][1] - step_lo[k][i - 1],
+                 step_hi[k][i - 1] - tube[k + 1][0]), 1e-6)
+             for i in range(1, s + 1) for k in range(N - 1)}
+    out_m = {(i, k): 1.05 * np.maximum(np.maximum(
+                 trajectory.outputs[k] - expr_lo[k][i - 1],
+                 expr_hi[k][i - 1] - trajectory.outputs[k]), 1e-6)
+             for i in range(1, s + 1) for k in range(N)}
+    M = max(max((v.max() for v in dyn_m.values()), default=0.0),
+            max(v.max() for v in out_m.values()))
 
     p = MilpProblem(name=f"invalidation[{model.name or 'model'}][N={N}]")
+    sink = _RowSink(p)
     var_index: dict = {}
     xmaxes = [np.maximum(np.abs(lo), np.abs(hi)) for lo, hi in tube]
 
@@ -544,49 +722,48 @@ def encode_invalidation(model: SwitchedAffineModel,
     for k in range(N):
         var_index[("x", k)] = x[k]
         var_index[("eta", k)] = eta[k]
-    a = {}
+    x_cols = [_cols(p, names) for names in x]
+    eta_cols = [_cols(p, names) for names in eta]
+    a = np.empty((N, s), dtype=np.intp)
     for k in range(N):
-        for i in range(1, model.s + 1):
-            a[(i, k)] = p.add_binary(f"a[{i}][{k}]")
-            var_index[("a", i, k)] = a[(i, k)]
-        p.add_constraint(f"mode[{k}]", [(1.0, a[(i, k)]) for i in range(1, model.s + 1)],
-                         EQ, 1.0)
+        for i in range(1, s + 1):
+            var_index[("a", i, k)] = p.add_binary(f"a[{i}][{k}]")
+            a[k, i - 1] = p.n_vars - 1
+    _one_hot_rows(sink, [f"mode[{k}]" for k in range(N)], a)
 
-    absx = _AbsCache(p, var_index, "absx")
+    fingerprints = [_fingerprint(mode) for mode in model.modes]
+    out_rows = [_memo(("out", fp), _output_rows, mode)
+                for mode, fp in zip(model.modes, fingerprints)]
+    dyn_rows = [_memo(("state", fp, 1, True), _state_rows, mode, 1, True)
+                for mode, fp in zip(model.modes, fingerprints)]
+    keys = [[_keys(hat) for hat in (mode.hatA, mode.hatB, mode.hatC, mode.hatf)]
+            for mode in model.modes]
+    absx = _AbsCache(sink, var_index, "absx")
     for k in range(N):
         u_k = trajectory.inputs[k] if model.n_u else np.zeros(0)
-        y_k = trajectory.outputs[k]
         for i, mode in enumerate(model.modes, start=1):
-            gate = [(1.0, a[(i, k)])]
-            out_rows = _output_terms(p, var_index, absx, mode, "ZC", i, k,
-                                     x[k], eta[k], xmaxes[k])
-            for q in range(model.n_y):
-                _gated_rows(p, f"out[{i}][{k}][{q}]", out_rows[q],
-                            float(y_k[q]), out_m(i, k, q), gate)
+            za_keys, db_keys, zc_keys, df_keys = keys[i - 1]
+            gate = a[k, i - 1:i]
+            zc = _add_products(p, var_index, absx, "ZC", i, k, mode.hatC,
+                               zc_keys, x[k], xmaxes[k])
+            out_rows[i - 1].emit(
+                sink, f"out[{i}][{k}]",
+                np.concatenate([x_cols[k], eta_cols[k], zc, gate]),
+                trajectory.outputs[k], out_m[i, k])
             if k == N - 1:
                 continue
-            unc = _uncertain_state_terms(p, var_index, absx, mode, "ZA", "Df",
-                                         i, k, x[k], xmaxes[k])
-            db_names: dict[tuple[int, int], str] = {}
-            for r, c in zip(*np.nonzero(mode.hatB)):
-                r, c = int(r), int(c)
-                db = p.add_continuous(f"DB[{i}][{k}][{r}][{c}]", -1.0, 1.0)
-                db_names[(r, c)] = db
-                coef = -float(mode.hatB[r, c] * u_k[c])
-                if coef != 0.0:
-                    unc.setdefault(r, []).append((coef, db))
-            if db_names:
-                var_index[("DB", i, k)] = db_names
+            za = _add_products(p, var_index, absx, "ZA", i, k, mode.hatA,
+                               za_keys, x[k], xmaxes[k])
+            df = _add_draws(p, var_index, "Df", i, k, df_keys)
+            db = _add_draws(p, var_index, "DB", i, k, db_keys)
+            # DB[r][c] enters with -hatB[r, c] u_k[c], so not where u_k[c] = 0
+            db_coefs = [-(mode.hatB[r, c] * u_k[c]) for r, c in db_keys]
             drive = mode.B @ u_k if model.n_u else np.zeros(model.n)
-            for r in range(model.n):
-                terms = [(1.0, x[k + 1][r])]
-                terms += [(-float(coef), x[k][j])
-                          for j, coef in enumerate(mode.A[r]) if coef != 0.0]
-                terms += unc.get(r, [])
-                rhs = float(drive[r] + mode.f[r])
-                _gated_rows(p, f"dyn[{i}][{k}][{r}]", terms, rhs,
-                            dyn_m(i, k, r), gate)
-
+            dyn_rows[i - 1].emit(
+                sink, f"dyn[{i}][{k}]",
+                np.concatenate([x_cols[k + 1], x_cols[k], za, df, db, gate]),
+                drive + mode.f, dyn_m[i, k], free=db_coefs)
+    sink.flush()
     return InvalidationEncoding(p, var_index, M, model, trajectory)
 
 
@@ -617,7 +794,8 @@ def encode_t_detectability(system: SwitchedAffineModel,
     if system.n_u != fault.n_u:
         raise DimensionError("the two models must share the input dimension")
     T = int(horizon)
-    n_u = system.n_u
+    n_u, n_y = system.n_u, system.n_y
+    s1, s2 = system.s, fault.s
     U = system.input_set.intersect(fault.input_set) if n_u \
         else HyperRectangle([], [])
     if n_u and U.is_empty:
@@ -656,31 +834,25 @@ def encode_t_detectability(system: SwitchedAffineModel,
     tube2, f_lo, f_hi, f_olo, f_ohi = \
         _propagate_boxes(fault, T + 1, box_drive(fault))
 
-    def dyn_m(side: int, i: int, k: int, r: int) -> float:
-        if side == 1:
-            tube, lo, hi = tube1, s_lo, s_hi
-        else:
-            tube, lo, hi = tube2, f_lo, f_hi
-        lo_next, hi_next = tube[k + 1]
-        return 1.05 * max(hi_next[r] - lo[k][i - 1][r],
-                          hi[k][i - 1][r] - lo_next[r], 1e-6)
+    def step_m(tube, lo, hi, n_modes):
+        return {(i, k): 1.05 * np.maximum(np.maximum(
+                    tube[k + 1][1] - lo[k][i - 1], hi[k][i - 1] - tube[k + 1][0]),
+                    1e-6)
+                for i in range(1, n_modes + 1) for k in range(T)}
 
-    def match_m(i: int, j: int, k: int, q: int) -> float:
-        return 1.05 * max(s_ohi[k][i - 1][q] - f_olo[k][j - 1][q],
-                          f_ohi[k][j - 1][q] - s_olo[k][i - 1][q], 1e-6)
-
-    M = max(max(dyn_m(1, i, k, r) for i in range(1, system.s + 1)
-                for k in range(T) for r in range(system.n)),
-            max(dyn_m(2, j, k, r) for j in range(1, fault.s + 1)
-                for k in range(T) for r in range(fault.n)))
+    dyn_m = (step_m(tube1, s_lo, s_hi, s1), step_m(tube2, f_lo, f_hi, s2))
+    M = max(max(v.max() for v in dyn_m[0].values()),
+            max(v.max() for v in dyn_m[1].values()))
     if not collapsed:
-        M = max(M, max(match_m(i, j, k, q)
-                       for i in range(1, system.s + 1)
-                       for j in range(1, fault.s + 1)
-                       for k in range(T + 1)
-                       for q in range(system.n_y)))
+        match_m = {(i, j, k): 1.05 * np.maximum(np.maximum(
+                       s_ohi[k][i - 1] - f_olo[k][j - 1],
+                       f_ohi[k][j - 1] - s_olo[k][i - 1]), 1e-6)
+                   for i in range(1, s1 + 1) for j in range(1, s2 + 1)
+                   for k in range(T + 1)}
+        M = max(M, max(v.max() for v in match_m.values()))
 
     p = MilpProblem(name=f"detectability[T={T}]")
+    sink = _RowSink(p)
     var_index: dict = {}
     xmax1 = [np.maximum(np.abs(lo), np.abs(hi)) for lo, hi in tube1]
     xmax2 = [np.maximum(np.abs(lo), np.abs(hi)) for lo, hi in tube2]
@@ -698,99 +870,87 @@ def encode_t_detectability(system: SwitchedAffineModel,
         var_index[("etab", k)] = e2[k]
     for k in range(T):
         var_index[("u", k)] = u[k]
+    x1_cols, x2_cols, e1_cols, e2_cols, u_cols = (
+        [_cols(p, names) for names in group] for group in (x1, x2, e1, e2, u))
 
-    d = {}
+    d = np.zeros((T + 1, s1, s2), dtype=np.intp)
     for k in binary_steps:
-        for i in range(1, system.s + 1):
-            for j in range(1, fault.s + 1):
-                d[(i, j, k)] = p.add_binary(f"d[{i}][{j}][{k}]")
-                var_index[("d", i, j, k)] = d[(i, j, k)]
-        p.add_constraint(f"pair[{k}]",
-                         [(1.0, d[(i, j, k)])
-                          for i in range(1, system.s + 1)
-                          for j in range(1, fault.s + 1)],
-                         EQ, 1.0)
+        for i in range(1, s1 + 1):
+            for j in range(1, s2 + 1):
+                var_index[("d", i, j, k)] = p.add_binary(f"d[{i}][{j}][{k}]")
+                d[k, i - 1, j - 1] = p.n_vars - 1
+    _one_hot_rows(sink, [f"pair[{k}]" for k in binary_steps],
+                  d[list(binary_steps)].reshape(len(binary_steps), s1 * s2))
 
-    absx1 = _AbsCache(p, var_index, "absx")
-    absx2 = _AbsCache(p, var_index, "absxb")
-    absu = _AbsCache(p, var_index, "absu")
+    absx1 = _AbsCache(sink, var_index, "absx")
+    absx2 = _AbsCache(sink, var_index, "absxb")
+    absu = _AbsCache(sink, var_index, "absu")
 
-    def input_terms(p_, mode, role: str, i: int, k: int):
-        """B u + ZB terms (shared input is a variable here)."""
-        per_row: dict[int, list[tuple[float, str]]] = {}
-        for r in range(mode.n):
-            row = [(-float(coef), u[k][c])
-                   for c, coef in enumerate(mode.B[r]) if coef != 0.0]
-            if row:
-                per_row[r] = row
-        zb_names: dict[tuple[int, int], str] = {}
-        for r, c in zip(*np.nonzero(mode.hatB)):
-            r, c = int(r), int(c)
-            bound = mode.hatB[r, c] * umax[c]
-            zb = p_.add_continuous(f"{role}[{i}][{k}][{r}][{c}]", -bound, bound)
-            z = absu.get(k, c, u[k][c], umax[c])
-            bound_by_abs(p_, zb, float(mode.hatB[r, c]), z)
-            zb_names[(r, c)] = zb
-            per_row.setdefault(r, []).append((-1.0, zb))
-        if zb_names:
-            var_index[(role, i, k)] = zb_names
-        return per_row
-
-    def state_rows(model, x_, absx_, xmax_, side: int):
-        s_other = fault.s if side == 1 else system.s
+    def state_rows(model, x_, x_cols, absx_, xmax_, side: int):
         stem = "dyn" if side == 1 else "dynb"
-        za_role, df_role = ("ZA", "Df") if side == 1 else ("ZAb", "Dfb")
-        zbrole = "ZB" if side == 1 else "ZBb"
+        za_role, df_role, zb_role = (("ZA", "Df", "ZB") if side == 1
+                                     else ("ZAb", "Dfb", "ZBb"))
+        n_gates = s2 if side == 1 else s1
+        templates = [_memo(("state", _fingerprint(mode), n_gates, False),
+                           _state_rows, mode, n_gates, False)
+                     for mode in model.modes]
+        keys = [[_keys(hat) for hat in (mode.hatA, mode.hatB, mode.hatf)]
+                for mode in model.modes]
         for k in range(T):
             for i, mode in enumerate(model.modes, start=1):
-                if side == 1:
-                    gate = [(1.0, d[(i, j, k)]) for j in range(1, s_other + 1)]
-                else:
-                    gate = [(1.0, d[(jj, i, k)]) for jj in range(1, s_other + 1)]
-                unc = _uncertain_state_terms(p, var_index, absx_, mode,
-                                             za_role, df_role, i, k, x_[k],
-                                             xmax_[k])
-                drive = input_terms(p, mode, zbrole, i, k) if n_u else {}
-                for r in range(mode.n):
-                    terms = [(1.0, x_[k + 1][r])]
-                    terms += [(-float(coef), x_[k][j])
-                              for j, coef in enumerate(mode.A[r]) if coef != 0.0]
-                    terms += unc.get(r, [])
-                    terms += drive.get(r, [])
-                    _gated_rows(p, f"{stem}[{i}][{k}][{r}]", terms,
-                                float(mode.f[r]), dyn_m(side, i, k, r), gate)
+                za_keys, zb_keys, df_keys = keys[i - 1]
+                gate = d[k, i - 1, :] if side == 1 else d[k, :, i - 1]
+                za = _add_products(p, var_index, absx_, za_role, i, k,
+                                   mode.hatA, za_keys, x_[k], xmax_[k])
+                df = _add_draws(p, var_index, df_role, i, k, df_keys)
+                zb = _add_products(p, var_index, absu, zb_role, i, k,
+                                   mode.hatB, zb_keys, u[k], umax)
+                templates[i - 1].emit(
+                    sink, f"{stem}[{i}][{k}]",
+                    np.concatenate([x_cols[k + 1], x_cols[k], za, df,
+                                    u_cols[k], zb, gate]),
+                    mode.f, dyn_m[side - 1][i, k])
 
-    state_rows(system, x1, absx1, xmax1, side=1)
-    state_rows(fault, x2, absx2, xmax2, side=2)
+    state_rows(system, x1, x1_cols, absx1, xmax1, side=1)
+    state_rows(fault, x2, x2_cols, absx2, xmax2, side=2)
 
     if collapsed:
+        # one shared certain output map: C x + eta = C xb + etab, ungated
         C = system.modes[0].C
+        r, c = np.nonzero(C)
+        q = np.arange(n_y)
+        rows = np.concatenate([r, r, q, q])
+        coefs = np.concatenate([C[r, c], -C[r, c], np.ones(n_y), -np.ones(n_y)])
         for k in range(T + 1):
-            for q in range(system.n_y):
-                terms = [(float(coef), x1[k][j])
-                         for j, coef in enumerate(C[q]) if coef != 0.0]
-                terms += [(-float(coef), x2[k][j])
-                          for j, coef in enumerate(C[q]) if coef != 0.0]
-                terms += [(1.0, e1[k][q]), (-1.0, e2[k][q])]
-                p.add_constraint(f"match[{k}][{q}]", terms, EQ, 0.0)
+            sink.add_rows([f"match[{k}][{qq}]" for qq in q], rows,
+                          np.concatenate([x1_cols[k][c], x2_cols[k][c],
+                                          e1_cols[k], e2_cols[k]]),
+                          coefs, np.full(n_y, EQ), np.zeros(n_y))
     else:
+        fp1 = [_fingerprint(mode) for mode in system.modes]
+        fp2 = [_fingerprint(mode) for mode in fault.modes]
+        match_rows = {(i, j): _memo(("match", fp1[i - 1], fp2[j - 1]),
+                                    _match_rows, mode1, mode2)
+                      for i, mode1 in enumerate(system.modes, start=1)
+                      for j, mode2 in enumerate(fault.modes, start=1)}
+        zc1_keys = [_keys(mode.hatC) for mode in system.modes]
+        zc2_keys = [_keys(mode.hatC) for mode in fault.modes]
         for k in range(T + 1):
-            side1 = {}
-            side2 = {}
-            for i, mode in enumerate(system.modes, start=1):
-                side1[i] = _output_terms(p, var_index, absx1, mode, "ZC",
-                                         i, k, x1[k], e1[k], xmax1[k])
-            for j, mode in enumerate(fault.modes, start=1):
-                side2[j] = _output_terms(p, var_index, absx2, mode, "ZCb",
-                                         j, k, x2[k], e2[k], xmax2[k],
-                                         sign=-1.0)
-            for i in range(1, system.s + 1):
-                for j in range(1, fault.s + 1):
-                    gate = [(1.0, d[(i, j, k)])]
-                    for q in range(system.n_y):
-                        terms = side1[i][q] + side2[j][q]
-                        _gated_rows(p, f"match[{i}][{j}][{k}][{q}]",
-                                    terms, 0.0, match_m(i, j, k, q), gate)
+            zc1 = [_add_products(p, var_index, absx1, "ZC", i, k, mode.hatC,
+                                 zc1_keys[i - 1], x1[k], xmax1[k])
+                   for i, mode in enumerate(system.modes, start=1)]
+            zc2 = [_add_products(p, var_index, absx2, "ZCb", j, k, mode.hatC,
+                                 zc2_keys[j - 1], x2[k], xmax2[k])
+                   for j, mode in enumerate(fault.modes, start=1)]
+            for i in range(1, s1 + 1):
+                side1 = np.concatenate([x1_cols[k], e1_cols[k], zc1[i - 1]])
+                for j in range(1, s2 + 1):
+                    match_rows[i, j].emit(
+                        sink, f"match[{i}][{j}][{k}]",
+                        np.concatenate([side1, x2_cols[k], e2_cols[k],
+                                        zc2[j - 1], d[k, i - 1, j - 1:j]]),
+                        np.zeros(n_y), match_m[i, j, k])
+    sink.flush()
 
     enc = PairEncoding(p, var_index, M, system, fault, T, U, collapsed,
                        binary_steps)

@@ -2,12 +2,23 @@
 
 A :class:`MilpProblem` collects bounded continuous variables, binary
 variables and linear rows, then seals into an immutable instance that the
-solver, the LP-format writer and the witness verifier consume.  Also here:
+solver, the LP-format writer and the witness verifier consume.
+
+The rows are kept in one coordinate (COO) store: the nonzeros
+``(row, col, val)`` in row order, with each row's terms in the order they
+were first given, plus a relation, a right-hand side and a name per row.
+``add_rows`` appends a whole block straight from index arrays (the
+encoders emit their row families this way); ``add_constraint`` is its
+one-row form by variable name.  Readers take the nonzeros as they are
+(``sparse_arrays``), scatter them into a dense matrix once
+(``to_arrays``), or rebuild :class:`LinearConstraint` records on demand
+(``constraints``, for the LP writer and tests).  Also here:
 
 * ``encode_abs_leq`` — the exact big-M transform of ``|x| <= c*|y|``;
 * ``export_lp`` / ``parse_lp`` — a deterministic LP-format writer and its
   inverse (17 significant digits, fixed row order, bit-stable);
-* ``verify`` — checks a candidate assignment against every row and bound.
+* ``verify`` — checks a candidate assignment against every row and bound,
+  reading the nonzeros.
 """
 
 from __future__ import annotations
@@ -63,6 +74,7 @@ class NotSealed(RuntimeError):
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
+_RELATION_SET = frozenset(_RELATIONS)
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,16 @@ class Witness:
 
 
 class MilpProblem:
-    """Feasibility problem builder; ``seal()`` freezes it for solving/export."""
+    """Feasibility problem builder; ``seal()`` freezes it for solving/export.
+
+    The rows live in one coordinate store: the nonzeros ``(row, col, val)``
+    in row order, each row's terms in the order they were first given, plus
+    one relation, right-hand side and name per row.  :meth:`add_rows`
+    appends a block of rows straight from index arrays; :meth:`add_constraint`
+    is its one-row form by variable name.  :meth:`sparse_arrays` hands the
+    store out, :meth:`to_arrays` scatters it into a dense matrix, and
+    :attr:`constraints` rebuilds the per-row view on demand.
+    """
 
     def __init__(self, name: str = "problem"):
         self.name = name
@@ -101,8 +122,10 @@ class MilpProblem:
         self._lower: list[float] = []
         self._upper: list[float] = []
         self._binary: list[bool] = []
-        self._rows: list[LinearConstraint] = []
-        self._row_names: set[str] = set()
+        self._row_names: list[str] = []
+        self._row_name_set: set[str] = set()
+        self._blocks: list[tuple[np.ndarray, ...]] = []  # (row, col, val, rel, rhs)
+        self._packed: tuple | None = None
         self.sealed = False
 
     # -- construction -----------------------------------------------------
@@ -119,6 +142,7 @@ class MilpProblem:
         self._lower.append(lower)
         self._upper.append(upper)
         self._binary.append(False)
+        self._packed = None
         return name
 
     def add_binary(self, name: str) -> str:
@@ -130,31 +154,97 @@ class MilpProblem:
         self._lower.append(0.0)
         self._upper.append(1.0)
         self._binary.append(True)
+        self._packed = None
         return name
+
+    def add_rows(self, names, rows, cols, vals, relations, rhs) -> None:
+        """Append a block of rows given by their nonzeros.
+
+        ``names``, ``relations`` and ``rhs`` hold one entry per row of the
+        block; entry e of ``rows``/``cols``/``vals`` adds ``vals[e]`` times
+        variable ``cols[e]`` (an index, see :meth:`index_of`) to block row
+        ``rows[e]``.  Names must be new and distinct and columns must exist.
+        Zero coefficients are dropped, and repeated (row, col) entries are
+        summed in the order given, at the place of the first.  A row left
+        without terms is dropped when ``0 relation rhs`` holds and rejected
+        with BadBounds otherwise.
+        """
+        if self.sealed:
+            raise NotSealed("cannot add rows to a sealed problem")
+        names = list(names)
+        n_block, n_vars = len(names), len(self._lower)
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+        vals = np.asarray(vals, dtype=float).reshape(-1)
+        rel = np.asarray(relations)
+        rhs = np.array(rhs, dtype=float)   # a copy: the store freezes it
+        if not rows.shape == cols.shape == vals.shape:
+            raise ValueError("rows, cols and vals must have the same length")
+        if rel.shape != (n_block,) or rhs.shape != (n_block,):
+            raise ValueError("give one relation and one rhs per row name")
+        if not _RELATION_SET.issuperset(rel.tolist()):
+            raise ValueError(f"relation must be one of {_RELATIONS}")
+        if len(set(names)) < n_block or not self._row_name_set.isdisjoint(names):
+            seen = set(self._row_name_set)
+            for name in names:
+                if name in seen:
+                    raise DuplicateName(f"row {name!r} already exists")
+                seen.add(name)
+        if rows.size and (rows.min() < 0 or rows.max() >= n_block):
+            raise ValueError("a row index lies outside the block")
+        if cols.size and (cols.min() < 0 or cols.max() >= n_vars):
+            e = int(np.argmax((cols < 0) | (cols >= n_vars)))
+            raise KeyError(f"row {names[rows[e]]!r} references unknown "
+                           f"variable index {int(cols[e])}")
+
+        keep = vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        key = rows * n_vars + cols
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        repeated = key[1:] == key[:-1]
+        if repeated.any():
+            # sum each (row, col) in the order given, at its first place
+            first = np.concatenate([[True], ~repeated])
+            sums = np.zeros(int(first.sum()))
+            np.add.at(sums, np.cumsum(first) - 1, vals[order])
+            at = order[first]
+            by_place = np.argsort(at)
+            rows, cols, vals = rows[at][by_place], cols[at][by_place], sums[by_place]
+            keep = vals != 0.0
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        if (rows[1:] < rows[:-1]).any():
+            order = np.argsort(rows, kind="stable")
+            rows, cols, vals = rows[order], cols[order], vals[order]
+
+        kept = np.bincount(rows, minlength=n_block) > 0
+        if not kept.all():
+            # degenerate rows: drop if trivially true, reject otherwise
+            for r in np.flatnonzero(~kept):
+                ok = {LE: 0.0 <= rhs[r], EQ: rhs[r] == 0.0, GE: 0.0 >= rhs[r]}[rel[r]]
+                if not ok:
+                    raise BadBounds(f"row {names[r]!r} has no terms and is "
+                                    "unsatisfiable")
+            rows = (np.cumsum(kept) - 1)[rows]
+            names = [name for name, k in zip(names, kept) if k]
+            rel, rhs = rel[kept], rhs[kept]
+        self._blocks.append((rows + len(self._row_names), cols, vals,
+                             rel.astype("U2"), rhs))
+        self._row_names.extend(names)
+        self._row_name_set.update(names)
+        self._packed = None
 
     def add_constraint(self, name: str, terms: Iterable[tuple[float, str]],
                        relation: str, rhs: float) -> None:
-        if self.sealed:
-            raise NotSealed("cannot add rows to a sealed problem")
-        if name in self._row_names:
-            raise DuplicateName(f"row {name!r} already exists")
-        merged: dict[str, float] = {}
+        """Add one row ``sum(coef * var) relation rhs`` (see :meth:`add_rows`)."""
+        coefs, cols = [], []
         for coef, var in terms:
             if var not in self._var_index:
                 raise KeyError(f"row {name!r} references unknown variable {var!r}")
-            coef = float(coef)
-            if coef != 0.0:
-                merged[var] = merged.get(var, 0.0) + coef
-        tidy = tuple((c, v) for v, c in merged.items() if c != 0.0)
-        rhs = float(rhs)
-        if not tidy:
-            # degenerate row: drop if trivially true, reject otherwise
-            ok = {LE: 0.0 <= rhs, EQ: rhs == 0.0, GE: 0.0 >= rhs}[relation]
-            if not ok:
-                raise BadBounds(f"row {name!r} has no terms and is unsatisfiable")
-            return
-        self._row_names.add(name)
-        self._rows.append(LinearConstraint(name, tidy, relation, rhs))
+            coefs.append(coef)
+            cols.append(self._var_index[var])
+        self.add_rows([name], np.zeros(len(cols), dtype=np.intp), cols, coefs,
+                      [relation], [rhs])
 
     def seal(self) -> "MilpProblem":
         self.sealed = True
@@ -177,7 +267,18 @@ class MilpProblem:
 
     @property
     def constraints(self) -> tuple[LinearConstraint, ...]:
-        return tuple(self._rows)
+        """The rows as LinearConstraint records, rebuilt from the store."""
+        row, col, val, rel, rhs = self.sparse_arrays()[:5]
+        names = tuple(self._var_index)
+        ends = np.searchsorted(row, np.arange(1, len(rel) + 1)).tolist()
+        val, col = val.tolist(), col.tolist()
+        out, start = [], 0
+        for name, end, relation, b in zip(self._row_names, ends, rel.tolist(),
+                                          rhs.tolist()):
+            terms = tuple((val[e], names[col[e]]) for e in range(start, end))
+            out.append(LinearConstraint(name, terms, relation, b))
+            start = end
+        return tuple(out)
 
     @property
     def n_vars(self) -> int:
@@ -185,7 +286,7 @@ class MilpProblem:
 
     @property
     def n_rows(self) -> int:
-        return len(self._rows)
+        return len(self._row_names)
 
     def index_of(self, name: str) -> int:
         return self._var_index[name]
@@ -197,21 +298,33 @@ class MilpProblem:
     def is_binary(self, name: str) -> bool:
         return self._binary[self._var_index[name]]
 
+    def sparse_arrays(self):
+        """(row, col, val, relations, b, lower, upper, binary_mask, var_names).
+
+        ``row``/``col``/``val`` are the nonzeros in row order, each row's
+        terms in insertion order; the arrays are shared and read-only.
+        """
+        if self._packed is None:
+            blocks = self._blocks or [(np.zeros(0, np.intp), np.zeros(0, np.intp),
+                                       np.zeros(0), np.zeros(0, "U2"), np.zeros(0))]
+            if len(blocks) > 1:
+                self._blocks = [tuple(np.concatenate(part) for part in zip(*blocks))]
+                blocks = self._blocks
+            arrays = blocks[0] + (np.array(self._lower), np.array(self._upper),
+                                  np.array(self._binary, dtype=bool))
+            for a in arrays:
+                a.flags.writeable = False
+            self._packed = arrays + (tuple(self._var_index),)
+        return self._packed
+
     def to_arrays(self):
         """Dense (A, relations, b, lower, upper, binary_mask, var_names)."""
         if not self.sealed:
             raise NotSealed("seal the problem before converting to arrays")
-        m, n = len(self._rows), len(self._lower)
-        A = np.zeros((m, n))
-        rel = np.empty(m, dtype="U2")
-        b = np.zeros(m)
-        for r, row in enumerate(self._rows):
-            for coef, var in row.terms:
-                A[r, self._var_index[var]] += coef
-            rel[r] = row.relation
-            b[r] = row.rhs
-        return (A, rel, b, np.array(self._lower), np.array(self._upper),
-                np.array(self._binary, dtype=bool), tuple(self._var_index))
+        row, col, val, rel, b, lo, hi, binary, names = self.sparse_arrays()
+        A = np.zeros((len(rel), len(lo)))
+        A[row, col] = val
+        return A, rel.copy(), b.copy(), lo.copy(), hi.copy(), binary.copy(), names
 
 
 def add_abs_var(p: MilpProblem, y: str, big_m: float,
@@ -233,10 +346,12 @@ def add_abs_var(p: MilpProblem, y: str, big_m: float,
     tag = tag or f"abs[{y}]"
     z = p.add_continuous(f"{tag}.z", 0.0, sup_abs_y)
     b = p.add_binary(f"{tag}.b")
-    p.add_constraint(f"{tag}.zge", [(1.0, z), (-1.0, y)], GE, 0.0)
-    p.add_constraint(f"{tag}.zub", [(1.0, z), (-1.0, y), (big_m, b)], LE, big_m)
-    p.add_constraint(f"{tag}.nge", [(1.0, z), (1.0, y)], GE, 0.0)
-    p.add_constraint(f"{tag}.nub", [(1.0, z), (1.0, y), (-big_m, b)], LE, 0.0)
+    zi, yi, bi = p.index_of(z), p.index_of(y), p.index_of(b)
+    p.add_rows([f"{tag}.zge", f"{tag}.zub", f"{tag}.nge", f"{tag}.nub"],
+               [0, 0, 1, 1, 1, 2, 2, 3, 3, 3],
+               [zi, yi, zi, yi, bi, zi, yi, zi, yi, bi],
+               [1.0, -1.0, 1.0, -1.0, big_m, 1.0, 1.0, 1.0, 1.0, -big_m],
+               [GE, LE, GE, LE], [0.0, big_m, 0.0, 0.0])
     return z, b
 
 
@@ -244,8 +359,9 @@ def bound_by_abs(p: MilpProblem, x: str, c: float, z: str) -> None:
     """Add -c z <= x <= c z for an existing z = |y| variable."""
     if c < 0:
         raise ValueError("the factor c must be nonnegative")
-    p.add_constraint(f"{z}.ub[{x}]", [(1.0, x), (-c, z)], LE, 0.0)
-    p.add_constraint(f"{z}.lb[{x}]", [(1.0, x), (c, z)], GE, 0.0)
+    xi, zi = p.index_of(x), p.index_of(z)
+    p.add_rows([f"{z}.ub[{x}]", f"{z}.lb[{x}]"], [0, 0, 1, 1], [xi, zi, xi, zi],
+               [1.0, -c, 1.0, c], [LE, GE], [0.0, 0.0])
 
 
 def encode_abs_leq(p: MilpProblem, x: str, c: float, y: str, big_m: float,
@@ -398,31 +514,50 @@ def parse_lp(text: str) -> MilpProblem:
         else:
             lo, hi = pending_bounds.get(name, (0.0, math.inf))
             p.add_continuous(name, lo, hi)
-    for name, terms, relation, rhs in rows:
-        p.add_constraint(name, terms, relation, rhs)
+    p.add_rows([name for name, _, _, _ in rows],
+               [r for r, (_, terms, _, _) in enumerate(rows) for _ in terms],
+               [p.index_of(v) for _, terms, _, _ in rows for _, v in terms],
+               [c for _, terms, _, _ in rows for c, _ in terms],
+               [relation for _, _, relation, _ in rows],
+               [rhs for _, _, _, rhs in rows])
     return p.seal()
 
 
 def verify(p: MilpProblem, w: Witness, tol: float = FEAS_TOL,
            int_tol: float = INT_TOL) -> tuple[bool, list[str]]:
-    """Check an assignment: every bound, binary integrality and row within tol."""
+    """Check an assignment: every bound, binary integrality and row within tol.
+
+    Violations are listed bounds first, in variable order, then rows in
+    row order.  A missing value counts as 0 in the rows.
+    """
+    row, col, val, rel, b, lo, hi, binary, names = p.sparse_arrays()
+    values = w.assignment
+    x = np.fromiter((values.get(name, math.nan) for name in names),
+                    dtype=float, count=len(names))
+    missing = np.isnan(x)
+    for j in np.flatnonzero(missing):
+        missing[j] = names[j] not in values
+    x[missing] = 0.0
+    with np.errstate(invalid="ignore"):
+        outside = (x < lo - tol) | (x > hi + tol)
+        fractional = binary & (np.minimum(np.abs(x), np.abs(x - 1.0)) > int_tol)
+        # a row's activity accumulates its terms in order, as a loop would
+        lhs = np.bincount(row, val * x[col], minlength=len(b))
+        above = (rel == LE) & (lhs > b + tol)
+        below = (rel == GE) & (lhs < b - tol)
+        off = (rel == EQ) & (np.abs(lhs - b) > tol)
     violations: list[str] = []
-    for name in p.variable_names:
-        if name not in w.assignment:
+    for j in np.flatnonzero(missing | outside | fractional):
+        name = names[j]
+        if missing[j]:
             violations.append(f"missing value for {name}")
             continue
-        v = w[name]
-        lo, hi = p.bounds_of(name)
-        if v < lo - tol or v > hi + tol:
-            violations.append(f"{name} = {v} outside [{lo}, {hi}]")
-        if p.is_binary(name) and min(abs(v - 0.0), abs(v - 1.0)) > int_tol:
-            violations.append(f"{name} = {v} is not integral")
-    for row in p.constraints:
-        lhs = sum(c * w.get(v) for c, v in row.terms)
-        if row.relation == LE and lhs > row.rhs + tol:
-            violations.append(f"{row.name}: {lhs} > {row.rhs}")
-        elif row.relation == GE and lhs < row.rhs - tol:
-            violations.append(f"{row.name}: {lhs} < {row.rhs}")
-        elif row.relation == EQ and abs(lhs - row.rhs) > tol:
-            violations.append(f"{row.name}: {lhs} != {row.rhs}")
+        if outside[j]:
+            violations.append(f"{name} = {values[name]} outside "
+                              f"[{float(lo[j])}, {float(hi[j])}]")
+        if fractional[j]:
+            violations.append(f"{name} = {values[name]} is not integral")
+    for r in np.flatnonzero(above | below | off):
+        sign = ">" if above[r] else "<" if below[r] else "!="
+        violations.append(f"{p._row_names[r]}: {float(lhs[r])} {sign} {float(b[r])}")
     return not violations, violations

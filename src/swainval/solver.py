@@ -23,10 +23,15 @@ It combines
   interval presolve at every node: activity-bound propagation over the
   nonzeros of the rows, which fixes variables, tightens bounds and so also
   propagates the one-active-mode equalities exactly.  Its index arrays are
-  built once per solve and each round costs time linear in the number of
-  nonzeros.  Every node re-optimises from its parent's final basis, which
-  rides on the DFS stack as index arrays; rows stay in the LP even when
-  presolve finds them redundant, so every basis fits every node.
+  built once per solve from the problem's own nonzeros and each round costs
+  time linear in their number.  Every node re-optimises from its parent's
+  final basis, which rides on the DFS stack as index arrays; rows stay in
+  the LP even when presolve finds them redundant, so every basis fits
+  every node.
+
+A solve scatters the rows into a dense matrix once (``to_arrays``), for the
+simplex's BLAS pivots; presolve, SOS1 detection, the witness re-check and
+the certificate check read the nonzeros instead.
 
 Feasible answers always carry a witness that has been re-checked against the
 original problem; infeasible answers at the root carry a dual ray that
@@ -384,21 +389,25 @@ class _Presolver:
     under a positive coefficient, ``hi`` under a negative one), sums the
     activities per row, rejects the box when a row's surplus ``rhs - minact``
     is below ``-tol``, and lets every other row that reads no infinite bound
-    cap each of its variables at ``bound + surplus / val`` (an upper bound
-    under a positive coefficient, a lower one under a negative).  The work
-    per round is linear in the number of nonzeros.  Built once per solve,
-    run per node.
+    cap each of its variables at ``bound + max(surplus, 0) / val`` (an upper
+    bound under a positive coefficient, a lower one under a negative): a row
+    violated by less than ``tol`` pins its variables at the bounds it reads
+    instead of pushing them past, so presolve accepts what the LP accepts.
+    A bound takes a cap only when it tightens by more than 1e-12 of the cap's
+    size, so rounding errors cannot creep from round to round.  The work
+    per round is linear in the number of nonzeros.  Built once per solve
+    from the problem's nonzeros ``(row, col, val)``, run per node.
     """
 
-    def __init__(self, A: np.ndarray, rel: np.ndarray, b: np.ndarray,
-                 is_bin: np.ndarray):
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 rel: np.ndarray, b: np.ndarray, is_bin: np.ndarray):
         up, down = rel != GE, rel != LE
         self.n_up = int(up.sum())
         # normalized row k is +row source[k] for k < n_up, -row source[k] after
         self.source = np.concatenate([np.flatnonzero(up), np.flatnonzero(down)])
         self.rhs = np.concatenate([b[up], -b[down]])
-        r, c = np.nonzero(np.abs(A) > 1e-12)
-        v = A[r, c]
+        big = np.abs(vals) > 1e-12
+        r, c, v = rows[big], cols[big], vals[big]
         in_up, in_down = up[r], down[r]
         row = np.concatenate([(np.cumsum(up) - 1)[r[in_up]],
                               (self.n_up + np.cumsum(down) - 1)[r[in_down]]])
@@ -426,8 +435,11 @@ class _Presolver:
             finite = np.abs(minact) < _NEAR_HUGE
             if np.any(finite & (surplus < -feas_tol)):
                 return False, lo, hi
-            # NaN marks the entries of rows that tighten nothing
-            cand = bound + np.where(finite, surplus, np.nan)[row] / val
+            # NaN marks the entries of rows that tighten nothing; a row
+            # violated within the tolerance caps its variables at their own
+            # bounds, not beyond them
+            cap = np.where(finite, np.maximum(surplus, 0.0), np.nan)
+            cand = bound + cap[row] / val
             ub = np.full(len(lo), np.inf)
             lb = np.full(len(lo), -np.inf)
             if k:
@@ -436,8 +448,13 @@ class _Presolver:
                 lb[self.neg_cols] = np.fmax.reduceat(cand[k:], self.neg_starts)
             ub[~(ub <= _NEAR_HUGE)] = np.inf
             lb[~(lb >= -_NEAR_HUGE)] = -np.inf
-            new_hi = np.minimum(hi, ub)
-            new_lo = np.maximum(lo, lb)
+            # a cap moves a bound only by more than 1e-12 of its size:
+            # smaller steps are rounding errors, which would otherwise creep
+            # round after round around a cycle of rows (amplified by small
+            # coefficients) past points that satisfy every row
+            with np.errstate(invalid="ignore"):   # inf - inf: no move
+                new_hi = np.where(ub < hi - 1e-12 * (1 + np.abs(ub)), ub, hi)
+                new_lo = np.where(lb > lo + 1e-12 * (1 + np.abs(lb)), lb, lo)
             # integrality rounding for binaries
             bb = self.is_bin
             new_lo[bb] = np.where(new_lo[bb] > 1e-9, 1.0, 0.0)
@@ -466,23 +483,17 @@ def check_certificate(problem: MilpProblem, y, tol: float = 1e-7) -> bool:
     rows, y >= 0 on >= rows) and satisfy  max_{lo<=z<=hi} (A^T y) . z  <
     y . b, which no point inside the bounds can allow.
     """
-    A, rel, b, lo, hi, _, _ = problem.to_arrays()
+    row, col, val, rel, b, lo, hi, _, _ = problem.sparse_arrays()
     y = np.asarray(y, dtype=float)
-    if y.shape != (A.shape[0],):
+    if y.shape != b.shape:
         return False
     if np.any((rel == LE) & (y > tol)) or np.any((rel == GE) & (y < -tol)):
         return False
-    d = A.T @ y
-    box_max = 0.0
-    for j in range(A.shape[1]):
-        if d[j] > tol:
-            if not math.isfinite(hi[j]):
-                return False
-            box_max += d[j] * hi[j]
-        elif d[j] < -tol:
-            if not math.isfinite(lo[j]):
-                return False
-            box_max += d[j] * lo[j]
+    d = np.bincount(col, val * y[row], minlength=len(lo))
+    up, down = d > tol, d < -tol
+    if not (np.isfinite(hi[up]).all() and np.isfinite(lo[down]).all()):
+        return False
+    box_max = float(d[up] @ hi[up] + d[down] @ lo[down])
     return box_max < float(y @ b) - tol
 
 
@@ -534,7 +545,8 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
                                   time_limit=cfg.time_limit)
     A, rel, b, lo0, hi0, is_bin, names = problem.to_arrays()
     bin_idx = np.where(is_bin)[0]
-    presolver = _Presolver(A, rel, b, is_bin)
+    row, col, val = problem.sparse_arrays()[:3]
+    presolver = _Presolver(row, col, val, rel, b, is_bin)
     member_group: dict[int, tuple[int, ...]] = {}
     for group in _sos1_groups(presolver, rel, b, is_bin):
         for j in group:

@@ -8,16 +8,22 @@ the uncertainty would not be finite).
 
 ``DensePresolver`` and ``sos1_groups_by_rows`` are the solver's bound
 propagation and SOS1 group detection in their first, dense forms: the
-references the sparse versions are compared against."""
+references the sparse versions are compared against.  Likewise
+``RowByRowProblem`` keeps one record per row and fills the dense matrix in
+a loop, and ``verify_by_rows`` and ``certificate_by_columns`` check
+witnesses and Farkas rays one row and one column at a time: the references
+for the problem's coordinate store and the checks that read it."""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
 
-from swainval.milp import EQ, GE, LE
+from swainval.milp import (EQ, FEAS_TOL, GE, INT_TOL, LE, BadBounds,
+                           DuplicateName, LinearConstraint)
 from swainval.model import SwitchedAffineModel, Trajectory
 
 _HUGE = 1e30
@@ -196,19 +202,23 @@ class DensePresolver:
                 # for a finite activity; such rows tighten nothing
                 usable &= ~((self.N_pos & lo_inf) | (self.N_neg & hi_inf)).any(axis=1)
             new_lo, new_hi = lo.copy(), hi.copy()
+            # a row violated within feas_tol caps at the bounds, not beyond
+            cap = np.maximum(surplus, 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 cand_ub = np.where(self.N_pos & usable[:, None],
-                                   wlo[None, :] + surplus[:, None] / self.N,
+                                   wlo[None, :] + cap[:, None] / self.N,
                                    np.inf)
                 ub = cand_ub.min(axis=0) if cand_ub.size else np.full(len(lo), np.inf)
                 cand_lb = np.where(self.N_neg & usable[:, None],
-                                   whi[None, :] + surplus[:, None] / self.N,
+                                   whi[None, :] + cap[:, None] / self.N,
                                    -np.inf)
                 lb = cand_lb.max(axis=0) if cand_lb.size else np.full(len(lo), -np.inf)
             ub = np.where(np.isnan(ub) | (ub > _NEAR_HUGE), np.inf, ub)
             lb = np.where(np.isnan(lb) | (lb < -_NEAR_HUGE), -np.inf, lb)
-            new_hi = np.minimum(new_hi, ub)
-            new_lo = np.maximum(new_lo, lb)
+            # moves below 1e-12 of the new bound are rounding creep
+            with np.errstate(invalid="ignore"):
+                new_hi = np.where(ub < new_hi - 1e-12 * (1 + np.abs(ub)), ub, new_hi)
+                new_lo = np.where(lb > new_lo + 1e-12 * (1 + np.abs(lb)), lb, new_lo)
             # integrality rounding for binaries
             bb = self.is_bin
             new_lo[bb] = np.where(new_lo[bb] > 1e-9, 1.0, 0.0)
@@ -245,3 +255,115 @@ def sos1_groups_by_rows(A, rel, b, is_bin) -> list[tuple[int, ...]]:
             seen.add(key)
             groups.append(key)
     return groups
+
+
+class RowByRowProblem:
+    """MilpProblem's rows as they were first kept: one LinearConstraint per
+    row, terms merged in a dict, and a dense A filled term by term."""
+
+    def __init__(self):
+        self._var_index: dict[str, int] = {}
+        self._lower: list[float] = []
+        self._upper: list[float] = []
+        self._binary: list[bool] = []
+        self._rows: list[LinearConstraint] = []
+        self._row_names: set[str] = set()
+
+    def add_continuous(self, name: str, lower: float, upper: float) -> str:
+        self._var_index[name] = len(self._lower)
+        self._lower.append(float(lower))
+        self._upper.append(float(upper))
+        self._binary.append(False)
+        return name
+
+    def add_binary(self, name: str) -> str:
+        self._var_index[name] = len(self._lower)
+        self._lower.append(0.0)
+        self._upper.append(1.0)
+        self._binary.append(True)
+        return name
+
+    def add_constraint(self, name, terms, relation, rhs) -> None:
+        if name in self._row_names:
+            raise DuplicateName(f"row {name!r} already exists")
+        merged: dict[str, float] = {}
+        for coef, var in terms:
+            if var not in self._var_index:
+                raise KeyError(f"row {name!r} references unknown variable {var!r}")
+            coef = float(coef)
+            if coef != 0.0:
+                merged[var] = merged.get(var, 0.0) + coef
+        tidy = tuple((c, v) for v, c in merged.items() if c != 0.0)
+        rhs = float(rhs)
+        if not tidy:
+            # degenerate row: drop if trivially true, reject otherwise
+            ok = {LE: 0.0 <= rhs, EQ: rhs == 0.0, GE: 0.0 >= rhs}[relation]
+            if not ok:
+                raise BadBounds(f"row {name!r} has no terms and is unsatisfiable")
+            return
+        self._row_names.add(name)
+        self._rows.append(LinearConstraint(name, tidy, relation, rhs))
+
+    @property
+    def constraints(self) -> tuple[LinearConstraint, ...]:
+        return tuple(self._rows)
+
+    def to_arrays(self):
+        m, n = len(self._rows), len(self._lower)
+        A = np.zeros((m, n))
+        rel = np.empty(m, dtype="U2")
+        b = np.zeros(m)
+        for r, row in enumerate(self._rows):
+            for coef, var in row.terms:
+                A[r, self._var_index[var]] += coef
+            rel[r] = row.relation
+            b[r] = row.rhs
+        return (A, rel, b, np.array(self._lower), np.array(self._upper),
+                np.array(self._binary, dtype=bool), tuple(self._var_index))
+
+
+def verify_by_rows(p, w, tol: float = FEAS_TOL,
+                   int_tol: float = INT_TOL) -> tuple[bool, list[str]]:
+    """The witness check one variable and one row at a time."""
+    violations: list[str] = []
+    for name in p.variable_names:
+        if name not in w.assignment:
+            violations.append(f"missing value for {name}")
+            continue
+        v = w[name]
+        lo, hi = p.bounds_of(name)
+        if v < lo - tol or v > hi + tol:
+            violations.append(f"{name} = {v} outside [{lo}, {hi}]")
+        if p.is_binary(name) and min(abs(v - 0.0), abs(v - 1.0)) > int_tol:
+            violations.append(f"{name} = {v} is not integral")
+    for row in p.constraints:
+        lhs = sum(c * w.get(v) for c, v in row.terms)
+        if row.relation == LE and lhs > row.rhs + tol:
+            violations.append(f"{row.name}: {lhs} > {row.rhs}")
+        elif row.relation == GE and lhs < row.rhs - tol:
+            violations.append(f"{row.name}: {lhs} < {row.rhs}")
+        elif row.relation == EQ and abs(lhs - row.rhs) > tol:
+            violations.append(f"{row.name}: {lhs} != {row.rhs}")
+    return not violations, violations
+
+
+def certificate_by_columns(problem, y, tol: float = 1e-7) -> bool:
+    """The Farkas-ray check on the dense matrix, one column at a time."""
+    A, rel, b, lo, hi, _, _ = problem.to_arrays()
+    y = np.asarray(y, dtype=float)
+    if y.shape != (A.shape[0],):
+        return False
+    if np.any((rel == LE) & (y > tol)) or np.any((rel == GE) & (y < -tol)):
+        return False
+    d = A.T @ y
+    box_max = 0.0
+    for j in range(A.shape[1]):
+        if d[j] > tol:
+            if not math.isfinite(hi[j]):
+                return False
+            box_max += d[j] * hi[j]
+        elif d[j] < -tol:
+            if not math.isfinite(lo[j]):
+                return False
+            box_max += d[j] * lo[j]
+    return box_max < float(y @ b) - tol

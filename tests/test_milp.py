@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swainval.milp import (
+    FEAS_TOL,
     BadBigM,
     BadBounds,
     DuplicateName,
+    LinearConstraint,
     MilpProblem,
     NotSealed,
     UnboundedSet,
@@ -28,6 +30,7 @@ from swainval.milp import (
     verify,
 )
 from swainval.encoder import encode_invalidation, encode_t_detectability
+from oracles import RowByRowProblem, verify_by_rows
 from swainval.model import (AffineMode, HyperRectangle, SwitchedAffineModel,
                             Trajectory)
 
@@ -108,6 +111,135 @@ class TestProblemBuilding:
         np.testing.assert_array_equal(hi, [2.0, 1.0])
         np.testing.assert_array_equal(binmask, [False, True])
         assert names == ("x", "b")
+
+
+class TestRowStore:
+    """``add_rows``, the block entry point behind ``add_constraint``."""
+
+    def problem(self) -> MilpProblem:
+        p = MilpProblem()
+        for name in ("x", "y", "z"):
+            p.add_continuous(name, -1.0, 1.0)
+        return p
+
+    def test_block_rows_in_order(self):
+        p = self.problem()
+        # entries may come in any order; each row keeps its own term order
+        p.add_rows(["r0", "r1"], [1, 0, 1, 0], [2, 1, 0, 0],
+                   [3.0, -1.0, 4.0, 2.0], ["<=", ">="], [1.0, -2.0])
+        assert p.constraints == (
+            LinearConstraint("r0", ((-1.0, "y"), (2.0, "x")), "<=", 1.0),
+            LinearConstraint("r1", ((3.0, "z"), (4.0, "x")), ">=", -2.0))
+        row, col, val, rel, b = p.sparse_arrays()[:5]
+        assert row.tolist() == [0, 0, 1, 1] and col.tolist() == [1, 0, 2, 0]
+        assert rel.tolist() == ["<=", ">="] and b.tolist() == [1.0, -2.0]
+        with pytest.raises(ValueError):
+            row[0] = 1   # the store is shared read-only
+
+    def test_repeats_are_summed_in_order_at_the_first_place(self):
+        p = self.problem()
+        p.add_rows(["r"], [0, 0, 0, 0, 0], [2, 1, 2, 0, 2],
+                   [0.1, 1.0, 0.2, 0.0, 0.3], ["="], [0.0])
+        (row,) = p.constraints
+        assert row.terms == (((0.1 + 0.2) + 0.3, "z"), (1.0, "y"))
+        # a variable whose terms cancel leaves the row
+        p.add_rows(["s"], [0, 0, 0], [0, 1, 0], [2.0, 1.0, -2.0], ["<="], [1.0])
+        assert p.constraints[-1].terms == ((1.0, "y"),)
+
+    def test_empty_rows_are_dropped_or_rejected(self):
+        p = self.problem()
+        p.add_rows(["holds", "kept", "cancels"], [1, 2, 2], [0, 1, 1],
+                   [1.0, 1.0, -1.0], ["<=", "=", ">="], [0.0, 0.5, 0.0])
+        assert [c.name for c in p.constraints] == ["kept"]
+        assert p.n_rows == 1
+        p.add_constraint("holds", [], "=", 0.0)   # dropped rows leave no name
+        with pytest.raises(BadBounds):
+            p.add_rows(["fine", "never"], [0], [0], [1.0], ["<=", ">="], [1.0, 1.0])
+        assert p.n_rows == 1   # a rejected block adds nothing
+
+    def test_checks(self):
+        p = self.problem()
+        p.add_rows(["r"], [0], [0], [1.0], ["<="], [1.0])
+        with pytest.raises(DuplicateName):
+            p.add_rows(["s", "r"], [0, 1], [0, 1], [1.0, 1.0], ["<=", "<="], [1.0, 1.0])
+        with pytest.raises(DuplicateName):
+            p.add_rows(["s", "s"], [0, 1], [0, 1], [1.0, 1.0], ["<=", "<="], [1.0, 1.0])
+        with pytest.raises(KeyError):
+            p.add_rows(["s"], [0], [3], [1.0], ["<="], [1.0])
+        with pytest.raises(ValueError):
+            p.add_rows(["s"], [0], [0], [1.0], ["<"], [1.0])
+        with pytest.raises(ValueError):
+            p.add_rows(["s"], [1], [0], [1.0], ["<="], [1.0])
+        assert p.n_rows == 1
+        p.seal()
+        with pytest.raises(NotSealed):
+            p.add_rows(["s"], [0], [0], [1.0], ["<="], [1.0])
+
+
+def random_rows(seed: int):
+    """The same random calls on a MilpProblem and on the row-by-row
+    reference: boxed and binary variables, rows that repeat variables,
+    carry zero or cancelling coefficients or end up empty."""
+    rng = np.random.default_rng(seed)
+    p, ref = MilpProblem("rand"), RowByRowProblem()
+    names = []
+    for j in range(int(rng.integers(1, 7))):
+        if rng.uniform() < 0.3:
+            names.append(f"b{j}")
+            for q in (p, ref):
+                q.add_binary(names[-1])
+        else:
+            names.append(f"v{j}")
+            lo = float(rng.uniform(-5.0, 1.0))
+            hi = lo + float(rng.uniform(0.0, 5.0))
+            for q in (p, ref):
+                q.add_continuous(names[-1], lo, hi)
+    coef_pool = np.array([0.0, 0.1, 0.2, 0.3, -0.7, 1.0, -2.5])
+    for i in range(int(rng.integers(0, 9))):
+        k = int(rng.integers(0, 6))
+        coefs = np.where(rng.uniform(size=k) < 0.5, rng.choice(coef_pool, k),
+                         rng.uniform(-3.0, 3.0, k))
+        terms = [(float(c), str(v)) for c, v in zip(coefs, rng.choice(names, k))]
+        if terms and rng.uniform() < 0.3:
+            terms.append((-terms[0][0], terms[0][1]))
+        relation = ("<=", "=", ">=")[int(rng.integers(3))]
+        rhs = float(rng.choice([0.0, 1.5, -1.5]))
+        outcomes = []
+        for q in (p, ref):
+            try:
+                q.add_constraint(f"r{i}", terms, relation, rhs)
+                outcomes.append(None)
+            except BadBounds:
+                outcomes.append(BadBounds)
+        assert outcomes[0] == outcomes[1]
+    return p.seal(), ref
+
+
+class TestRowStoreAgainstRowByRow:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_to_arrays_matches_the_row_by_row_loop(self, seed):
+        p, ref = random_rows(seed)
+        got, want = p.to_arrays(), ref.to_arrays()
+        for a, b in zip(got[:6], want[:6]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert got[6] == want[6]
+        assert p.constraints == ref.constraints
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_verify_matches_the_row_by_row_loop(self, seed):
+        p, _ = random_rows(seed)
+        rng = np.random.default_rng(seed + 1)
+        A, rel, b, lo, hi, is_bin, names = p.to_arrays()
+        x = rng.uniform(lo - 0.5, hi + 0.5)
+        x[is_bin] = rng.choice([0.0, 1.0, 0.5, 1.0 + 5e-7], int(is_bin.sum()))
+        values = {name: float(v) for name, v in zip(names, x)
+                  if rng.uniform() > 0.1}
+        for tol in (FEAS_TOL, 0.3):
+            assert verify(p, Witness(values), tol) == \
+                verify_by_rows(p, Witness(values), tol)
 
 
 class TestAbsTransform:

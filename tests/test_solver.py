@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog, milp as scipy_milp
 from scipy.optimize import Bounds, LinearConstraint as SciLinCon
 
-from oracles import DensePresolver, sos1_groups_by_rows
+from oracles import DensePresolver, certificate_by_columns, sos1_groups_by_rows
 from swainval import solver
 from swainval.detector import inject_persistent_fault
 from swainval.encoder import encode_invalidation, encode_t_detectability
@@ -469,6 +469,49 @@ class TestDualSimplexProperties:
                 assert rows_hold(A, rel, b, res.x, tol)
 
 
+class TestNonzeroReaders:
+    """The solve reads the dense matrix once; certificate and witness
+    checks read the problem's nonzeros."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_check_certificate_matches_the_column_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        p = random_bounded_lp(rng)
+        rel = p.sparse_arrays()[3]
+        g = rng.normal(size=p.n_rows)
+        # rays priced with the right signs reach the box test
+        signed = np.select([rel == "<=", rel == ">="], [-np.abs(g), np.abs(g)], g)
+        rays = [g, signed, signed * (rng.uniform(size=p.n_rows) < 0.5)]
+        res = solve_milp(p)
+        if res.certificate is not None:
+            rays += [np.array(res.certificate), -np.array(res.certificate)]
+        for y in rays:
+            assert check_certificate(p, y) == certificate_by_columns(p, y)
+        assert not check_certificate(p, np.zeros(p.n_rows + 1))
+
+    def test_to_arrays_is_read_once_per_solve(self, radiant_window, monkeypatch):
+        calls = []
+        to_arrays = MilpProblem.to_arrays
+
+        def counting(problem):
+            calls.append(problem)
+            return to_arrays(problem)
+
+        monkeypatch.setattr(MilpProblem, "to_arrays", counting)
+        feasible = solve_milp(radiant_window)   # verifies its witness
+        assert feasible.is_feasible and len(calls) == 1
+        p = MilpProblem()
+        p.add_continuous("x", 0.0, 1.0)
+        p.add_continuous("y", 0.0, 1.0)
+        p.add_constraint("r", [(1.0, "x"), (1.0, "y")], ">=", 3.0)
+        calls.clear()
+        infeasible = solve_milp(p.seal())        # checks its certificate
+        assert infeasible.certificate is not None and len(calls) == 1
+        calls.clear()
+        assert check_certificate(p, infeasible.certificate) and not calls
+
+
 def random_box_problem(seed: int):
     """Arrays of a random LP (boxed, one-sided and free variables) or MIP,
     with a random sub-box of its bounds half of the time."""
@@ -486,6 +529,12 @@ def close_bounds(a, b) -> bool:
         return bool(np.all((a == b) | (np.abs(a - b) <= 1e-9 * (1 + np.abs(a)))))
 
 
+def presolver_of(A, rel, b, is_bin) -> solver._Presolver:
+    """The presolver of dense arrays, built from their nonzeros."""
+    row, col = np.nonzero(A)
+    return solver._Presolver(row, col, A[row, col], rel, b, is_bin)
+
+
 class TestPresolverProperties:
     """The sparse presolver against the dense reference, and soundness."""
 
@@ -494,13 +543,15 @@ class TestPresolverProperties:
     @example(2487)  # presolve once read a tiny coefficient on an infinite bound as finite
     def test_agrees_with_the_dense_reference(self, seed):
         _, A, rel, b, lo, hi, is_bin = random_box_problem(seed)
-        ok, lo1, hi1 = solver._Presolver(A, rel, b, is_bin).run(lo, hi, FEAS_TOL)
+        ok, lo1, hi1 = presolver_of(A, rel, b, is_bin).run(lo, hi, FEAS_TOL)
         ok0, lo0, hi0 = DensePresolver(A, rel, b, is_bin).run(lo, hi, FEAS_TOL)
         assert ok == ok0
         assert close_bounds(lo1, lo0) and close_bounds(hi1, hi0)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10 ** 6))
+    @example(822482)  # rounding errors once crept 3.6e-9 past the point
+    @example(625926)
     def test_never_cuts_off_a_point_that_satisfies_the_rows(self, seed):
         rng, A, rel, _, lo, hi, is_bin = random_box_problem(seed)
         # a point of the box (binaries integral), and rows built to hold there
@@ -510,7 +561,7 @@ class TestPresolverProperties:
         x[is_bin] = rng.integers(lo[is_bin], hi[is_bin] + 1)
         slack = rng.uniform(0.0, 2.0, len(rel)) * (rng.uniform(size=len(rel)) < 0.5)
         b = A @ x + np.select([rel == "<=", rel == ">="], [slack, -slack], 0.0)
-        ok, lo1, hi1 = solver._Presolver(A, rel, b, is_bin).run(lo, hi, FEAS_TOL)
+        ok, lo1, hi1 = presolver_of(A, rel, b, is_bin).run(lo, hi, FEAS_TOL)
         assert ok
         tol = 1e-9 * (1 + np.abs(x))
         assert np.all(lo1 <= x + tol) and np.all(x <= hi1 + tol)
@@ -522,10 +573,24 @@ class TestPresolverProperties:
 def test_presolve_empties_the_box_of_a_violated_row(rel, rhs, empty):
     # x + 2 y over the box [1, 2] x [0, 0.5] ranges over [1, 3]
     A = np.array([[1.0, 2.0]])
-    presolver = solver._Presolver(A, np.array([rel]), np.array([rhs]),
-                                  np.zeros(2, dtype=bool))
+    presolver = presolver_of(A, np.array([rel]), np.array([rhs]),
+                             np.zeros(2, dtype=bool))
     ok, _, _ = presolver.run(np.array([1.0, 0.0]), np.array([2.0, 0.5]), FEAS_TOL)
     assert ok is not empty
+
+
+@pytest.mark.parametrize("presolver_class", ["sparse", "dense"])
+def test_presolve_accepts_a_row_violated_within_tolerance(presolver_class):
+    # x + 2 y <= 1 - 5e-7 misses the box [1, 2] x [0, 0.5] by less than
+    # FEAS_TOL: consistent, with the box pinned to its corner (1, 0)
+    A, rel, b = np.array([[1.0, 2.0]]), np.array(["<="]), np.array([1.0 - 5e-7])
+    is_bin = np.zeros(2, dtype=bool)
+    presolver = (presolver_of(A, rel, b, is_bin) if presolver_class == "sparse"
+                 else DensePresolver(A, rel, b, is_bin))
+    ok, lo, hi = presolver.run(np.array([1.0, 0.0]), np.array([2.0, 0.5]), FEAS_TOL)
+    assert ok
+    np.testing.assert_array_equal(lo, [1.0, 0.0])
+    np.testing.assert_array_equal(hi, [1.0, 0.0])
 
 
 def test_sos1_groups_are_the_exactly_one_rows_over_binaries():
@@ -542,7 +607,7 @@ def test_sos1_groups_are_the_exactly_one_rows_over_binaries():
     p.add_constraint("two", [(1.0, "d1"), (1.0, "d2")], "=", 2.0)
     p.add_constraint("alone", [(1.0, "d1")], "=", 1.0)
     A, rel, b, _, _, is_bin, _ = p.seal().to_arrays()
-    presolver = solver._Presolver(A, rel, b, is_bin)
+    presolver = presolver_of(A, rel, b, is_bin)
     assert solver._sos1_groups(presolver, rel, b, is_bin) == [(3, 4), (0, 1, 2)]
     assert sos1_groups_by_rows(A, rel, b, is_bin) == [(3, 4), (0, 1, 2)]
 
@@ -552,7 +617,7 @@ def test_sos1_groups_match_the_row_by_row_reference(radiant_window):
     pair = encode_t_detectability(system, fault, 3).problem.seal()
     for p in (radiant_window, pair):
         A, rel, b, _, _, is_bin, _ = p.to_arrays()
-        groups = solver._sos1_groups(solver._Presolver(A, rel, b, is_bin),
+        groups = solver._sos1_groups(presolver_of(A, rel, b, is_bin),
                                      rel, b, is_bin)
         assert groups and groups == sos1_groups_by_rows(A, rel, b, is_bin)
 
