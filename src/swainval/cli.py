@@ -137,6 +137,14 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
+def _export(problem, path: str | None) -> None:
+    """Write the problem in LP format and, for a file, say what it holds."""
+    _write_text(path, export_lp(problem.seal()))
+    if path and path != "-":
+        print(f"exported {problem.n_vars} variables / "
+              f"{problem.n_rows} rows to {path}")
+
+
 # -- subcommand bodies --------------------------------------------------------
 
 
@@ -231,14 +239,11 @@ def _cmd_invalidate(args) -> int:
         traj = traj.window(len(traj) - args.window - 1, len(traj))
     if args.export:
         try:
-            problem = encode_invalidation(model, traj).problem.seal()
+            problem = encode_invalidation(model, traj).problem
         except InputOutsideAdmissibleSet as err:
             raise CliError("cannot export: an observed input already lies "
                            "outside the admissible input set") from err
-        _write_text(args.export, export_lp(problem))
-        if args.export != "-":
-            print(f"exported {problem.n_vars} variables / "
-                  f"{problem.n_rows} rows to {args.export}")
+        _export(problem, args.export)
         return EXIT_OK
     res = check_invalidation(model, traj, config=_solver_config(args))
     detail = res.reason if res.solve is None else \
@@ -310,23 +315,17 @@ def _cmd_export_milp(args) -> int:
         raise CliError("export-milp needs exactly one of --trajectory "
                        "(consistency problem) or --fault (pair problem)")
     if args.trajectory is not None:
-        traj = load_trajectory(args.trajectory)
-        enc = encode_invalidation(model, traj)
-        problem = enc.problem
+        problem = encode_invalidation(model,
+                                      load_trajectory(args.trajectory)).problem
     else:
         fault = _load_model_arg(args.fault,
                                 uncertainty=not args.no_uncertainty)
         indicator = parse_indicator_arg(args.indicator) if args.indicator else None
         if args.window is None:
             raise CliError("the pair problem needs --window (transitions)")
-        enc = encode_t_detectability(model, fault, args.window,
-                                     indicator=indicator)
-        problem = enc.problem
-    problem.seal()
-    _write_text(args.export, export_lp(problem))
-    if args.export and args.export != "-":
-        print(f"exported {problem.n_vars} variables / "
-              f"{problem.n_rows} rows to {args.export}")
+        problem = encode_t_detectability(model, fault, args.window,
+                                         indicator=indicator).problem
+    _export(problem, args.export)
     return EXIT_OK
 
 

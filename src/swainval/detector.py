@@ -27,7 +27,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .encoder import CONSISTENT, INVALIDATED, UNDECIDED, check_invalidation
+from .encoder import (CONSISTENT, INVALIDATED, UNDECIDED, _check_trajectory,
+                      check_invalidation)
 from .model import (RandomPolicy, SwitchedAffineModel, Trajectory,
                     simulate_random)
 from .solver import SolverConfig
@@ -113,22 +114,16 @@ def run_receding(model: SwitchedAffineModel, trajectory: Trajectory,
     """
     if horizon < 1:
         raise ValueError("the window horizon must be >= 1 (it counts transitions)")
-    config = config or default_window_config()
     N = len(trajectory)
     if N <= horizon:
         return DetectionReport(horizon, (), notes=(
             f"trajectory has {N} samples, shorter than one full window "
             f"of {horizon + 1}",))
-    results = []
-    halted = False
-    for k in range(horizon, N):
-        verdict = _check_window(model, trajectory.window(k - horizon, k + 1),
-                                k, config)
-        results.append(verdict)
-        if halt_on_first_alarm and verdict.is_alarm:
-            halted = True
-            break
-    return DetectionReport(horizon, tuple(results), halted)
+    # a misfit column count would reach the streaming buffer's reshape
+    _check_trajectory(model, trajectory)
+    return run_streaming(model, zip(trajectory.inputs, trajectory.outputs),
+                         horizon, config=config,
+                         halt_on_first_alarm=halt_on_first_alarm)
 
 
 class StreamingDetector:

@@ -47,6 +47,16 @@ the smallest big-M constant valid for its own mode, step and row, derived
 from the same intervals.  The ``big_m`` field on an encoding records the
 largest row constant actually used.
 
+Each model's part of an encoding is built by one ``_Side``: its envelope,
+the big-M of its gated blocks, its state and noise variables, its ``absx``
+cache and its ``out``/``dyn`` rows.  A side's role names end in its suffix,
+``""`` for the first model and ``"b"`` for the second (``x``/``xb``,
+``ZA``/``ZAb``, ``dyn``/``dynb``, ...), and the decoders derive the names
+from the same suffix.  An invalidation is one side over the data, whose
+inputs enter through ``DB`` draws; a pair encoding is two sides over the
+shared input ``u``, which enters through ``ZB`` products, plus the
+``match`` rows that equate their outputs.
+
 Rows are emitted by index, not term by term.  Each mode's ``out``/``dyn``/
 ``match`` rows come from a template (``_GatedRows``) that holds the sparsity
 of A, C, B and hatf as column slots, built once per distinct mode and
@@ -325,14 +335,9 @@ def _check_trajectory(model: SwitchedAffineModel, traj: Trajectory) -> None:
             f"trajectory has {traj.outputs.shape[1]} output columns, model expects {model.n_y}")
 
 
-def _add_box_vars(p: MilpProblem, stem: str, k: int, box: HyperRectangle) -> tuple[str, ...]:
-    return tuple(p.add_continuous(f"{stem}[{k}][{j}]", box.lower[j], box.upper[j])
-                 for j in range(box.dim))
-
-
-def _add_interval_vars(p: MilpProblem, stem: str, k: int,
-                       lo: np.ndarray, hi: np.ndarray) -> tuple[str, ...]:
-    return tuple(p.add_continuous(f"{stem}[{k}][{j}]", float(lo[j]), float(hi[j]))
+def _add_vars(p: MilpProblem, stem: str, k: int, lo, hi) -> tuple[str, ...]:
+    """Continuous ``stem[k][j]`` in [lo[j], hi[j]], one per component."""
+    return tuple(p.add_continuous(f"{stem}[{k}][{j}]", lo[j], hi[j])
                  for j in range(len(lo)))
 
 
@@ -344,70 +349,24 @@ def _require_bounded(box: HyperRectangle, what: str) -> None:
         raise UnboundedSet(f"{what} must be bounded to derive a big-M constant")
 
 
-def _interval_product(mat: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+def _signs(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positive and the negative part of mat."""
+    return np.clip(mat, 0.0, None), np.clip(mat, None, 0.0)
+
+
+def _interval_product(signs, lo: np.ndarray, hi: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Componentwise interval of mat @ v for v in the box [lo, hi]."""
-    pos = np.clip(mat, 0.0, None)
-    neg = np.clip(mat, None, 0.0)
+    """Componentwise interval of mat @ v for v in the box [lo, hi], where
+    ``signs`` is ``_signs(mat)``."""
+    pos, neg = signs
     return pos @ lo + neg @ hi, pos @ hi + neg @ lo
 
 
-def _propagate_boxes(model: SwitchedAffineModel, n_samples: int, drive):
-    """Conservative per-sample envelope of model-consistent state windows.
-
-    Starting from the admissible state box, the box of sample k + 1 is the
-    interval hull over modes of the one-step update applied to the box of
-    sample k — ``drive(i, k)`` supplies mode i's input contribution at step
-    k as an interval — intersected with the admissible box and padded by a
-    hair against rounding.  Any state window every model explanation can
-    use stays inside the envelope, so it is safe to bound the encoding's
-    state variables by it.
-
-    Returns ``(boxes, dyn_lo, dyn_hi, out_lo, out_hi)``: per-sample
-    ``(lower, upper)`` pairs plus the per-(step, mode) update and output
-    expression intervals from which row-specific big-M constants derive.
-    """
-    xl0 = np.asarray(model.state_set.lower, dtype=float)
-    xu0 = np.asarray(model.state_set.upper, dtype=float)
-    el = np.asarray(model.noise_set.lower, dtype=float)
-    eu = np.asarray(model.noise_set.upper, dtype=float)
-    boxes = [(xl0, xu0)]
-    dyn_lo: list[list[np.ndarray]] = []
-    dyn_hi: list[list[np.ndarray]] = []
-    out_lo: list[list[np.ndarray]] = []
-    out_hi: list[list[np.ndarray]] = []
-    for k in range(n_samples):
-        xl, xu = boxes[k]
-        xmax = np.maximum(np.abs(xl), np.abs(xu))
-        olo: list[np.ndarray] = []
-        ohi: list[np.ndarray] = []
-        for mode in model.modes:
-            clo, chi = _interval_product(mode.C, xl, xu)
-            spread = mode.hatC @ xmax
-            olo.append(clo + el - spread)
-            ohi.append(chi + eu + spread)
-        out_lo.append(olo)
-        out_hi.append(ohi)
-        if k == n_samples - 1:
-            break
-        slo: list[np.ndarray] = []
-        shi: list[np.ndarray] = []
-        for i, mode in enumerate(model.modes, start=1):
-            alo, ahi = _interval_product(mode.A, xl, xu)
-            spread = mode.hatA @ xmax + mode.hatf
-            dlo, dhi = drive(i, k)
-            slo.append(alo + mode.f - spread + dlo)
-            shi.append(ahi + mode.f + spread + dhi)
-        dyn_lo.append(slo)
-        dyn_hi.append(shi)
-        nxl = np.maximum(xl0, np.min(slo, axis=0) - _TUBE_PAD)
-        nxu = np.minimum(xu0, np.max(shi, axis=0) + _TUBE_PAD)
-        if np.any(nxl > nxu):
-            # No window this long exists at all; keep the loose box and let
-            # the rows certify the infeasibility.
-            nxl, nxu = xl0, xu0
-        boxes.append((nxl, nxu))
-    return boxes, dyn_lo, dyn_hi, out_lo, out_hi
+def _gate_m(lo, hi, expr_lo, expr_hi) -> np.ndarray:
+    """Big-M that relaxes the gated rows ``v = expr`` over v in [lo, hi]
+    and expr in [expr_lo, expr_hi]: 1.05 times the larger one-sided gap,
+    the gap floored at 1e-6."""
+    return 1.05 * np.maximum(np.maximum(hi - expr_lo, expr_hi - lo), 1e-6)
 
 
 class _RowSink:
@@ -416,10 +375,12 @@ class _RowSink:
     Rows enter in the order they were added.  The sink also stands in for
     the problem in ``add_abs_var`` and ``bound_by_abs``: their variables
     go straight to the problem and their rows wait here with the rest.
+    ``var_index`` maps the encoding's roles to variable names.
     """
 
     def __init__(self, p: MilpProblem):
         self.p = p
+        self.var_index: dict = {}
         self._names: list[str] = []
         self._parts: list[tuple] = []
 
@@ -605,26 +566,24 @@ def _keys(hat: np.ndarray) -> list:
 class _AbsCache:
     """Shared |v| auxiliaries: one (z, binary) pair per underlying variable."""
 
-    def __init__(self, sink: _RowSink, var_index: dict, stem: str):
-        self.sink = sink
-        self.var_index = var_index
+    def __init__(self, stem: str):
         self.stem = stem
         self._cache: dict[tuple[int, int], str] = {}
 
-    def bound(self, var: str, hat: float, k: int, c: int, carrier: str,
-              sup_abs: float) -> None:
+    def bound(self, sink: _RowSink, var: str, hat: float, k: int, c: int,
+              carrier: str, sup_abs: float) -> None:
         """Add |var| <= hat * |carrier| through the shared |carrier| of (k, c)."""
         key = (k, c)
         if key not in self._cache:
-            z, _b = add_abs_var(self.sink, carrier, big_m=2.0 * sup_abs,
+            z, _b = add_abs_var(sink, carrier, big_m=2.0 * sup_abs,
                                 tag=f"{self.stem}[{k}][{c}]")
             self._cache[key] = z
-            self.var_index[(self.stem, k, c)] = z
-        bound_by_abs(self.sink, var, hat, self._cache[key])
+            sink.var_index[(self.stem, k, c)] = z
+        bound_by_abs(sink, var, hat, self._cache[key])
 
 
-def _add_products(p: MilpProblem, var_index: dict, absx: _AbsCache, role: str,
-                  i: int, k: int, hat: np.ndarray, keys: list, carrier,
+def _add_products(sink: _RowSink, absx: _AbsCache, role: str, i: int, k: int,
+                  hat: np.ndarray, keys: list, carrier,
                   carrier_max) -> np.ndarray:
     """One ``role[i][k][r][c]`` per nonzero (r, c) of hat in ``keys``: the
     product hat[r, c] * Delta[r, c] * carrier[c], bounded by
@@ -634,22 +593,23 @@ def _add_products(p: MilpProblem, var_index: dict, absx: _AbsCache, role: str,
     names: dict[tuple[int, int], str] = {}
     for r, c in keys:
         bound = hat[r, c] * carrier_max[c]
-        z = p.add_continuous(f"{role}[{i}][{k}][{r}][{c}]", -bound, bound)
-        absx.bound(z, float(hat[r, c]), k, c, carrier[c], carrier_max[c])
+        z = sink.add_continuous(f"{role}[{i}][{k}][{r}][{c}]", -bound, bound)
+        absx.bound(sink, z, float(hat[r, c]), k, c, carrier[c], carrier_max[c])
         names[(r, c)] = z
-    var_index[(role, i, k)] = names
-    return _cols(p, names.values())
+    sink.var_index[(role, i, k)] = names
+    return _cols(sink.p, names.values())
 
 
-def _add_draws(p: MilpProblem, var_index: dict, role: str, i: int, k: int,
+def _add_draws(sink: _RowSink, role: str, i: int, k: int,
                keys: list) -> np.ndarray:
     """One normalized draw in [-1, 1] per key: ``role[i][k][r]`` for a key
     r (Df), ``role[i][k][r][c]`` for a key (r, c) (DB).  Returns their
     columns."""
     if not keys:
         return _NO_COLS
+    p = sink.p
     first, stem = p.n_vars, f"{role}[{i}][{k}]"
-    var_index[(role, i, k)] = {
+    sink.var_index[(role, i, k)] = {
         key: p.add_continuous(
             stem + ("".join(f"[{x}]" for x in key) if isinstance(key, tuple)
                     else f"[{key}]"), -1.0, 1.0)
@@ -662,6 +622,175 @@ def _one_hot_rows(sink: _RowSink, names: list[str], cols: np.ndarray) -> None:
     n_rows, width = cols.shape
     sink.add_rows(names, np.repeat(np.arange(n_rows), width), cols.ravel(),
                   np.ones(cols.size), np.full(n_rows, EQ), np.ones(n_rows))
+
+
+class _Side:
+    """One model's part of an encoding: envelope, big-M, variables and rows.
+
+    Role names end in ``suffix`` (``x`` or ``xb``, ``ZA`` or ``ZAb``, ...).
+    ``drive`` is the model's input: the observed inputs of a data window,
+    an array of ``n_samples`` rows that enters through ``DB`` draws, or
+    the shared input box of a pair encoding, whose ``u`` variables enter
+    through ``ZB`` products.
+
+    The constructor derives a conservative per-sample envelope of
+    model-consistent state windows.  Starting from the admissible state
+    box, the box of sample k + 1 is the interval hull over modes of the
+    one-step update applied to the box of sample k (with the mode's input
+    contribution as an interval), intersected with the admissible box and
+    padded by a hair against rounding.  Any state window every model
+    explanation can use stays inside the envelope, so it is safe to bound
+    the state variables by it.  ``boxes[k]`` is the ``(lower, upper)`` pair
+    of sample k; ``dyn[k][i - 1]`` and ``out[k][i - 1]`` are mode i's
+    update and output expression intervals at step k, from which each
+    gated row's big-M derives.  ``big_m`` is the largest one used.
+    """
+
+    def __init__(self, model: SwitchedAffineModel, n_samples: int, drive,
+                 suffix: str):
+        _require_bounded(model.state_set, "the state set")
+        _require_bounded(model.noise_set, "the noise set")
+        self.model, self.n_samples, self.suffix = model, n_samples, suffix
+        self.data = drive if isinstance(drive, np.ndarray) else None
+        self.keys = [[_keys(hat) for hat in (mode.hatA, mode.hatB, mode.hatC,
+                                             mode.hatf)]
+                     for mode in model.modes]
+        self.absx = _AbsCache("absx" + suffix)
+        self.big_m = 0.0
+        self.names: dict[str, list] = {}
+        self.cols: dict[str, list] = {}
+        if self.data is None:
+            # the input's contribution, the same interval at every step
+            ul = np.asarray(drive.lower, dtype=float)
+            uu = np.asarray(drive.upper, dtype=float)
+            self.umax = np.maximum(np.abs(ul), np.abs(uu))
+            box_push = []
+            for mode in model.modes:
+                blo, bhi = _interval_product(_signs(mode.B), ul, uu)
+                spread = mode.hatB @ self.umax
+                box_push.append((blo - spread, bhi + spread))
+
+        xl0 = np.asarray(model.state_set.lower, dtype=float)
+        xu0 = np.asarray(model.state_set.upper, dtype=float)
+        el = np.asarray(model.noise_set.lower, dtype=float)
+        eu = np.asarray(model.noise_set.upper, dtype=float)
+        signs = [(_signs(mode.A), _signs(mode.C)) for mode in model.modes]
+        self.boxes = [(xl0, xu0)]
+        self.xmax, self.dyn, self.out = [], [], []
+        for k in range(n_samples):
+            xl, xu = self.boxes[k]
+            xmax = np.maximum(np.abs(xl), np.abs(xu))
+            self.xmax.append(xmax)
+            out = []
+            for mode, (_, c_signs) in zip(model.modes, signs):
+                clo, chi = _interval_product(c_signs, xl, xu)
+                spread = mode.hatC @ xmax
+                out.append((clo + el - spread, chi + eu + spread))
+            self.out.append(out)
+            if k == n_samples - 1:
+                break
+            dyn = []
+            for i, (mode, (a_signs, _)) in enumerate(zip(model.modes, signs)):
+                alo, ahi = _interval_product(a_signs, xl, xu)
+                spread = mode.hatA @ xmax + mode.hatf
+                if self.data is None:
+                    dlo, dhi = box_push[i]
+                else:
+                    mid = mode.B @ drive[k]
+                    slack = mode.hatB @ np.abs(drive[k])
+                    dlo, dhi = mid - slack, mid + slack
+                dyn.append((alo + mode.f - spread + dlo,
+                            ahi + mode.f + spread + dhi))
+            self.dyn.append(dyn)
+            lo, hi = zip(*dyn)
+            nxl = np.maximum(xl0, np.min(lo, axis=0) - _TUBE_PAD)
+            nxu = np.minimum(xu0, np.max(hi, axis=0) + _TUBE_PAD)
+            if np.any(nxl > nxu):
+                # No window this long exists at all; keep the loose box and let
+                # the rows certify the infeasibility.
+                nxl, nxu = xl0, xu0
+            self.boxes.append((nxl, nxu))
+
+    def add_vars(self, sink: _RowSink, role: str) -> None:
+        """Add ``x`` (inside the envelope) or ``eta`` (inside the noise set)
+        for every sample."""
+        p, stem = sink.p, role + self.suffix
+        noise = self.model.noise_set
+        bounds = self.boxes if role == "x" else \
+            [(noise.lower, noise.upper)] * self.n_samples
+        self.names[role], self.cols[role] = [], []
+        for k, (lo, hi) in enumerate(bounds):
+            first = p.n_vars
+            names = sink.var_index[(stem, k)] = _add_vars(p, stem, k, lo, hi)
+            self.names[role].append(names)
+            self.cols[role].append(np.arange(first, p.n_vars))
+
+    def gate_m(self, lo, hi, expr_lo, expr_hi) -> np.ndarray:
+        """``_gate_m`` of one block, kept in ``big_m``."""
+        m = _gate_m(lo, hi, expr_lo, expr_hi)
+        self.big_m = max(self.big_m, m.max())
+        return m
+
+    def zc(self, sink: _RowSink, i: int, k: int) -> np.ndarray:
+        """Columns of mode i's ``ZC`` products at sample k."""
+        return _add_products(sink, self.absx, "ZC" + self.suffix, i, k,
+                             self.model.modes[i - 1].hatC, self.keys[i - 1][2],
+                             self.names["x"][k], self.xmax[k])
+
+    def emit(self, sink: _RowSink, gates: np.ndarray, outputs=None,
+             u=None) -> None:
+        """Add the gated rows of every (sample, mode): ``out`` rows against
+        ``outputs`` when given, and ``dyn`` rows for every transition.
+
+        ``gates[k, i - 1]`` holds the columns of the binaries that select
+        mode i at sample k.  With a shared input, ``u`` is the triple
+        (names, columns, ``_AbsCache``) of its variables.
+        """
+        modes, sfx = self.model.modes, self.suffix
+        x, x_cols, eta_cols = self.names["x"], self.cols["x"], self.cols["eta"]
+        fingerprints = [_fingerprint(mode) for mode in modes]
+        data, n_gates = self.data is not None, gates.shape[2]
+        dyn_rows = [_memo(("state", fp, n_gates, data), _state_rows,
+                          mode, n_gates, data)
+                    for mode, fp in zip(modes, fingerprints)]
+        if outputs is not None:
+            out_rows = [_memo(("out", fp), _output_rows, mode)
+                        for mode, fp in zip(modes, fingerprints)]
+        for k in range(self.n_samples):
+            for i, mode in enumerate(modes, start=1):
+                za_keys, b_keys, _, df_keys = self.keys[i - 1]
+                gate = gates[k, i - 1]
+                if outputs is not None:
+                    zc = self.zc(sink, i, k)
+                    out_rows[i - 1].emit(
+                        sink, f"out{sfx}[{i}][{k}]",
+                        np.concatenate([x_cols[k], eta_cols[k], zc, gate]),
+                        outputs[k],
+                        self.gate_m(outputs[k], outputs[k], *self.out[k][i - 1]))
+                if k == self.n_samples - 1:
+                    continue
+                za = _add_products(sink, self.absx, "ZA" + sfx, i, k,
+                                   mode.hatA, za_keys, x[k], self.xmax[k])
+                df = _add_draws(sink, "Df" + sfx, i, k, df_keys)
+                if data:
+                    u_k = self.data[k]
+                    inputs = [_add_draws(sink, "DB" + sfx, i, k, b_keys)]
+                    # DB[r][c] enters with -hatB[r, c] u_k[c], so not where
+                    # u_k[c] = 0
+                    free = [-(mode.hatB[r, c] * u_k[c]) for r, c in b_keys]
+                    rhs = mode.B @ u_k + mode.f
+                else:
+                    u_names, u_cols, absu = u
+                    inputs = [u_cols[k], _add_products(
+                        sink, absu, "ZB" + sfx, i, k, mode.hatB, b_keys,
+                        u_names[k], self.umax)]
+                    free, rhs = (), mode.f
+                dyn_rows[i - 1].emit(
+                    sink, f"dyn{sfx}[{i}][{k}]",
+                    np.concatenate([x_cols[k + 1], x_cols[k], za, df, *inputs,
+                                    gate]),
+                    rhs, self.gate_m(*self.boxes[k + 1], *self.dyn[k][i - 1]),
+                    free=free)
 
 
 def encode_invalidation(model: SwitchedAffineModel,
@@ -682,89 +811,22 @@ def encode_invalidation(model: SwitchedAffineModel,
         if model.n_u and not U.contains(trajectory.inputs[k], tol=1e-9):
             raise InputOutsideAdmissibleSet(k, trajectory.inputs[k])
 
-    # Row-specific big-M values and per-sample state bounds: the reachability
-    # envelope (the observed input enters exactly, not via its box) shrinks
-    # the variable boxes, and each gated row gets the smallest constant that
-    # provably relaxes it over the envelope.
-    _require_bounded(model.state_set, "the state set")
-    _require_bounded(model.noise_set, "the noise set")
-
-    def data_drive(i: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if not model.n_u:
-            zero = np.zeros(model.n)
-            return zero, zero
-        mode = model.modes[i - 1]
-        push = mode.B @ trajectory.inputs[k]
-        slack = mode.hatB @ np.abs(trajectory.inputs[k])
-        return push - slack, push + slack
-
-    tube, step_lo, step_hi, expr_lo, expr_hi = \
-        _propagate_boxes(model, N, data_drive)
-    s = model.s
-    dyn_m = {(i, k): 1.05 * np.maximum(np.maximum(
-                 tube[k + 1][1] - step_lo[k][i - 1],
-                 step_hi[k][i - 1] - tube[k + 1][0]), 1e-6)
-             for i in range(1, s + 1) for k in range(N - 1)}
-    out_m = {(i, k): 1.05 * np.maximum(np.maximum(
-                 trajectory.outputs[k] - expr_lo[k][i - 1],
-                 expr_hi[k][i - 1] - trajectory.outputs[k]), 1e-6)
-             for i in range(1, s + 1) for k in range(N)}
-    M = max(max((v.max() for v in dyn_m.values()), default=0.0),
-            max(v.max() for v in out_m.values()))
-
+    # the observed input enters the envelope exactly, not via its box
+    side = _Side(model, N, trajectory.inputs, "")
     p = MilpProblem(name=f"invalidation[{model.name or 'model'}][N={N}]")
     sink = _RowSink(p)
-    var_index: dict = {}
-    xmaxes = [np.maximum(np.abs(lo), np.abs(hi)) for lo, hi in tube]
-
-    x = [_add_interval_vars(p, "x", k, *tube[k]) for k in range(N)]
-    eta = [_add_box_vars(p, "eta", k, model.noise_set) for k in range(N)]
-    for k in range(N):
-        var_index[("x", k)] = x[k]
-        var_index[("eta", k)] = eta[k]
-    x_cols = [_cols(p, names) for names in x]
-    eta_cols = [_cols(p, names) for names in eta]
+    side.add_vars(sink, "x")
+    side.add_vars(sink, "eta")
+    s = model.s
     a = np.empty((N, s), dtype=np.intp)
     for k in range(N):
         for i in range(1, s + 1):
-            var_index[("a", i, k)] = p.add_binary(f"a[{i}][{k}]")
+            sink.var_index[("a", i, k)] = p.add_binary(f"a[{i}][{k}]")
             a[k, i - 1] = p.n_vars - 1
     _one_hot_rows(sink, [f"mode[{k}]" for k in range(N)], a)
-
-    fingerprints = [_fingerprint(mode) for mode in model.modes]
-    out_rows = [_memo(("out", fp), _output_rows, mode)
-                for mode, fp in zip(model.modes, fingerprints)]
-    dyn_rows = [_memo(("state", fp, 1, True), _state_rows, mode, 1, True)
-                for mode, fp in zip(model.modes, fingerprints)]
-    keys = [[_keys(hat) for hat in (mode.hatA, mode.hatB, mode.hatC, mode.hatf)]
-            for mode in model.modes]
-    absx = _AbsCache(sink, var_index, "absx")
-    for k in range(N):
-        u_k = trajectory.inputs[k] if model.n_u else np.zeros(0)
-        for i, mode in enumerate(model.modes, start=1):
-            za_keys, db_keys, zc_keys, df_keys = keys[i - 1]
-            gate = a[k, i - 1:i]
-            zc = _add_products(p, var_index, absx, "ZC", i, k, mode.hatC,
-                               zc_keys, x[k], xmaxes[k])
-            out_rows[i - 1].emit(
-                sink, f"out[{i}][{k}]",
-                np.concatenate([x_cols[k], eta_cols[k], zc, gate]),
-                trajectory.outputs[k], out_m[i, k])
-            if k == N - 1:
-                continue
-            za = _add_products(p, var_index, absx, "ZA", i, k, mode.hatA,
-                               za_keys, x[k], xmaxes[k])
-            df = _add_draws(p, var_index, "Df", i, k, df_keys)
-            db = _add_draws(p, var_index, "DB", i, k, db_keys)
-            # DB[r][c] enters with -hatB[r, c] u_k[c], so not where u_k[c] = 0
-            db_coefs = [-(mode.hatB[r, c] * u_k[c]) for r, c in db_keys]
-            drive = mode.B @ u_k if model.n_u else np.zeros(model.n)
-            dyn_rows[i - 1].emit(
-                sink, f"dyn[{i}][{k}]",
-                np.concatenate([x_cols[k + 1], x_cols[k], za, df, db, gate]),
-                drive + mode.f, dyn_m[i, k], free=db_coefs)
+    side.emit(sink, a[:, :, None], outputs=trajectory.outputs)
     sink.flush()
-    return InvalidationEncoding(p, var_index, M, model, trajectory)
+    return InvalidationEncoding(p, sink.var_index, side.big_m, model, trajectory)
 
 
 def _common_certain_output(system: SwitchedAffineModel,
@@ -801,119 +863,40 @@ def encode_t_detectability(system: SwitchedAffineModel,
     if n_u and U.is_empty:
         raise EmptyInputIntersection(
             "the models admit no common input, so no shared behaviour exists")
+    if n_u:
+        _require_bounded(U, "the input set")
 
     collapsed = _common_certain_output(system, fault)
     binary_steps = tuple(range(T)) if collapsed else tuple(range(T + 1))
 
-    # Row-specific big-M values and per-sample state bounds from each side's
-    # reachability envelope (inputs enter via the shared box); the scalar
-    # stored on the encoding is the largest row constant.
-    for model in (system, fault):
-        _require_bounded(model.state_set, "the state set")
-        _require_bounded(model.noise_set, "the noise set")
-    if n_u:
-        _require_bounded(U, "the input set")
-
-    def box_drive(model: SwitchedAffineModel):
-        if not n_u:
-            zero = np.zeros(model.n)
-            per_mode = [(zero, zero)] * model.s
-        else:
-            ul = np.asarray(U.lower, dtype=float)
-            uu = np.asarray(U.upper, dtype=float)
-            um = np.maximum(np.abs(ul), np.abs(uu))
-            per_mode = []
-            for mode in model.modes:
-                blo, bhi = _interval_product(mode.B, ul, uu)
-                spread = mode.hatB @ um
-                per_mode.append((blo - spread, bhi + spread))
-        return lambda i, k: per_mode[i - 1]
-
-    tube1, s_lo, s_hi, s_olo, s_ohi = \
-        _propagate_boxes(system, T + 1, box_drive(system))
-    tube2, f_lo, f_hi, f_olo, f_ohi = \
-        _propagate_boxes(fault, T + 1, box_drive(fault))
-
-    def step_m(tube, lo, hi, n_modes):
-        return {(i, k): 1.05 * np.maximum(np.maximum(
-                    tube[k + 1][1] - lo[k][i - 1], hi[k][i - 1] - tube[k + 1][0]),
-                    1e-6)
-                for i in range(1, n_modes + 1) for k in range(T)}
-
-    dyn_m = (step_m(tube1, s_lo, s_hi, s1), step_m(tube2, f_lo, f_hi, s2))
-    M = max(max(v.max() for v in dyn_m[0].values()),
-            max(v.max() for v in dyn_m[1].values()))
-    if not collapsed:
-        match_m = {(i, j, k): 1.05 * np.maximum(np.maximum(
-                       s_ohi[k][i - 1] - f_olo[k][j - 1],
-                       f_ohi[k][j - 1] - s_olo[k][i - 1]), 1e-6)
-                   for i in range(1, s1 + 1) for j in range(1, s2 + 1)
-                   for k in range(T + 1)}
-        M = max(M, max(v.max() for v in match_m.values()))
-
+    # each side's envelope takes the inputs through the shared box
+    sides = (_Side(system, T + 1, U, ""), _Side(fault, T + 1, U, "b"))
     p = MilpProblem(name=f"detectability[T={T}]")
     sink = _RowSink(p)
-    var_index: dict = {}
-    xmax1 = [np.maximum(np.abs(lo), np.abs(hi)) for lo, hi in tube1]
-    xmax2 = [np.maximum(np.abs(lo), np.abs(hi)) for lo, hi in tube2]
-    umax = np.maximum(np.abs(U.lower), np.abs(U.upper)) if n_u else np.zeros(0)
-
-    x1 = [_add_interval_vars(p, "x", k, *tube1[k]) for k in range(T + 1)]
-    x2 = [_add_interval_vars(p, "xb", k, *tube2[k]) for k in range(T + 1)]
-    e1 = [_add_box_vars(p, "eta", k, system.noise_set) for k in range(T + 1)]
-    e2 = [_add_box_vars(p, "etab", k, fault.noise_set) for k in range(T + 1)]
-    u = [_add_box_vars(p, "u", k, U) for k in range(T)]
-    for k in range(T + 1):
-        var_index[("x", k)] = x1[k]
-        var_index[("xb", k)] = x2[k]
-        var_index[("eta", k)] = e1[k]
-        var_index[("etab", k)] = e2[k]
+    for role in ("x", "eta"):
+        for side in sides:
+            side.add_vars(sink, role)
+    u = [_add_vars(p, "u", k, U.lower, U.upper) for k in range(T)]
     for k in range(T):
-        var_index[("u", k)] = u[k]
-    x1_cols, x2_cols, e1_cols, e2_cols, u_cols = (
-        [_cols(p, names) for names in group] for group in (x1, x2, e1, e2, u))
+        sink.var_index[("u", k)] = u[k]
+    u_cols = [_cols(p, names) for names in u]
 
     d = np.zeros((T + 1, s1, s2), dtype=np.intp)
     for k in binary_steps:
         for i in range(1, s1 + 1):
             for j in range(1, s2 + 1):
-                var_index[("d", i, j, k)] = p.add_binary(f"d[{i}][{j}][{k}]")
+                sink.var_index[("d", i, j, k)] = p.add_binary(f"d[{i}][{j}][{k}]")
                 d[k, i - 1, j - 1] = p.n_vars - 1
     _one_hot_rows(sink, [f"pair[{k}]" for k in binary_steps],
                   d[list(binary_steps)].reshape(len(binary_steps), s1 * s2))
 
-    absx1 = _AbsCache(sink, var_index, "absx")
-    absx2 = _AbsCache(sink, var_index, "absxb")
-    absu = _AbsCache(sink, var_index, "absu")
+    shared_u = (u, u_cols, _AbsCache("absu"))
+    sides[0].emit(sink, d, u=shared_u)
+    sides[1].emit(sink, d.transpose(0, 2, 1), u=shared_u)
+    M = max(side.big_m for side in sides)
 
-    def state_rows(model, x_, x_cols, absx_, xmax_, side: int):
-        stem = "dyn" if side == 1 else "dynb"
-        za_role, df_role, zb_role = (("ZA", "Df", "ZB") if side == 1
-                                     else ("ZAb", "Dfb", "ZBb"))
-        n_gates = s2 if side == 1 else s1
-        templates = [_memo(("state", _fingerprint(mode), n_gates, False),
-                           _state_rows, mode, n_gates, False)
-                     for mode in model.modes]
-        keys = [[_keys(hat) for hat in (mode.hatA, mode.hatB, mode.hatf)]
-                for mode in model.modes]
-        for k in range(T):
-            for i, mode in enumerate(model.modes, start=1):
-                za_keys, zb_keys, df_keys = keys[i - 1]
-                gate = d[k, i - 1, :] if side == 1 else d[k, :, i - 1]
-                za = _add_products(p, var_index, absx_, za_role, i, k,
-                                   mode.hatA, za_keys, x_[k], xmax_[k])
-                df = _add_draws(p, var_index, df_role, i, k, df_keys)
-                zb = _add_products(p, var_index, absu, zb_role, i, k,
-                                   mode.hatB, zb_keys, u[k], umax)
-                templates[i - 1].emit(
-                    sink, f"{stem}[{i}][{k}]",
-                    np.concatenate([x_cols[k + 1], x_cols[k], za, df,
-                                    u_cols[k], zb, gate]),
-                    mode.f, dyn_m[side - 1][i, k])
-
-    state_rows(system, x1, x1_cols, absx1, xmax1, side=1)
-    state_rows(fault, x2, x2_cols, absx2, xmax2, side=2)
-
+    x1_cols, e1_cols = sides[0].cols["x"], sides[0].cols["eta"]
+    x2_cols, e2_cols = sides[1].cols["x"], sides[1].cols["eta"]
     if collapsed:
         # one shared certain output map: C x + eta = C xb + etab, ungated
         C = system.modes[0].C
@@ -933,26 +916,22 @@ def encode_t_detectability(system: SwitchedAffineModel,
                                     _match_rows, mode1, mode2)
                       for i, mode1 in enumerate(system.modes, start=1)
                       for j, mode2 in enumerate(fault.modes, start=1)}
-        zc1_keys = [_keys(mode.hatC) for mode in system.modes]
-        zc2_keys = [_keys(mode.hatC) for mode in fault.modes]
         for k in range(T + 1):
-            zc1 = [_add_products(p, var_index, absx1, "ZC", i, k, mode.hatC,
-                                 zc1_keys[i - 1], x1[k], xmax1[k])
-                   for i, mode in enumerate(system.modes, start=1)]
-            zc2 = [_add_products(p, var_index, absx2, "ZCb", j, k, mode.hatC,
-                                 zc2_keys[j - 1], x2[k], xmax2[k])
-                   for j, mode in enumerate(fault.modes, start=1)]
+            zc1 = [sides[0].zc(sink, i, k) for i in range(1, s1 + 1)]
+            zc2 = [sides[1].zc(sink, j, k) for j in range(1, s2 + 1)]
             for i in range(1, s1 + 1):
                 side1 = np.concatenate([x1_cols[k], e1_cols[k], zc1[i - 1]])
                 for j in range(1, s2 + 1):
+                    m = _gate_m(*sides[0].out[k][i - 1], *sides[1].out[k][j - 1])
+                    M = max(M, m.max())
                     match_rows[i, j].emit(
                         sink, f"match[{i}][{j}][{k}]",
                         np.concatenate([side1, x2_cols[k], e2_cols[k],
                                         zc2[j - 1], d[k, i - 1, j - 1:j]]),
-                        np.zeros(n_y), match_m[i, j, k])
+                        np.zeros(n_y), m)
     sink.flush()
 
-    enc = PairEncoding(p, var_index, M, system, fault, T, U, collapsed,
+    enc = PairEncoding(p, sink.var_index, M, system, fault, T, U, collapsed,
                        binary_steps)
     if indicator is not None:
         apply_indicator(enc, indicator)
@@ -1049,14 +1028,15 @@ def _recover_delta(z_value: float, hat: float, carrier: float) -> float:
 
 
 def _decode_side(model: SwitchedAffineModel, w: Witness, var_index: Mapping,
-                 n_samples: int, *, x_role: str, eta_role: str,
-                 mode_of, za_role: str, zb_role: str, db_role: str | None,
-                 df_role: str, zc_role: str,
+                 n_samples: int, suffix: str, mode_of,
                  u_data: np.ndarray | None) -> Explanation:
+    """Decode the side whose role names end in ``suffix``.  ``u_data`` is
+    the shared input of a pair encoding, or None where the input was data
+    and its uncertainty sits in ``DB`` draws."""
     n, n_u, n_y = model.n, model.n_u, model.n_y
-    states = np.array([[w[v] for v in var_index[(x_role, k)]]
+    states = np.array([[w[v] for v in var_index[("x" + suffix, k)]]
                        for k in range(n_samples)])
-    noise = np.array([[w[v] for v in var_index[(eta_role, k)]]
+    noise = np.array([[w[v] for v in var_index[("eta" + suffix, k)]]
                       for k in range(n_samples)]).reshape(n_samples, n_y)
     modes0 = tuple(mode_of(k) for k in range(n_samples))
     DA = np.zeros((n_samples, n, n))
@@ -1066,19 +1046,19 @@ def _decode_side(model: SwitchedAffineModel, w: Witness, var_index: Mapping,
     for k in range(n_samples):
         i = modes0[k] + 1
         mode = model.modes[modes0[k]]
-        for (r, c), name in var_index.get((za_role, i, k), {}).items():
+        for (r, c), name in var_index.get(("ZA" + suffix, i, k), {}).items():
             DA[k, r, c] = _recover_delta(w[name], mode.hatA[r, c], states[k, c])
-        for (q, c), name in var_index.get((zc_role, i, k), {}).items():
+        for (q, c), name in var_index.get(("ZC" + suffix, i, k), {}).items():
             DC[k, q, c] = _recover_delta(w[name], mode.hatC[q, c], states[k, c])
-        for r, name in var_index.get((df_role, i, k), {}).items():
+        for r, name in var_index.get(("Df" + suffix, i, k), {}).items():
             Df[k, r] = float(np.clip(w[name], -1.0, 1.0))
-        if db_role is not None:
-            for (r, c), name in var_index.get((db_role, i, k), {}).items():
+        if u_data is None:
+            for (r, c), name in var_index.get(("DB" + suffix, i, k), {}).items():
                 DB[k, r, c] = float(np.clip(w[name], -1.0, 1.0))
-        elif n_u:
-            for (r, c), name in var_index.get((zb_role, i, k), {}).items():
-                carrier = u_data[k, c] if k < len(u_data) else 0.0
-                DB[k, r, c] = _recover_delta(w[name], mode.hatB[r, c], carrier)
+        else:
+            for (r, c), name in var_index.get(("ZB" + suffix, i, k), {}).items():
+                DB[k, r, c] = _recover_delta(w[name], mode.hatB[r, c],
+                                             u_data[k, c])
     draw = SimulationDraw(states[0], modes0, noise, DA, DB, DC, Df)
     return Explanation(states, noise, modes0, draw)
 
@@ -1092,10 +1072,8 @@ def decode_invalidation_witness(enc: InvalidationEncoding, w: Witness) -> Explan
         return max(range(1, s + 1),
                    key=lambda i: w[enc.var_index[("a", i, k)]]) - 1
 
-    return _decode_side(enc.model, w, enc.var_index, enc.n_samples,
-                        x_role="x", eta_role="eta", mode_of=mode_of,
-                        za_role="ZA", zb_role="", db_role="DB",
-                        df_role="Df", zc_role="ZC", u_data=None)
+    return _decode_side(enc.model, w, enc.var_index, enc.n_samples, "",
+                        mode_of, None)
 
 
 @dataclass(frozen=True)
@@ -1128,16 +1106,10 @@ def decode_pair_witness(enc: PairEncoding, w: Witness) -> CommonBehavior:
     for k in range(T):
         u[k] = [w[v] for v in enc.var_index[("u", k)]]
 
-    sys_expl = _decode_side(enc.system, w, enc.var_index, T + 1,
-                            x_role="x", eta_role="eta",
-                            mode_of=lambda k: pairs[k][0] - 1,
-                            za_role="ZA", zb_role="ZB", db_role=None,
-                            df_role="Df", zc_role="ZC", u_data=u)
-    fault_expl = _decode_side(enc.fault, w, enc.var_index, T + 1,
-                              x_role="xb", eta_role="etab",
-                              mode_of=lambda k: pairs[k][1] - 1,
-                              za_role="ZAb", zb_role="ZBb", db_role=None,
-                              df_role="Dfb", zc_role="ZCb", u_data=u)
+    sys_expl = _decode_side(enc.system, w, enc.var_index, T + 1, "",
+                            lambda k: pairs[k][0] - 1, u)
+    fault_expl = _decode_side(enc.fault, w, enc.var_index, T + 1, "b",
+                              lambda k: pairs[k][1] - 1, u)
     outputs = np.zeros((T + 1, enc.system.n_y))
     for k in range(T + 1):
         mode = enc.system.modes[sys_expl.mode_sequence[k]]

@@ -53,6 +53,17 @@ def external_command_from_env() -> str | None:
     return cmd or None
 
 
+def _verified(problem: MilpProblem, witness: Witness, wall: float) -> SolveResult:
+    """The FEASIBLE result of an external witness that passes ``verify`` at
+    10 x FEAS_TOL; raises ExternalSolverError otherwise."""
+    ok, violations = verify(problem, witness, tol=10 * FEAS_TOL)
+    if not ok:
+        raise ExternalSolverError(
+            f"external witness fails verification: {violations[:3]}")
+    return SolveResult(FEASIBLE, witness, nodes=0, lp_iterations=0,
+                       wall_time=wall, message="external: feasible")
+
+
 def solve_lp_problem_with_scipy(problem: MilpProblem,
                                 time_limit: float | None = None) -> SolveResult:
     """Feasibility via scipy.optimize.milp on an already-built problem."""
@@ -81,13 +92,8 @@ def solve_lp_problem_with_scipy(problem: MilpProblem,
     if res.x is not None:
         values = np.asarray(res.x, dtype=float)
         values[binary_mask] = np.round(values[binary_mask])
-        witness = Witness(dict(zip(names, map(float, values))))
-        ok, violations = verify(problem, witness, tol=10 * FEAS_TOL)
-        if not ok:
-            raise ExternalSolverError(
-                f"external witness fails verification: {violations[:3]}")
-        return SolveResult(FEASIBLE, witness, nodes=0, lp_iterations=0,
-                           wall_time=wall, message="external: feasible")
+        return _verified(problem, Witness(dict(zip(names, map(float, values)))),
+                         wall)
     return SolveResult(BUDGET_EXCEEDED, None, nodes=0, lp_iterations=0,
                        wall_time=wall,
                        message=f"external: undecided (scipy status {res.status})")
@@ -118,13 +124,9 @@ def _parse_protocol(problem: MilpProblem, text: str, wall: float) -> SolveResult
     missing = [v for v in problem.variable_names if v not in values]
     if missing:
         raise ExternalSolverError(f"witness misses variables, e.g. {missing[:3]}")
-    witness = Witness({v: values[v] for v in problem.variable_names})
-    ok, violations = verify(problem, witness, tol=10 * FEAS_TOL)
-    if not ok:
-        raise ExternalSolverError(
-            f"external witness fails verification: {violations[:3]}")
-    return SolveResult(FEASIBLE, witness, nodes=0, lp_iterations=0,
-                       wall_time=wall, message="external: feasible")
+    return _verified(problem,
+                     Witness({v: values[v] for v in problem.variable_names}),
+                     wall)
 
 
 def solve_with_command(problem: MilpProblem, command: str,

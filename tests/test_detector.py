@@ -7,8 +7,8 @@ from swainval.detectability import find_T
 from swainval.detector import (DetectionReport, StreamingDetector,
                                inject_persistent_fault, run_receding,
                                run_streaming)
-from swainval.model import (AffineMode, HyperRectangle, RandomPolicy,
-                            SwitchedAffineModel, Trajectory)
+from swainval.model import (AffineMode, DimensionError, HyperRectangle,
+                            RandomPolicy, SwitchedAffineModel, Trajectory)
 from swainval.solver import SolverConfig
 
 
@@ -83,6 +83,11 @@ class TestRecedingBasics:
     def test_horizon_must_be_positive(self):
         with pytest.raises(ValueError):
             run_receding(halving_model(), halving_data(5), 0)
+
+    def test_misfit_columns_raise_dimension_error(self):
+        two_outputs = Trajectory(np.zeros((5, 0)), np.zeros((5, 2)))
+        with pytest.raises(DimensionError):
+            run_receding(halving_model(), two_outputs, 2)
 
     def test_budget_exhaustion_is_surfaced_not_swallowed(self):
         report = run_receding(halving_model(), halving_data(8), 2,

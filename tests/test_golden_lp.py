@@ -15,8 +15,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from swainval.encoder import (CountBand, ExplicitWords, apply_indicator,
-                              encode_invalidation, encode_t_detectability)
+from swainval.encoder import (CountBand, ExplicitWords, StructuredTuple,
+                              apply_indicator, encode_invalidation,
+                              encode_t_detectability)
 from swainval.examples import builtin_pair
 from swainval.milp import export_lp
 from swainval.model import (AffineMode, HyperRectangle, SwitchedAffineModel,
@@ -81,6 +82,14 @@ def count_band():
     return enc.problem
 
 
+def radiant_weak_indicator():
+    # the paper's radiant-weak indicator: exactly one of the fault's modes
+    # 3 and 4 at the first step, one ``ind.count`` equality row
+    return encode_t_detectability(
+        *builtin_pair("radiantWeak"), 2,
+        indicator=StructuredTuple([3, 4], 1, 1, "=")).problem
+
+
 @pytest.mark.parametrize("build, expected", [
     (invalidation_window,
      "7a8726ada62c1e8ed2229e5cfdceaad3275f04eeabfe3a50ca533a17c6ccca78"),
@@ -90,6 +99,8 @@ def count_band():
      "358b9dd04b2e928958514e087d6ccd898d6df75a0b20c229e8b755cd566f4dfb"),
     (count_band,
      "1b3dd5ead297b4fe851719819d7d2d81c4fb48dfda5b1a0852e48f486f31e6f1"),
+    (radiant_weak_indicator,
+     "8ac486ea535a119d729a914debf909cd7fdab75391fe70f06408f21ca587ec40"),
 ])
 def test_export_lp_digest(build, expected):
     assert digest(build()) == expected
@@ -115,3 +126,4 @@ def test_the_encodings_cover_every_row_family():
     assert any(c.name.startswith("ind.sel") for c in explicit_words().constraints)
     assert {c.name for c in count_band().constraints} >= {"ind.count.lo",
                                                           "ind.count.hi"}
+    assert "ind.count" in {c.name for c in radiant_weak_indicator().constraints}
