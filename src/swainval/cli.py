@@ -412,9 +412,9 @@ def _add_model_flags(sub, *, fault=False, modes=True) -> None:
                      help="zero all uncertainty radii and pin noise to 0")
 
 
-def _add_budget_flags(sub) -> None:
-    sub.add_argument("--time-limit", type=float, default=None,
-                     help="solver wall-clock budget in seconds")
+def _add_budget_flags(sub, time_help="solver wall-clock budget in seconds"
+                      ) -> None:
+    sub.add_argument("--time-limit", type=float, default=None, help=time_help)
     sub.add_argument("--node-limit", type=int, default=None,
                      help="branch-and-bound node budget")
 
@@ -470,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="indicator file or inline tuple S=3,4;W=1;m=1;O==")
     sub.add_argument("--export", default=None, metavar="JSON",
                      help="also write the search report as JSON")
-    _add_budget_flags(sub)
+    _add_budget_flags(sub, time_help="wall-clock budget in seconds for the "
+                                     "whole search; each probe gets the time left")
     sub.set_defaults(func=_cmd_find_t)
 
     sub = commands.add_parser(

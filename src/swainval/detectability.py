@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .solver import (BUDGET_EXCEEDED, FEASIBLE, INFEASIBLE, SolveResult,
                      SolverConfig, solve_milp)
 
 __all__ = [
-    "YES", "NOT_UP_TO", "UNDECIDED", "NEVER_FINITE",
+    "YES", "NOT_UP_TO", "UNDECIDED",
     "MonotonicityViolation", "ConversePathsDisagree",
     "TDetectabilityResult", "check_t_detectability",
     "DetectabilityReport", "find_T",
@@ -44,7 +44,6 @@ _log = logging.getLogger(__name__)
 YES = "yes"
 NOT_UP_TO = "notUpTo"
 UNDECIDED = "undecided"
-NEVER_FINITE = "neverFinite"
 
 _RANK_REL_TOL = 1e-9
 
@@ -191,11 +190,13 @@ def find_T(system: SwitchedAffineModel, fault: SwitchedAffineModel, *,
     weakened to what it implies about length-T mode-word prefixes
     (:func:`~swainval.encoder.prefix_indicator`).
 
-    The search has no overall budget: ``config`` bounds each probe, and the
-    probes go on until one is infeasible, one runs out of budget, or
-    ``t_max`` is reached.  A probe's cost grows with T (its problem grows
-    linearly in T and its branch tree can grow exponentially), so a pair
-    that stays feasible can run for a long time.  Every probe logs one INFO
+    ``config.time_limit`` bounds the whole search: each probe gets the time
+    left.  ``config.node_limit`` bounds each probe.  A probe that runs out
+    of either ends the search UNDECIDED.  Without a time limit the probes
+    go on until one is infeasible or ``t_max`` is reached.  A probe's cost
+    grows with T (its problem grows linearly in T and its branch tree can
+    grow exponentially), so a pair that stays feasible can then run for a
+    long time.  Every probe logs one INFO
     record on the ``swainval.detectability`` logger with T, the status, the
     node count and the wall time.
     """
@@ -207,11 +208,14 @@ def find_T(system: SwitchedAffineModel, fault: SwitchedAffineModel, *,
     walls: dict[int, float] = {}
     last_witness: CommonBehavior | None = None
     notes: list[str] = []
+    deadline = (None if config is None or config.time_limit is None
+                else time.perf_counter() + config.time_limit)
 
     def probe(T: int) -> TDetectabilityResult:
         ind_T = prefix_indicator(indicator, T) if indicator is not None else None
-        r = check_t_detectability(system, fault, T, indicator=ind_T,
-                                  config=config)
+        cfg = config if deadline is None else replace(
+            config, time_limit=max(deadline - time.perf_counter(), 0.0))
+        r = check_t_detectability(system, fault, T, indicator=ind_T, config=cfg)
         per_t[T] = r.status
         walls[T] = r.wall_time
         _log.info("find_T probe T=%d: %s, %d nodes, %.3f s", T, r.status,

@@ -27,10 +27,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .encoder import (CONSISTENT, INVALIDATED, UNDECIDED, _check_trajectory,
-                      check_invalidation)
-from .model import (RandomPolicy, SwitchedAffineModel, Trajectory,
-                    simulate_random)
+from .encoder import CONSISTENT, INVALIDATED, UNDECIDED, check_invalidation
+from .model import (DimensionError, RandomPolicy, SwitchedAffineModel,
+                    Trajectory, simulate_random)
 from .solver import SolverConfig
 
 __all__ = [
@@ -119,8 +118,6 @@ def run_receding(model: SwitchedAffineModel, trajectory: Trajectory,
         return DetectionReport(horizon, (), notes=(
             f"trajectory has {N} samples, shorter than one full window "
             f"of {horizon + 1}",))
-    # a misfit column count would reach the streaming buffer's reshape
-    _check_trajectory(model, trajectory)
     return run_streaming(model, zip(trajectory.inputs, trajectory.outputs),
                          horizon, config=config,
                          halt_on_first_alarm=halt_on_first_alarm)
@@ -147,11 +144,17 @@ class StreamingDetector:
         self._results: list[WindowVerdict] = []
 
     def push(self, u, y) -> str:
+        """Add one sample; raises DimensionError when it misfits the model."""
+        n_u, n_y = self.model.n_u, self.model.n_y
+        u = np.zeros(n_u) if u is None else np.asarray(u, dtype=float)
+        y = np.asarray(y, dtype=float)
+        for what, value, width in (("input", u, n_u), ("output", y, n_y)):
+            if value.size != width:
+                raise DimensionError(f"sample {self._k + 1} has {value.size} "
+                                     f"{what} columns, model expects {width}")
         self._k += 1
-        if u is None:
-            u = np.zeros(self.model.n_u)
-        self._inputs.append(np.asarray(u, dtype=float).reshape(self.model.n_u))
-        self._outputs.append(np.asarray(y, dtype=float).reshape(self.model.n_y))
+        self._inputs.append(u.reshape(n_u))
+        self._outputs.append(y.reshape(n_y))
         if len(self._outputs) <= self.horizon:
             return "pending"
         window = Trajectory(np.vstack(self._inputs) if self.model.n_u

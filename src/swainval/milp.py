@@ -257,11 +257,6 @@ class MilpProblem:
         return tuple(self._var_index)
 
     @property
-    def continuous_vars(self) -> tuple[tuple[str, float, float], ...]:
-        return tuple((n, self._lower[i], self._upper[i])
-                     for n, i in self._var_index.items() if not self._binary[i])
-
-    @property
     def binary_vars(self) -> tuple[str, ...]:
         return tuple(n for n, i in self._var_index.items() if self._binary[i])
 

@@ -356,22 +356,22 @@ class SimulationDraw:
 class RandomPolicy:
     """How `simulate_random` draws modes, inputs and the initial state.
 
-    mode: "iid" (uniform over modes), "fixed" (constant `fixed_mode`), or an
-    explicit `mode_sequence`.  Inputs are uniform over `input_box` (defaults
-    to the model's input set).  The initial state is uniform over
+    Modes are uniform over the model's modes unless `mode_sequence` pins
+    them.  Inputs are uniform over `input_box` (defaults to the model's
+    input set).  The initial state is `initial_state`, or else uniform over
     `initial_box` (defaults to the model's state set).  Draws that leave the
-    state set are retried per step up to `step_retries` times, then the whole
-    trajectory restarts, up to `restarts` times.
+    state set are retried per step up to `STEP_RETRIES` times, then the
+    whole trajectory restarts, up to `RESTARTS` times.
     """
 
-    mode: str = "iid"
-    fixed_mode: int = 0
     mode_sequence: tuple[int, ...] | None = None
     input_box: HyperRectangle | None = None
     initial_box: HyperRectangle | None = None
     initial_state: np.ndarray | None = None
-    step_retries: int = 20
-    restarts: int = 20
+
+
+STEP_RETRIES = 20   # redraws of one step before the trajectory restarts
+RESTARTS = 20       # whole-trajectory restarts before NoAdmissibleDraw
 
 
 @dataclass(frozen=True)
@@ -468,7 +468,7 @@ def simulate_random(model: SwitchedAffineModel, seed: int, steps: int,
 
     Noise is uniform over the noise set, uncertainty uniform over [-1, 1],
     modes per the policy.  Draws whose state leaves the state set are
-    resampled per step up to ``policy.step_retries`` times before the whole
+    resampled per step up to ``STEP_RETRIES`` times before the whole
     trajectory restarts; raises NoAdmissibleDraw when the restart budget is
     exhausted.
     """
@@ -491,7 +491,7 @@ def simulate_random(model: SwitchedAffineModel, seed: int, steps: int,
         box = policy.initial_box if policy.initial_box is not None else X
         return box.sample(rng)
 
-    for _restart in range(max(1, policy.restarts)):
+    for _restart in range(RESTARTS):
         x0 = draw_initial()
         if not X.contains(x0):
             continue
@@ -506,11 +506,9 @@ def simulate_random(model: SwitchedAffineModel, seed: int, steps: int,
         ok = True
         for k in range(steps):
             admissible = False
-            for _retry in range(max(1, policy.step_retries)):
+            for _retry in range(STEP_RETRIES):
                 if policy.mode_sequence is not None:
                     mode_idx = int(policy.mode_sequence[k])
-                elif policy.mode == "fixed":
-                    mode_idx = policy.fixed_mode
                 else:
                     mode_idx = int(rng.integers(s))
                 m = model.modes[mode_idx]
@@ -539,7 +537,7 @@ def simulate_random(model: SwitchedAffineModel, seed: int, steps: int,
             draw = SimulationDraw(x0, tuple(modes), noise, DA, DB, DC, Df)
             return simulate(model, u, draw), draw
     raise NoAdmissibleDraw(
-        f"no admissible {steps}-step draw after {policy.restarts} restarts")
+        f"no admissible {steps}-step draw after {RESTARTS} restarts")
 
 
 def discretize_affine(Ac, Bc, fc, dt: float, method: str = "exact-zoh",

@@ -27,7 +27,9 @@ It combines
   time linear in their number.  Every node re-optimises from its parent's
   final basis, which rides on the DFS stack as index arrays; rows stay in
   the LP even when presolve finds them redundant, so every basis fits
-  every node.
+  every node.  Presolve rounds binary bounds, so it can empty a root box
+  whose LP relaxation is feasible; the search then runs a second pass
+  without presolve, on the same engine, node count and deadline.
 
 A solve scatters the rows into a dense matrix once (``to_arrays``), for the
 simplex's BLAS pivots; presolve, SOS1 detection, the witness re-check and
@@ -79,19 +81,18 @@ class SolverNumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budgets, presolve switches and the backend for :func:`solve_milp`.
+    """Budgets and the backend for :func:`solve_milp`.
 
     With ``external_command`` set, :func:`solve_milp` hands the problem to
     that command through the LP-file bridge of :mod:`swainval.external`
-    (``time_limit`` travels along; the other fields are the bundled
-    solver's).  Feasibility and integrality tolerances are
-    :data:`~swainval.milp.FEAS_TOL` and :data:`~swainval.milp.INT_TOL`.
+    (``time_limit`` travels along; ``node_limit`` is the bundled solver's).
+    Presolve and the root rounding heuristic always run.  Feasibility and
+    integrality tolerances are :data:`~swainval.milp.FEAS_TOL` and
+    :data:`~swainval.milp.INT_TOL`.
     """
 
     node_limit: int = 1_000_000
     time_limit: float | None = None      # wall-clock seconds, also between pivots
-    presolve: bool = True
-    rounding_heuristic: bool = True
     external_command: str | None = None  # LP-file solver command line
 
 
@@ -179,7 +180,7 @@ class _DualSimplex:
         self.tol = FEAS_TOL
         self.max_iter = 50 * (self.m + self.n) + 2000
         self.iterations = 0
-        self._set_slack_basis()
+        self.basis: np.ndarray | None = None   # set by the first solve
 
     def solve(self, lo: np.ndarray, hi: np.ndarray, start: _Basis | None,
               deadline: float | None) -> _LpResult:
@@ -199,11 +200,6 @@ class _DualSimplex:
             raise SolverNumericalError(f"{err} (from the slack basis)") from err
 
     # -- basis bookkeeping -------------------------------------------------
-
-    def _set_slack_basis(self) -> None:
-        self.basis = np.arange(self.n, self.n + self.m)
-        self.B_inv = -np.eye(self.m, order="F")
-        self.updates = 0
 
     def _refactor(self) -> None:
         """Invert the basis through its structural kernel.
@@ -256,7 +252,8 @@ class _DualSimplex:
         self.lo = np.concatenate([lo, self.row_lo])
         self.hi = np.concatenate([hi, self.row_hi])
         if start is None:
-            self._set_slack_basis()
+            self.basis = np.arange(self.n, self.n + self.m)
+            self._refactor()                      # the slack basis: -I
             at_upper = np.zeros(self.n + self.m, dtype=bool)
         else:
             at_upper = start.at_upper
@@ -561,28 +558,25 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
             return True
         return deadline is not None and time.perf_counter() > deadline
 
-    def make_witness(x: np.ndarray) -> Witness:
-        return Witness({name: float(v) for name, v in zip(names, x)})
-
     def finish(status, witness=None, message="", certificate=None) -> SolveResult:
         return SolveResult(status, witness, nodes, lp.iterations,
                            time.perf_counter() - t0, message, certificate)
 
     def checked_witness(x: np.ndarray) -> Witness:
-        w = make_witness(x)
+        w = Witness({name: float(v) for name, v in zip(names, x)})
         ok, violations = verify(problem, w, tol=10 * FEAS_TOL)
         if not ok:
             raise SolverNumericalError(
                 "witness failed verification: " + "; ".join(violations[:4]))
         return w
 
-    def try_assignment(lo, hi, x_hint, start) -> np.ndarray | None:
+    def try_assignment(lo, hi, x_hint, start, presolve: bool) -> np.ndarray | None:
         """Fix every binary at round(x_hint) and solve the continuous rest."""
         lo2, hi2 = lo.copy(), hi.copy()
         snapped = np.round(np.clip(x_hint[bin_idx], 0.0, 1.0))
         lo2[bin_idx] = snapped
         hi2[bin_idx] = snapped
-        if cfg.presolve:
+        if presolve:
             ok, lo2, hi2 = presolver.run(lo2, hi2, FEAS_TOL)
             if not ok:
                 return None
@@ -593,109 +587,112 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
         x[bin_idx] = snapped
         return x
 
-    def root_infeasible(res: _LpResult | None) -> SolveResult:
-        """Infeasibility before any branching; attach a clean certificate."""
+    def root_infeasible(res: _LpResult | None, presolve: bool,
+                        ) -> SolveResult | None:
+        """Infeasibility before any branching, with a clean certificate;
+        None when presolve emptied a root box whose LP is feasible."""
         nonlocal nodes
-        if cfg.presolve:
+        if presolve:
             # a ray under presolve-tightened bounds does not certify the
             # original ones; re-derive it on the untouched problem
             res = lp.solve(lo0, hi0, res.basis if res else None, deadline)
             nodes += 1
             if res.feasible:
-                # presolve and LP disagree (numerical edge): restart without
-                # it, on what is left of both budgets
-                left = (None if deadline is None
-                        else max(deadline - time.perf_counter(), 0.0))
-                inner = solve_milp(problem, replace(
-                    cfg, presolve=False, time_limit=left,
-                    node_limit=max(cfg.node_limit - nodes, 0)))
-                return SolveResult(inner.status, inner.witness,
-                                   nodes + inner.nodes,
-                                   lp.iterations + inner.lp_iterations,
-                                   time.perf_counter() - t0,
-                                   "presolve disagreed; re-solved without it",
-                                   inner.certificate)
+                # presolve rounds binary bounds, so it can empty a box
+                # whose LP relaxation is feasible
+                return None
         cert = None
         if check_certificate(problem, res.ray, FEAS_TOL):
             cert = tuple(map(float, res.ray))
         return finish(INFEASIBLE, certificate=cert)
 
+    def search(presolve: bool) -> SolveResult | None:
+        """One DFS pass from the root, cold from the slack basis; None asks
+        for a pass without presolve.  It must not call itself: a closure
+        cycle would keep A and the basis inverse alive until the next GC."""
+        nonlocal nodes
+        # bound boxes, each with the basis its parent's LP ended in; entries
+        # are pushed so the preferred branch pops first
+        stack: list[tuple[np.ndarray, np.ndarray, _Basis | None]] = [
+            (lo0.copy(), hi0.copy(), None)]
+        branched = False
+        try:
+            while stack:
+                if out_of_budget():
+                    return finish(BUDGET_EXCEEDED,
+                                  message=f"stopped after {nodes} nodes")
+                lo, hi, start = stack.pop()
+                is_root = not branched and not stack
+                if presolve:
+                    ok, lo, hi = presolver.run(lo, hi, FEAS_TOL)
+                    if not ok:
+                        if is_root:
+                            return root_infeasible(None, presolve)
+                        continue
+                nodes += 1
+                res = lp.solve(lo, hi, start, deadline)
+                if not res.feasible:
+                    if is_root:
+                        return root_infeasible(res, presolve)
+                    continue
+                x, basis = res.x, res.basis
+
+                frac = np.abs(x[bin_idx] - np.round(x[bin_idx]))
+                open_mask = (hi[bin_idx] - lo[bin_idx]) > 0.5   # not yet fixed
+                if is_root and np.any(frac > INT_TOL):
+                    guess = try_assignment(lo, hi, x, basis, presolve)
+                    if guess is not None:
+                        return finish(FEASIBLE, witness=checked_witness(guess),
+                                      message="rounding heuristic")
+
+                if np.all(frac <= INT_TOL):
+                    if not np.any(open_mask):
+                        xx = x.copy()
+                        if len(bin_idx):
+                            xx[bin_idx] = np.round(xx[bin_idx])
+                        return finish(FEASIBLE, witness=checked_witness(xx))
+                    clean = try_assignment(lo, hi, x, basis, presolve)
+                    if clean is not None:
+                        return finish(FEASIBLE, witness=checked_witness(clean))
+                    # integral relaxation but the exact fixing failed: split
+                    # on the first open binary so the search stays exhaustive
+                    j = int(bin_idx[np.where(open_mask)[0][0]])
+                else:
+                    masked = np.where(open_mask, frac, -1.0)
+                    j = int(bin_idx[int(np.argmax(masked))])
+                branched = True
+                group = member_group.get(j)
+                if group is not None:
+                    # Enumerate the group's one-hot assignments; push the
+                    # child the relaxation prefers last so the DFS dives
+                    # into it first.
+                    pinned = [m for m in group if lo[m] > 0.5]
+                    members = (pinned[:1] if pinned
+                               else [m for m in group if hi[m] > 0.5])
+                    members.sort(key=lambda m: (x[m], -m))
+                    for m in members:
+                        lo_c, hi_c = lo.copy(), hi.copy()
+                        lo_c[m] = 1.0
+                        for other in group:
+                            if other != m:
+                                hi_c[other] = 0.0
+                        stack.append((lo_c, hi_c, basis))
+                    continue
+                lo_zero, hi_zero = lo.copy(), hi.copy()
+                hi_zero[j] = 0.0
+                lo_one, hi_one = lo.copy(), hi.copy()
+                lo_one[j] = 1.0
+                stack.append((lo_zero, hi_zero, basis))
+                stack.append((lo_one, hi_one, basis))
+        except _OutOfTime:
+            return finish(BUDGET_EXCEEDED, message=(
+                f"time limit reached in the LP after {nodes} nodes"))
+        return finish(INFEASIBLE)
+
     if np.any(lo0 > hi0):
         return finish(INFEASIBLE, message="empty variable bounds")
-
-    # DFS over bound boxes, each with the basis its parent's LP ended in;
-    # entries are pushed so the preferred branch pops first
-    stack: list[tuple[np.ndarray, np.ndarray, _Basis | None]] = [
-        (lo0.copy(), hi0.copy(), None)]
-    branched = False
-
-    try:
-        while stack:
-            if out_of_budget():
-                return finish(BUDGET_EXCEEDED, message=f"stopped after {nodes} nodes")
-            lo, hi, start = stack.pop()
-            is_root = not branched and not stack
-            if cfg.presolve:
-                ok, lo, hi = presolver.run(lo, hi, FEAS_TOL)
-                if not ok:
-                    if is_root:
-                        return root_infeasible(None)
-                    continue
-            nodes += 1
-            res = lp.solve(lo, hi, start, deadline)
-            if not res.feasible:
-                if is_root:
-                    return root_infeasible(res)
-                continue
-            x, basis = res.x, res.basis
-
-            frac = np.abs(x[bin_idx] - np.round(x[bin_idx]))
-            open_mask = (hi[bin_idx] - lo[bin_idx]) > 0.5   # not yet fixed
-            if is_root and cfg.rounding_heuristic and np.any(frac > INT_TOL):
-                guess = try_assignment(lo, hi, x, basis)
-                if guess is not None:
-                    return finish(FEASIBLE, witness=checked_witness(guess),
-                                  message="rounding heuristic")
-
-            if np.all(frac <= INT_TOL):
-                if not np.any(open_mask):
-                    xx = x.copy()
-                    if len(bin_idx):
-                        xx[bin_idx] = np.round(xx[bin_idx])
-                    return finish(FEASIBLE, witness=checked_witness(xx))
-                clean = try_assignment(lo, hi, x, basis)
-                if clean is not None:
-                    return finish(FEASIBLE, witness=checked_witness(clean))
-                # integral relaxation but the exact fixing failed: split on the
-                # first open binary so the search stays exhaustive
-                j = int(bin_idx[np.where(open_mask)[0][0]])
-            else:
-                masked = np.where(open_mask, frac, -1.0)
-                j = int(bin_idx[int(np.argmax(masked))])
-            branched = True
-            group = member_group.get(j)
-            if group is not None:
-                # Enumerate the group's one-hot assignments; push the child the
-                # relaxation prefers last so the DFS dives into it first.
-                pinned = [m for m in group if lo[m] > 0.5]
-                members = pinned[:1] if pinned else [m for m in group if hi[m] > 0.5]
-                members.sort(key=lambda m: (x[m], -m))
-                for m in members:
-                    lo_c, hi_c = lo.copy(), hi.copy()
-                    lo_c[m] = 1.0
-                    for other in group:
-                        if other != m:
-                            hi_c[other] = 0.0
-                    stack.append((lo_c, hi_c, basis))
-                continue
-            lo_zero, hi_zero = lo.copy(), hi.copy()
-            hi_zero[j] = 0.0
-            lo_one, hi_one = lo.copy(), hi.copy()
-            lo_one[j] = 1.0
-            stack.append((lo_zero, hi_zero, basis))
-            stack.append((lo_one, hi_one, basis))
-    except _OutOfTime:
-        return finish(BUDGET_EXCEEDED,
-                      message=f"time limit reached in the LP after {nodes} nodes")
-
-    return finish(INFEASIBLE)
+    result = search(presolve=True)
+    if result is None:
+        result = replace(search(presolve=False),
+                         message="presolve disagreed; re-solved without it")
+    return result

@@ -7,6 +7,7 @@ are compared by SHA-256 digest.  The only wall-clock columns
 """
 
 import hashlib
+import io
 
 import pytest
 
@@ -168,6 +169,15 @@ class TestGolden:
             "3,invalidated,*,1\n4,invalidated,*,5\n5,invalidated,*,5\n"
             "6,invalidated,*,5\n7,invalidated,*,1\n8,invalidated,*,1\n"
             "9,invalidated,*,1\n")
+
+    def test_detect_stdin_stream_rejects_a_misfit_sample(self, run, monkeypatch):
+        # radiant has 6 outputs; a seventh column is one too many
+        seven = "".join(line + ",0.0\n" if k else line + ",y_7\n"
+                        for k, line in enumerate(FAULTY_CSV.splitlines()))
+        monkeypatch.setattr("sys.stdin", io.StringIO(seven))
+        assert run("detect", "--model", "radiant", "--stdin-stream",
+                   "--window", "2") == (
+            1, "", "error: sample 0 has 7 output columns, model expects 6\n")
 
     def test_bench(self, run):
         code, out, err = run("bench", "--model", "radiant", "--t0", "1",

@@ -1,13 +1,17 @@
 """Minimal-horizon search, observability tools and converse certificates."""
 
+import itertools
 import logging
 import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from swainval import detectability
 from swainval.detectability import (AffineConverseReport, DetectabilityReport,
+                                    TDetectabilityResult,
                                     affine_never_detectable,
                                     check_t_detectability, concatenated_system,
                                     find_T, is_observable, matrix_rank_scaled,
@@ -92,6 +96,31 @@ class TestFindT:
                      config=SolverConfig(node_limit=0))
         assert rep.verdict == "undecided" and rep.undecided_at == 1
         assert rep.detectable is None
+
+    def test_time_limit_bounds_the_whole_search(self, contracting_pair,
+                                                monkeypatch):
+        # one tick per clock reading; every probe is feasible and records
+        # the time limit it was given
+        ticks = itertools.count()
+        monkeypatch.setattr(detectability, "time", SimpleNamespace(
+            perf_counter=lambda: float(next(ticks))))
+        limits = []
+
+        def feasible_probe(system, fault, T, *, indicator=None, config=None):
+            limits.append(config.time_limit)
+            return TDetectabilityResult(T, "feasible", None, None, 0.0)
+
+        monkeypatch.setattr(detectability, "check_t_detectability",
+                            feasible_probe)
+        rep = find_T(*contracting_pair, t_max=3,
+                     config=SolverConfig(time_limit=100.0))
+        assert rep.verdict == "notUpTo" and len(limits) == 3
+        assert 100.0 > limits[0] > limits[1] > limits[2] > 0.0
+
+    def test_spent_time_limit_reports_undecided(self, contracting_pair):
+        rep = find_T(*contracting_pair, t_max=5,
+                     config=SolverConfig(time_limit=0.0))
+        assert rep.verdict == "undecided" and rep.undecided_at == 1
 
     def test_external_backend_agrees(self, contracting_pair):
         internal = find_T(*contracting_pair, t_max=5)

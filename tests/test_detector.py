@@ -162,6 +162,18 @@ class TestStreaming:
         verdicts = [det.push(None, y) for y in data.outputs]
         assert verdicts == ["pending", "consistent", "consistent"]
 
+    @pytest.mark.parametrize("u, y, message", [
+        (None, [1.0, 2.0], "sample 1 has 2 output columns, model expects 1"),
+        ([0.5], [1.0], "sample 1 has 1 input columns, model expects 0")])
+    def test_push_rejects_a_misfit_sample(self, u, y, message):
+        det = StreamingDetector(halving_model(), 1)
+        assert det.push(None, [1.0]) == "pending"
+        with pytest.raises(DimensionError, match=message):
+            det.push(u, y)
+        # the rejected sample is not consumed
+        assert det.push(None, [0.5]) == "consistent"
+        assert tuple(r.k for r in det.report().results) == (1,)
+
 
 class TestCsv:
     def test_csv_layout(self):

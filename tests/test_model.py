@@ -238,7 +238,7 @@ class TestSimulateRandom:
         model = SwitchedAffineModel([m0, m1], HyperRectangle.ball(100, 1),
                                     HyperRectangle.ball(0, 1), HyperRectangle.ball(1, 1))
         _, draw = simulate_random(model, seed=0, steps=6,
-                                  policy=RandomPolicy(mode="fixed", fixed_mode=1))
+                                  policy=RandomPolicy(mode_sequence=(1,) * 6))
         assert draw.mode_sequence == (1,) * 6
 
     def test_explicit_mode_sequence(self):

@@ -9,7 +9,6 @@ replayed through the independent row checker.
 import itertools
 import math
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -270,28 +269,20 @@ class TestDeterminism:
             if first.witness is not None:
                 assert again.witness.assignment == first.witness.assignment
 
-    def test_presolve_off_agrees(self):
-        for seed in range(15):
-            rng = np.random.default_rng(3000 + seed)
-            p = random_mip(rng)
-            a = solve_milp(p)
-            b = solve_milp(p, SolverConfig(presolve=False))
-            assert a.status == b.status
-
-    def test_rounding_heuristic_off_agrees(self):
-        for seed in range(15):
-            rng = np.random.default_rng(4000 + seed)
-            p = random_mip(rng)
-            a = solve_milp(p)
-            b = solve_milp(p, SolverConfig(rounding_heuristic=False))
-            assert a.status == b.status
+    def test_presolve_off_agrees(self, monkeypatch):
+        problems = [random_mip(np.random.default_rng(3000 + seed))
+                    for seed in range(15)]
+        with_presolve = [solve_milp(p).status for p in problems]
+        monkeypatch.setattr(solver._Presolver, "run",
+                            lambda self, lo, hi, tol, max_rounds=8: (True, lo, hi))
+        assert [solve_milp(p).status for p in problems] == with_presolve
 
 
 class TestBudgets:
     def test_node_limit(self):
         rng = np.random.default_rng(7)
         p = random_mip(rng, n=4, nb=14, m=6)
-        res = solve_milp(p, SolverConfig(node_limit=1, rounding_heuristic=False))
+        res = solve_milp(p, SolverConfig(node_limit=1))
         assert res.status in (FEASIBLE, INFEASIBLE, BUDGET_EXCEEDED)
         res0 = solve_milp(p, SolverConfig(node_limit=0))
         assert res0.status == BUDGET_EXCEEDED
@@ -304,47 +295,45 @@ class TestBudgets:
 
 
 class TestPresolveFallbackBudgets:
-    """When presolve calls a feasible root box empty, the re-solve without
-    presolve runs on what is left of both budgets, not on fresh ones."""
+    """When presolve calls a feasible root box empty, the second pass
+    without presolve runs inside the same solve, on what is left of both
+    budgets, not on fresh ones."""
 
     @pytest.fixture
-    def inner_configs(self, monkeypatch):
+    def inner_solves(self, monkeypatch):
         monkeypatch.setattr(solver._Presolver, "run",
                             lambda self, lo, hi, tol, max_rounds=8: (False, lo, hi))
-        configs, outer = [], solver.solve_milp
+        calls, outer = [], solver.solve_milp
 
         def recording(problem, config=None):
-            configs.append(config)
+            calls.append(config)
             return outer(problem, config)
 
         monkeypatch.setattr(solver, "solve_milp", recording)
-        return configs
+        return calls
 
-    def test_node_limit_is_shared(self, radiant_window, inner_configs):
-        # without presolve the window needs 31 nodes; the root re-solve
+    def test_node_limit_is_shared(self, radiant_window, inner_solves):
+        # without presolve the window needs 40 nodes; the root re-solve
         # that exposes the disagreement is node 1 of the 3 allowed
-        cfg = SolverConfig(rounding_heuristic=False, node_limit=3)
-        res = solve_milp(radiant_window, cfg)
+        res = solve_milp(radiant_window, SolverConfig(node_limit=3))
         assert res.status == BUDGET_EXCEEDED
         assert res.message == "presolve disagreed; re-solved without it"
         assert res.nodes <= 3
-        [inner] = inner_configs
-        assert not inner.presolve and inner.node_limit == 2
+        assert inner_solves == []
 
-    def test_time_limit_is_shared(self, radiant_window, inner_configs,
+    def test_time_limit_is_shared(self, radiant_window, inner_solves,
                                   monkeypatch):
         # one tick per clock reading; the root re-solve alone takes 34 pivots
         ticks = itertools.count()
         monkeypatch.setattr(solver, "time", SimpleNamespace(
             perf_counter=lambda: float(next(ticks))))
         limit = 60.0
-        res = solve_milp(radiant_window,
-                         SolverConfig(rounding_heuristic=False, time_limit=limit))
+        res = solve_milp(radiant_window, SolverConfig(time_limit=limit))
         assert res.status == BUDGET_EXCEEDED
-        [inner] = inner_configs
-        assert inner.time_limit < limit - 30
-        # a few readings pass between the deadlines of the two solves
-        assert res.wall_time <= limit + 5
+        assert res.message == "presolve disagreed; re-solved without it"
+        # the reading that found the limit passed, then the final one
+        assert res.wall_time <= limit + 2
+        assert inner_solves == []
 
 
 class TestCertificates:
@@ -657,11 +646,10 @@ class TestTimeLimitInsideLp:
         ticks = itertools.count()
         monkeypatch.setattr(solver, "time", SimpleNamespace(
             perf_counter=lambda: float(next(ticks))))
-        base = SolverConfig(rounding_heuristic=False)
-        root = solve_milp(radiant_window, replace(base, node_limit=1))
+        root = solve_milp(radiant_window, SolverConfig(node_limit=1))
         limit = 10.0
         assert root.lp_iterations > 2 * limit
-        res = solve_milp(radiant_window, replace(base, time_limit=limit))
+        res = solve_milp(radiant_window, SolverConfig(time_limit=limit))
         assert res.status == BUDGET_EXCEEDED
         # a limit checked only between nodes would finish the root LP first
         assert res.lp_iterations < limit
