@@ -29,7 +29,7 @@ import numpy as np
 
 from .encoder import CONSISTENT, INVALIDATED, UNDECIDED, check_invalidation
 from .model import (DimensionError, RandomPolicy, SwitchedAffineModel,
-                    Trajectory, simulate_random)
+                    Trajectory, require_finite, simulate_random)
 from .solver import SolverConfig
 
 __all__ = [
@@ -144,7 +144,8 @@ class StreamingDetector:
         self._results: list[WindowVerdict] = []
 
     def push(self, u, y) -> str:
-        """Add one sample; raises DimensionError when it misfits the model."""
+        """Add one sample; raises DimensionError when it misfits the model
+        and ValueError when it holds NaN or +-inf, before consuming it."""
         n_u, n_y = self.model.n_u, self.model.n_y
         u = np.zeros(n_u) if u is None else np.asarray(u, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -152,9 +153,11 @@ class StreamingDetector:
             if value.size != width:
                 raise DimensionError(f"sample {self._k + 1} has {value.size} "
                                      f"{what} columns, model expects {width}")
+        u, y = u.reshape(n_u), y.reshape(n_y)
+        require_finite(u[None], y[None], self._k + 1)
         self._k += 1
-        self._inputs.append(u.reshape(n_u))
-        self._outputs.append(y.reshape(n_y))
+        self._inputs.append(u)
+        self._outputs.append(y)
         if len(self._outputs) <= self.horizon:
             return "pending"
         window = Trajectory(np.vstack(self._inputs) if self.model.n_u

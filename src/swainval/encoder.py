@@ -801,6 +801,11 @@ def encode_invalidation(model: SwitchedAffineModel,
     model's input set (such data can never be explained, whatever the
     states), and UnboundedSet when the admissible sets are too loose to
     derive a big-M constant.
+
+    The mode binaries ``a[i][k]`` are the first binary columns, step by
+    step (k outermost, then i); the sign binaries of the ``|x|`` terms that
+    parameter uncertainty needs follow them.  The solver branches on the
+    lowest-index fractional binary, so it decides the modes in time order.
     """
     _check_trajectory(model, trajectory)
     N = len(trajectory)
@@ -848,6 +853,12 @@ def encode_t_detectability(system: SwitchedAffineModel,
     samples lies in both models' behaviours; infeasibility certifies
     detectability at this horizon.  Raises EmptyInputIntersection when the
     models share no admissible input at all.
+
+    The pair binaries ``d[i][j][k]`` are the first binary columns, step by
+    step (k outermost, then i, then j); the sign binaries of any ``|x|`` or
+    ``|u|`` terms follow them, and an ``ExplicitWords`` indicator adds its
+    word binaries after all of these.  The solver branches on the
+    lowest-index fractional binary, so it decides the modes in time order.
     """
     if horizon < 1:
         raise ValueError("the horizon must be >= 1 (it counts transitions)")

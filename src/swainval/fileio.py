@@ -231,6 +231,10 @@ def trajectory_from_csv(text: str) -> Trajectory:
             raise FileFormatError(f"row {i}: {exc}") from exc
         if k != i:
             raise FileFormatError(f"row {i}: time index {k} out of order")
+        for name, value in zip(header[1:], values):
+            if not math.isfinite(value):
+                raise FileFormatError(
+                    f"row {i}: non-finite value {value} in column {name}")
         u[i] = values[:n_u]
         y[i] = values[n_u:]
     return Trajectory(u, y)

@@ -295,6 +295,17 @@ class SwitchedAffineModel:
         return any(m.has_uncertainty for m in self.modes)
 
 
+def require_finite(inputs: np.ndarray, outputs: np.ndarray, first: int = 0) -> None:
+    """Raise ValueError naming the first sample and column holding NaN or
+    +-inf; rows are samples ``first``, ``first + 1``, ..."""
+    for stem, values in (("u", inputs), ("y", outputs)):
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            k, j = bad[0]
+            raise ValueError(f"sample {first + k}: {stem}_{j + 1} is "
+                             f"{values[k, j]}, not a finite number")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """An input/output record {u[k], y[k]} for k = 0..N-1 (N >= 1)."""
@@ -311,6 +322,7 @@ class Trajectory:
             )
         if y.shape[0] < 1:
             raise DimensionError("a trajectory needs at least one sample")
+        require_finite(u, y)
         object.__setattr__(self, "inputs", u)
         object.__setattr__(self, "outputs", y)
 

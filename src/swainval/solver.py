@@ -18,8 +18,18 @@ It combines
   ``+-e_r^T B^-1`` directly.  The basis inverse is kept explicitly, updated
   by rank-one steps and refactored through the structural kernel of the
   basis; and
-* depth-first branch and bound on the binaries (most-fractional branching,
-  ties broken by lowest index, the 1-branch explored first), with an
+* depth-first branch and bound on the binaries, splitting the lowest-index
+  open binary whose relaxation value is fractional (the lowest-index open
+  one when none is), the 1-branch explored first.  Both encoders number
+  their mode binaries step by step, so the search decides the modes in time
+  order, and presolve carries each fixed mode through the dynamics rows
+  into the next step's state bounds before the next LP.  Most-fractional
+  branching ignores that structure and is no better than a random choice
+  (Achterberg, Koch & Martin, "Branching rules revisited", 2005).  On
+  6-sample numeric windows it took about twice the nodes; windows of 15 or
+  20 transitions that this rule decides in about 100 nodes stayed undecided
+  after 6,000 to 15,000.  A binary in an exactly-one row is split into
+  the row's one-hot children at once.  The search runs an
   interval presolve at every node: activity-bound propagation over the
   nonzeros of the rows, which fixes variables, tightens bounds and so also
   propagates the one-active-mode equalities exactly.  Its index arrays are
@@ -645,21 +655,19 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
                         return finish(FEASIBLE, witness=checked_witness(guess),
                                       message="rounding heuristic")
 
+                if not np.any(open_mask):
+                    # every binary is fixed by its bounds: a leaf
+                    xx = x.copy()
+                    xx[bin_idx] = np.round(xx[bin_idx])
+                    return finish(FEASIBLE, witness=checked_witness(xx))
                 if np.all(frac <= INT_TOL):
-                    if not np.any(open_mask):
-                        xx = x.copy()
-                        if len(bin_idx):
-                            xx[bin_idx] = np.round(xx[bin_idx])
-                        return finish(FEASIBLE, witness=checked_witness(xx))
                     clean = try_assignment(lo, hi, x, basis, presolve)
                     if clean is not None:
                         return finish(FEASIBLE, witness=checked_witness(clean))
-                    # integral relaxation but the exact fixing failed: split
-                    # on the first open binary so the search stays exhaustive
-                    j = int(bin_idx[np.where(open_mask)[0][0]])
-                else:
-                    masked = np.where(open_mask, frac, -1.0)
-                    j = int(bin_idx[int(np.argmax(masked))])
+                # split the earliest open binary that is fractional, or, when
+                # none is (the exact fixing failed), the earliest open one
+                pick = open_mask & (frac > INT_TOL)
+                j = int(bin_idx[np.argmax(pick if pick.any() else open_mask)])
                 branched = True
                 group = member_group.get(j)
                 if group is not None:

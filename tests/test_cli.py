@@ -112,7 +112,7 @@ class TestGolden:
         faulty, _ = data
         assert run("invalidate", "--model", "radiant",
                    "--trajectory", faulty) == (
-            2, "INVALIDATED  nodes=1 lp_iterations=89\n", "")
+            2, "INVALIDATED  nodes=3 lp_iterations=155\n", "")
 
     def test_invalidate_input_outside_the_input_set(self, run, data):
         _, off_input = data
@@ -120,6 +120,15 @@ class TestGolden:
                    "--trajectory", off_input) == (
             2, "INVALIDATED  input sample 1 outside the admissible input set\n",
             "")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_invalidate_rejects_non_finite_data(self, run, tmp_path, bad):
+        trace = tmp_path / "bad.csv"
+        trace.write_text(FAULTY_CSV.replace("17.415242829285326", bad))
+        assert run("invalidate", "--model", "radiant",
+                   "--trajectory", trace) == (
+            1, "", f"error: {trace}: row 1: non-finite value {bad} "
+                   "in column y_1\n")
 
     def test_invalidate_bad_window(self, run, data):
         faulty, _ = data
@@ -166,8 +175,8 @@ class TestGolden:
         assert (code, err) == (0, "")
         assert mask_column(out, 2) == (
             "k,verdict,solve_ms,nodes\n"
-            "3,invalidated,*,1\n4,invalidated,*,5\n5,invalidated,*,5\n"
-            "6,invalidated,*,5\n7,invalidated,*,1\n8,invalidated,*,1\n"
+            "3,invalidated,*,3\n4,invalidated,*,2\n5,invalidated,*,1\n"
+            "6,invalidated,*,1\n7,invalidated,*,1\n8,invalidated,*,1\n"
             "9,invalidated,*,1\n")
 
     def test_detect_stdin_stream_rejects_a_misfit_sample(self, run, monkeypatch):
@@ -185,8 +194,8 @@ class TestGolden:
         assert (code, err) == (0, "")
         assert mask_column(out, 5) == (
             "horizon,seed,verdict,nodes,lp_iterations,solve_s\n"
-            "1,0,consistent,3,47,*\n1,1,consistent,3,57,*\n"
-            "2,0,consistent,4,85,*\n2,1,consistent,3,94,*\n")
+            "1,0,consistent,3,50,*\n1,1,consistent,3,57,*\n"
+            "2,0,consistent,4,97,*\n2,1,consistent,4,92,*\n")
 
     def test_export_milp_consistency_problem(self, run, tmp_path):
         window = tmp_path / "window.csv"

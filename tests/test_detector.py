@@ -174,6 +174,16 @@ class TestStreaming:
         assert det.push(None, [0.5]) == "consistent"
         assert tuple(r.k for r in det.report().results) == (1,)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_push_rejects_a_non_finite_sample(self, bad):
+        det = StreamingDetector(halving_model(), 1)
+        assert det.push(None, [1.0]) == "pending"
+        with pytest.raises(ValueError, match="sample 1: y_1 is"):
+            det.push(None, [bad])
+        # the rejected sample is not consumed
+        assert det.push(None, [0.5]) == "consistent"
+        assert tuple(r.k for r in det.report().results) == (1,)
+
 
 class TestCsv:
     def test_csv_layout(self):

@@ -444,6 +444,57 @@ class TestIndicators:
             apply_indicator(enc, ind)
 
 
+def binary_order(enc) -> list:
+    """The binary columns in column order: a mode binary as its step, an
+    indicator word binary as "word" and any other binary as "other"."""
+    *_, is_bin, names = enc.problem.sparse_arrays()
+    step = {name: key[-1] for key, name in enc.var_index.items()
+            if key[0] in ("a", "d")}
+    return [step.get(name, "word" if name.startswith("ind.word") else "other")
+            for name, binary in zip(names, is_bin) if binary]
+
+
+def assert_mode_binaries_lead_in_time_order(order, steps, words=0):
+    modes = [o for o in order if isinstance(o, int)]
+    assert order[:len(modes)] == modes == sorted(modes)
+    assert sorted(set(modes)) == list(steps)
+    rest = order[len(modes):]
+    assert rest == ["other"] * (len(rest) - words) + ["word"] * words
+
+
+class TestBinaryOrder:
+    """The solver branches on the lowest-index fractional binary, so the
+    encoders' column order decides the branching order: mode binaries step
+    by step, then any |x| sign binaries, then indicator word binaries."""
+
+    def test_invalidation(self):
+        m1 = AffineMode(A=[[0.6, 0.1], [0.0, 0.5]], B=[[1.0], [0.5]],
+                        C=[[1.0, 0.0]], f=[0.1, 0.0],
+                        hatA=[[0.05, 0.0], [0.0, 0.05]], hatB=[[0.1], [0.0]],
+                        hatC=[[0.02, 0.0]], hatf=[0.01, 0.0])
+        m2 = AffineMode.certain(A=[[0.3, -0.2], [0.1, 0.7]], B=[[0.0], [1.0]],
+                                C=[[1.0, 0.0]], f=[-0.1, 0.2])
+        model = SwitchedAffineModel([m1, m2], state_set=box(4, 2),
+                                    noise_set=box(0.05, 1), input_set=box(1, 1))
+        traj, _ = simulate_random(model, seed=0, steps=5, policy=RandomPolicy())
+        order = binary_order(encode_invalidation(model, traj))
+        assert "other" in order   # the uncertain A adds |x| sign binaries
+        assert_mode_binaries_lead_in_time_order(order, range(5))
+
+    @pytest.mark.parametrize("collapsed", [True, False])
+    @pytest.mark.parametrize("words", [None, ExplicitWords([(1, 2), (2, 1)])])
+    def test_pair(self, collapsed, words):
+        mA = AffineMode.certain(A=[[0.5]], B=np.zeros((1, 0)), C=[[1.0]], f=[0.0])
+        mB = AffineMode.certain(A=[[-0.5]], B=np.zeros((1, 0)),
+                                C=[[1.0 if collapsed else 2.0]], f=[0.1])
+        g1 = autonomous([mA, mB], noise_r=0.1)
+        g2 = autonomous([mB, mA], noise_r=0.1)
+        enc = encode_t_detectability(g1, g2, 3, indicator=words)
+        assert enc.collapsed == collapsed
+        assert_mode_binaries_lead_in_time_order(
+            binary_order(enc), enc.binary_steps, len(words.words) if words else 0)
+
+
 class TestAbsGridEquivalence:
     def test_abs_encoding_decides_the_grid_exactly(self):
         grid = np.linspace(-2.0, 2.0, 21)

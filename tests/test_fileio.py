@@ -153,6 +153,12 @@ class TestTrajectoryFiles:
         with pytest.raises(FileFormatError):
             trajectory_from_csv("k,y_1\n0,twelve\n")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_values_are_rejected(self, bad):
+        with pytest.raises(FileFormatError,
+                           match="row 1: non-finite value .* in column y_2"):
+            trajectory_from_csv(f"k,u_1,y_1,y_2\n0,0,1,2\n1,0,1,{bad}\n")
+
 
 class TestIndicatorFiles:
     @pytest.mark.parametrize("indicator", [

@@ -420,3 +420,14 @@ class TestTrajectory:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             Trajectory(np.zeros((3, 1)), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_are_rejected(self, bad):
+        outputs = np.zeros((3, 2))
+        outputs[1, 1] = bad
+        with pytest.raises(ValueError, match=f"sample 1: y_2 is {bad}"):
+            Trajectory(np.zeros((3, 1)), outputs)
+        inputs = np.zeros((3, 1))
+        inputs[2, 0] = bad
+        with pytest.raises(ValueError, match=f"sample 2: u_1 is {bad}"):
+            Trajectory(inputs, np.zeros((3, 2)))

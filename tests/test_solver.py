@@ -8,6 +8,7 @@ replayed through the independent row checker.
 
 import itertools
 import math
+import random
 import time
 from types import SimpleNamespace
 
@@ -21,9 +22,11 @@ from scipy.optimize import Bounds, LinearConstraint as SciLinCon
 from oracles import DensePresolver, certificate_by_columns, sos1_groups_by_rows
 from swainval import solver
 from swainval.detector import inject_persistent_fault
-from swainval.encoder import encode_invalidation, encode_t_detectability
-from swainval.examples import builtin_pair
-from swainval.milp import FEAS_TOL, MilpProblem, Witness, verify
+from swainval.encoder import (CONSISTENT, INVALIDATED, check_invalidation,
+                              encode_invalidation, encode_t_detectability)
+from swainval.examples import builtin_pair, numeric_family, numeric_system
+from swainval.milp import FEAS_TOL, INT_TOL, MilpProblem, Witness, verify
+from swainval.model import HyperRectangle, RandomPolicy, simulate_random
 from swainval.solver import (
     BUDGET_EXCEEDED,
     FEASIBLE,
@@ -313,8 +316,8 @@ class TestPresolveFallbackBudgets:
         return calls
 
     def test_node_limit_is_shared(self, radiant_window, inner_solves):
-        # without presolve the window needs 40 nodes; the root re-solve
-        # that exposes the disagreement is node 1 of the 3 allowed
+        # the pass without presolve needs 35 nodes; the root re-solve that
+        # exposes the disagreement comes first, as node 1 of the 3 allowed
         res = solve_milp(radiant_window, SolverConfig(node_limit=3))
         assert res.status == BUDGET_EXCEEDED
         assert res.message == "presolve disagreed; re-solved without it"
@@ -655,3 +658,101 @@ class TestTimeLimitInsideLp:
         assert res.lp_iterations < limit
         # the reading that found the limit passed, then the final one
         assert res.wall_time - limit <= 2.0
+
+
+UNIT_INPUTS = RandomPolicy(input_box=HyperRectangle([-1.0], [1.0]))
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The boxes handed to presolve and the LP relaxations, in call order."""
+    boxes, relaxations = [], []
+    run, solve = solver._Presolver.run, solver._DualSimplex.solve
+
+    def recording_run(self, lo, hi, tol, max_rounds=8):
+        boxes.append((lo.copy(), hi.copy()))
+        return run(self, lo, hi, tol, max_rounds)
+
+    def recording_solve(self, lo, hi, start, deadline):
+        res = solve(self, lo, hi, start, deadline)
+        relaxations.append(res)
+        return res
+
+    monkeypatch.setattr(solver._Presolver, "run", recording_run)
+    monkeypatch.setattr(solver._DualSimplex, "solve", recording_solve)
+    return SimpleNamespace(boxes=boxes, relaxations=relaxations)
+
+
+class TestBranchingRule:
+    def test_first_split_fixes_the_group_of_the_earliest_fractional_binary(
+            self, recorded):
+        model = numeric_family(3)
+        traj, _ = simulate_random(model, seed=0, steps=4, policy=UNIT_INPUTS)
+        enc = encode_invalidation(model, traj)
+        p = enc.problem.seal()
+        res = solve_milp(p, SolverConfig(node_limit=2))
+        assert res.status == BUDGET_EXCEEDED
+        col = {name: j for j, name in enumerate(p.sparse_arrays()[8])}
+        step_of = {col[name]: key[2] for key, name in enc.var_index.items()
+                   if key[0] == "a"}
+        bins = np.array(sorted(step_of))
+        x = recorded.relaxations[0].x[bins]
+        frac = np.abs(x - np.round(x))
+        earliest = bins[np.argmax(frac > INT_TOL)]
+        most = bins[np.argmax(frac)]
+        # the old most-fractional rule would split a later step
+        assert step_of[most] > step_of[earliest]
+        # the first box after the root with an open binary is its first child
+        # (the root rounding heuristic fixes them all)
+        root_lo, root_hi = recorded.boxes[0]
+        child_lo, child_hi = next((lo, hi) for lo, hi in recorded.boxes[1:]
+                                  if np.any(hi[bins] - lo[bins] > 0.5))
+        moved = {int(j) for j in bins
+                 if (child_lo[j], child_hi[j]) != (root_lo[j], root_hi[j])}
+        group = {j for j, k in step_of.items() if k == step_of[earliest]}
+        assert moved == group
+
+    def test_fractional_fixed_binaries_fall_back_to_the_first_open_one(
+            self, recorded, monkeypatch):
+        # b0 is fixed to 0 by its row; the LP reports it fractional anyway
+        p = MilpProblem()
+        for name in ("b0", "b1", "b2"):
+            p.add_binary(name)
+        p.add_constraint("cap", [(1.0, "b0")], "<=", 0.0)
+        p.add_constraint("some", [(1.0, "b1"), (1.0, "b2")], "<=", 2.0)
+        p.seal()
+        solve = solver._DualSimplex.solve
+
+        def fractional_fixed(self, lo, hi, start, deadline):
+            res = solve(self, lo, hi, start, deadline)
+            if res.feasible and hi[0] - lo[0] < 0.5:
+                res.x[0] = lo[0] + 0.7
+            return res
+
+        monkeypatch.setattr(solver._DualSimplex, "solve", fractional_fixed)
+        res = solve_milp(p, SolverConfig(node_limit=2))
+        assert res.status == BUDGET_EXCEEDED
+        # root, the failed rounding, then the 1-child of b1
+        lo, hi = recorded.boxes[2]
+        assert (lo.tolist(), hi.tolist()) == ([0, 1, 0], [0, 1, 1])
+
+
+class TestHardWindows:
+    """numeric3 windows of 10 and 15 transitions, one drawn from numeric3
+    and one from numeric6 per length.  Under most-fractional branching the
+    N=15 ones stayed undecided after thousands of nodes; branching in time
+    order decides them in 67 and 120."""
+
+    def test_fifteen_transition_windows_are_decided(self):
+        rng = random.Random(0)
+        windows = {}
+        for n in (10, 15):
+            for source in (numeric_family(3), numeric_system()):
+                windows[n, source.name], _ = simulate_random(
+                    source, seed=rng.randrange(2**31), steps=n + 1,
+                    policy=UNIT_INPUTS)
+        model, budget = numeric_family(3), SolverConfig(node_limit=1000)
+        assert check_invalidation(model, windows[15, "numeric3"],
+                                  config=budget).verdict == CONSISTENT
+        assert check_invalidation(model, windows[15, "numeric6"],
+                                  config=budget).verdict == INVALIDATED
