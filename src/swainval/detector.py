@@ -144,10 +144,11 @@ class StreamingDetector:
         self._results: list[WindowVerdict] = []
 
     def push(self, u, y) -> str:
-        """Add one sample; raises DimensionError when it misfits the model
-        and ValueError when it holds NaN or +-inf, before consuming it."""
+        """Add one sample (``u`` may be None only for a model without
+        inputs); raises DimensionError when it misfits the model and
+        ValueError when it holds NaN or +-inf, before consuming it."""
         n_u, n_y = self.model.n_u, self.model.n_y
-        u = np.zeros(n_u) if u is None else np.asarray(u, dtype=float)
+        u = np.zeros(0) if u is None else np.asarray(u, dtype=float)
         y = np.asarray(y, dtype=float)
         for what, value, width in (("input", u, n_u), ("output", y, n_y)):
             if value.size != width:
@@ -160,16 +161,14 @@ class StreamingDetector:
         self._outputs.append(y)
         if len(self._outputs) <= self.horizon:
             return "pending"
-        window = Trajectory(np.vstack(self._inputs) if self.model.n_u
-                            else np.zeros((self.horizon + 1, 0)),
-                            np.vstack(self._outputs))
+        window = Trajectory(np.vstack(self._inputs), np.vstack(self._outputs))
         verdict = _check_window(self.model, window, self._k, self.config)
         self._results.append(verdict)
         return verdict.verdict
 
     @property
     def alarms(self) -> tuple[int, ...]:
-        return tuple(r.k for r in self._results if r.verdict == INVALIDATED)
+        return self.report().alarms
 
     def report(self) -> DetectionReport:
         return DetectionReport(self.horizon, tuple(self._results))
@@ -186,9 +185,7 @@ def run_streaming(model: SwitchedAffineModel, samples: Iterable[tuple],
         if halt_on_first_alarm and verdict == INVALIDATED:
             halted = True
             break
-    report = det.report()
-    return DetectionReport(report.horizon, report.results, halted,
-                           report.notes)
+    return dataclasses.replace(det.report(), halted=halted)
 
 
 def inject_persistent_fault(system: SwitchedAffineModel,

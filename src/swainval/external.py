@@ -33,7 +33,8 @@ import time
 
 import numpy as np
 
-from .milp import EQ, FEAS_TOL, GE, LE, MilpProblem, Witness, export_lp, parse_lp, verify
+from .milp import (EQ, GE, LE, WITNESS_TOL, MilpProblem, Witness, export_lp,
+                   parse_lp, verify)
 from .solver import BUDGET_EXCEEDED, FEASIBLE, INFEASIBLE, SolveResult
 
 __all__ = [
@@ -55,8 +56,8 @@ def external_command_from_env() -> str | None:
 
 def _verified(problem: MilpProblem, witness: Witness, wall: float) -> SolveResult:
     """The FEASIBLE result of an external witness that passes ``verify`` at
-    10 x FEAS_TOL; raises ExternalSolverError otherwise."""
-    ok, violations = verify(problem, witness, tol=10 * FEAS_TOL)
+    WITNESS_TOL; raises ExternalSolverError otherwise."""
+    ok, violations = verify(problem, witness, tol=WITNESS_TOL)
     if not ok:
         raise ExternalSolverError(
             f"external witness fails verification: {violations[:3]}")

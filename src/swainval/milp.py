@@ -50,6 +50,8 @@ __all__ = [
 
 FEAS_TOL = 1e-6
 INT_TOL = 1e-6
+#: the row and bound slack a solver's witness may show under ``verify``
+WITNESS_TOL = 10 * FEAS_TOL
 
 
 class DuplicateName(ValueError):

@@ -72,15 +72,6 @@ class NoAdmissibleDraw(RuntimeError):
     """Random simulation exhausted its retry budget without an admissible draw."""
 
 
-def _as_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 1 and cols == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape != (rows, cols):
-        raise DimensionError(f"{name} must have shape ({rows}, {cols}), got {arr.shape}")
-    return arr
-
-
 def _as_vector(value, length: int, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float).reshape(-1)
     if arr.shape != (length,):

@@ -41,6 +41,13 @@ It combines
   whose LP relaxation is feasible; the search then runs a second pass
   without presolve, on the same engine, node count and deadline.
 
+Each node ends *pruned* (presolve empties its box or its LP is
+infeasible), *split* (its children go on the stack as the binaries they
+set to 1 and to 0), as a *proof* (infeasible at the root, with the Farkas
+ray as certificate when it checks) or as a *witness* (a leaf, every binary
+fixed by its bounds, whose LP point with binaries rounded passes
+``verify``).  There is no rounding heuristic.
+
 A solve scatters the rows into a dense matrix once (``to_arrays``), for the
 simplex's BLAS pivots; presolve, SOS1 detection, the witness re-check and
 the certificate check read the nonzeros instead.
@@ -48,8 +55,9 @@ the certificate check read the nonzeros instead.
 Feasible answers always carry a witness that has been re-checked against the
 original problem; infeasible answers at the root carry a dual ray that
 certifies infeasibility against the original rows and bounds.  All rules are
-deterministic: the same problem yields the same answer, witness, node and
-pivot count on every run.
+deterministic: for a fixed BLAS thread count (see the BLAS-thread
+``FOUND`` entry of ``CHANGES.md``), the same problem yields the same
+answer, witness, node and pivot count on every run.
 
 ``solve_milp`` is the only place that chooses a backend: with
 ``SolverConfig.external_command`` set it hands the problem to that command
@@ -65,7 +73,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.blas import dger as _dger
 
-from .milp import EQ, FEAS_TOL, GE, INT_TOL, LE, MilpProblem, Witness, verify
+from .milp import (EQ, FEAS_TOL, GE, INT_TOL, LE, WITNESS_TOL, MilpProblem,
+                   Witness, verify)
 
 __all__ = [
     "SolverConfig",
@@ -96,9 +105,9 @@ class SolverConfig:
     With ``external_command`` set, :func:`solve_milp` hands the problem to
     that command through the LP-file bridge of :mod:`swainval.external`
     (``time_limit`` travels along; ``node_limit`` is the bundled solver's).
-    Presolve and the root rounding heuristic always run.  Feasibility and
-    integrality tolerances are :data:`~swainval.milp.FEAS_TOL` and
-    :data:`~swainval.milp.INT_TOL`.
+    Presolve always runs; each node ends split, pruned, as a proof or as a
+    witness (see the module docstring).  Tolerances are those of
+    :mod:`swainval.milp`: ``FEAS_TOL``, ``INT_TOL`` and ``WITNESS_TOL``.
     """
 
     node_limit: int = 1_000_000
@@ -409,15 +418,14 @@ class _Presolver:
     def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                  rel: np.ndarray, b: np.ndarray, is_bin: np.ndarray):
         up, down = rel != GE, rel != LE
-        self.n_up = int(up.sum())
-        # normalized row k is +row source[k] for k < n_up, -row source[k] after
-        self.source = np.concatenate([np.flatnonzero(up), np.flatnonzero(down)])
+        # the normalized rows: every <= or = row as it is, then every >= or
+        # = row negated, each block in row order
         self.rhs = np.concatenate([b[up], -b[down]])
         big = np.abs(vals) > 1e-12
         r, c, v = rows[big], cols[big], vals[big]
         in_up, in_down = up[r], down[r]
         row = np.concatenate([(np.cumsum(up) - 1)[r[in_up]],
-                              (self.n_up + np.cumsum(down) - 1)[r[in_down]]])
+                              (up.sum() + np.cumsum(down) - 1)[r[in_down]]])
         col = np.concatenate([c[in_up], c[in_down]])
         val = np.concatenate([v[in_up], -v[in_down]])
         order = np.lexsort((row, col, val < 0.0))
@@ -506,22 +514,22 @@ def check_certificate(problem: MilpProblem, y, tol: float = 1e-7) -> bool:
 
 # -- branch and bound -----------------------------------------------------------
 
-def _sos1_groups(presolver: _Presolver, rel, b, is_bin) -> list[tuple[int, ...]]:
+def _sos1_groups(problem: MilpProblem) -> list[tuple[int, ...]]:
     """Exactly-one rows over binaries: EQ rows of +1 coefficients, rhs 1.
 
     Any integral solution sets exactly one member of such a group to 1, so
     branching can enumerate the members instead of splitting one binary at
     a time — the branch tree then follows the problem's own choice
     structure (one mode per step) instead of a generic 0/1 tree.  Groups
-    come in row order, each once; the rows are read from the presolver's
-    nonzeros, where coefficients of magnitude 1e-12 or less count as zero.
+    come in row order, each once; the rows are read from the problem's
+    nonzeros, where coefficients of magnitude 1e-12 or less count as zero,
+    as in presolve.
     """
+    row, col, val, rel, b, _, _, is_bin, _ = problem.sparse_arrays()
     one_rows = (rel == EQ) & (np.abs(b - 1.0) <= 1e-12)
-    rows = presolver.source[presolver.row]
-    # the + copy of an EQ row carries its coefficients unchanged
-    keep = (presolver.row < presolver.n_up) & one_rows[rows]
-    rows, cols = rows[keep], presolver.col[keep]
-    unit = is_bin[cols] & (np.abs(presolver.val[keep] - 1.0) <= 1e-12)
+    keep = one_rows[row] & (np.abs(val) > 1e-12)
+    rows, cols = row[keep], col[keep]
+    unit = is_bin[cols] & (np.abs(val[keep] - 1.0) <= 1e-12)
     order = np.lexsort((cols, rows))
     rows, cols, unit = rows[order], cols[order], unit[order]
     _, starts = _segments(rows)
@@ -555,7 +563,7 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
     row, col, val = problem.sparse_arrays()[:3]
     presolver = _Presolver(row, col, val, rel, b, is_bin)
     member_group: dict[int, tuple[int, ...]] = {}
-    for group in _sos1_groups(presolver, rel, b, is_bin):
+    for group in _sos1_groups(problem):
         for j in group:
             member_group.setdefault(j, group)
     lp = _DualSimplex(A, rel, b)
@@ -574,28 +582,11 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
 
     def checked_witness(x: np.ndarray) -> Witness:
         w = Witness({name: float(v) for name, v in zip(names, x)})
-        ok, violations = verify(problem, w, tol=10 * FEAS_TOL)
+        ok, violations = verify(problem, w, tol=WITNESS_TOL)
         if not ok:
             raise SolverNumericalError(
                 "witness failed verification: " + "; ".join(violations[:4]))
         return w
-
-    def try_assignment(lo, hi, x_hint, start, presolve: bool) -> np.ndarray | None:
-        """Fix every binary at round(x_hint) and solve the continuous rest."""
-        lo2, hi2 = lo.copy(), hi.copy()
-        snapped = np.round(np.clip(x_hint[bin_idx], 0.0, 1.0))
-        lo2[bin_idx] = snapped
-        hi2[bin_idx] = snapped
-        if presolve:
-            ok, lo2, hi2 = presolver.run(lo2, hi2, FEAS_TOL)
-            if not ok:
-                return None
-        res = lp.solve(lo2, hi2, start, deadline)
-        if not res.feasible:
-            return None
-        x = res.x.copy()
-        x[bin_idx] = snapped
-        return x
 
     def root_infeasible(res: _LpResult | None, presolve: bool,
                         ) -> SolveResult | None:
@@ -645,53 +636,35 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
                     if is_root:
                         return root_infeasible(res, presolve)
                     continue
-                x, basis = res.x, res.basis
-
-                frac = np.abs(x[bin_idx] - np.round(x[bin_idx]))
+                x = res.x
                 open_mask = (hi[bin_idx] - lo[bin_idx]) > 0.5   # not yet fixed
-                if is_root and np.any(frac > INT_TOL):
-                    guess = try_assignment(lo, hi, x, basis, presolve)
-                    if guess is not None:
-                        return finish(FEASIBLE, witness=checked_witness(guess),
-                                      message="rounding heuristic")
-
                 if not np.any(open_mask):
                     # every binary is fixed by its bounds: a leaf
-                    xx = x.copy()
-                    xx[bin_idx] = np.round(xx[bin_idx])
-                    return finish(FEASIBLE, witness=checked_witness(xx))
-                if np.all(frac <= INT_TOL):
-                    clean = try_assignment(lo, hi, x, basis, presolve)
-                    if clean is not None:
-                        return finish(FEASIBLE, witness=checked_witness(clean))
+                    x[bin_idx] = np.round(x[bin_idx])
+                    return finish(FEASIBLE, witness=checked_witness(x))
                 # split the earliest open binary that is fractional, or, when
-                # none is (the exact fixing failed), the earliest open one
+                # the point is integral, the earliest open one
+                frac = np.abs(x[bin_idx] - np.round(x[bin_idx]))
                 pick = open_mask & (frac > INT_TOL)
                 j = int(bin_idx[np.argmax(pick if pick.any() else open_mask)])
                 branched = True
+                # each child as (set to 1, set to 0), pushed so the child
+                # the relaxation prefers pops first: a group's one-hot
+                # assignments, or a lone binary's 0- and 1-child
                 group = member_group.get(j)
-                if group is not None:
-                    # Enumerate the group's one-hot assignments; push the
-                    # child the relaxation prefers last so the DFS dives
-                    # into it first.
+                if group is None:
+                    splits = [([], [j]), ([j], [])]
+                else:
                     pinned = [m for m in group if lo[m] > 0.5]
                     members = (pinned[:1] if pinned
                                else [m for m in group if hi[m] > 0.5])
                     members.sort(key=lambda m: (x[m], -m))
-                    for m in members:
-                        lo_c, hi_c = lo.copy(), hi.copy()
-                        lo_c[m] = 1.0
-                        for other in group:
-                            if other != m:
-                                hi_c[other] = 0.0
-                        stack.append((lo_c, hi_c, basis))
-                    continue
-                lo_zero, hi_zero = lo.copy(), hi.copy()
-                hi_zero[j] = 0.0
-                lo_one, hi_one = lo.copy(), hi.copy()
-                lo_one[j] = 1.0
-                stack.append((lo_zero, hi_zero, basis))
-                stack.append((lo_one, hi_one, basis))
+                    splits = [([m], [o for o in group if o != m]) for m in members]
+                for ones, zeros in splits:
+                    lo_c, hi_c = lo.copy(), hi.copy()
+                    lo_c[ones] = 1.0
+                    hi_c[zeros] = 0.0
+                    stack.append((lo_c, hi_c, res.basis))
         except _OutOfTime:
             return finish(BUDGET_EXCEEDED, message=(
                 f"time limit reached in the LP after {nodes} nodes"))

@@ -8,10 +8,12 @@ are compared by SHA-256 digest.  The only wall-clock columns
 
 import hashlib
 import io
+import json
 
 import pytest
 
 from swainval import cli
+from swainval.examples import asset_path
 
 FAULTY_CSV = """\
 k,y_1,y_2,y_3,y_4,y_5,y_6
@@ -167,6 +169,46 @@ class TestGolden:
             0, "detectable: smallest horizon T=1\n  T=1: infeasible\n"
                "  T=2: infeasible\n"
                "  confirmation one step past the answer: infeasible\n", "")
+
+    def test_find_t_on_model_files_strips_their_uncertainty(self, run):
+        files = ["--model", asset_path("sensorScenario1"),
+                 "--fault", asset_path("sensorScenario1Fault"), "--no-uncertainty"]
+        assert run("find-t", *files, "--tmax", "5") == \
+            run("find-t", *SENSOR_PAIR, "--tmax", "5") == (
+            0, "T=1\n  T=1: infeasible\n  T=2: infeasible\n"
+               "  recheck at T=2: infeasible\n", "")
+
+    @pytest.mark.parametrize("verdict, argv, code, text", [
+        ("notUpTo", ["--tmax", "1"], 0,
+         "not detectable up to T=1\n  T=1: feasible\n"),
+        ("undecided", ["--node-limit", "0"], 1,
+         "undecided at T=1 (solver budget)\n  T=1: budget_exceeded\n")])
+    def test_report_renders_every_verdict(self, run, tmp_path, verdict, argv,
+                                          code, text):
+        report = tmp_path / "report.json"
+        code_found, _, err = run("find-t", "--model", "radiant", "--fault",
+                                 "radiantFault", *argv, "--export", report)
+        assert (code_found, err) == (code, "")
+        assert json.loads(report.read_text())["verdict"] == verdict
+        assert run("report", "--input", report) == (0, text, "")
+
+    @pytest.mark.parametrize("modes, code, out, err", [
+        ("1..3", 0, "VALID  name=numeric6[1..3] modes=3 n=3 n_u=1 n_y=1\n", ""),
+        ("1-3", 1, "", "error: --modes expects a..b, got '1-3'\n"),
+        ("a..3", 1, "", "error: --modes expects integers a..b, got 'a..3'\n")])
+    def test_modes(self, run, modes, code, out, err):
+        assert run("validate", "--model", "numeric6", "--modes", modes) == (
+            code, out, err)
+
+    def test_detect_out_prints_a_summary(self, run, data, tmp_path):
+        faulty, _ = data
+        alarms = tmp_path / "alarms.csv"
+        code, out, err = run("detect", "--model", "radiant",
+                             "--trajectory", faulty, "--window", "3",
+                             "--out", alarms)
+        assert (code, out, err) == (
+            0, "first alarm k=3  (7 windows, T=3)\n", "")
+        assert alarms.read_text().startswith("k,verdict,solve_ms,nodes\n3,")
 
     def test_detect(self, run, data):
         faulty, _ = data

@@ -17,7 +17,7 @@ from swainval.detectability import (AffineConverseReport, DetectabilityReport,
                                     find_T, is_observable, matrix_rank_scaled,
                                     observability_matrix)
 from swainval.encoder import ExplicitWords, StructuredTuple
-from swainval.examples import builtin_pair, scenario_specs
+from swainval.examples import builtin_pair, load_builtin, scenario_specs
 from swainval.model import (AffineMode, HyperRectangle, SimulationDraw,
                             SwitchedAffineModel, simulate)
 from swainval.solver import SolverConfig
@@ -165,6 +165,25 @@ class TestFindT:
         assert rep.verdict == "yes"
         assert f"T={rep.horizon}" == spec.expected
         assert rep.monotonicity_recheck == "infeasible"
+
+
+SCENARIO_5_DEFECT = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the bundled solver finds shared behaviour at T=1 and T=2, so "
+           "find_T gives T=3 against the spec's T=2 (known defect)")
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(s, id=s.name,
+                 marks=SCENARIO_5_DEFECT if s.name == "sensor-scenario-5" else ())
+    for s in scenario_specs() if s.name.startswith("sensor-scenario-")])
+def test_find_t_meets_the_sensor_scenario_spec(spec):
+    # the shipped assets are the bundled models of the same name
+    system = load_builtin(spec.system_model_path.stem, uncertainty=spec.uncertainty)
+    fault = load_builtin(spec.fault_model_path.stem, uncertainty=spec.uncertainty)
+    rep = find_T(system, fault, t_max=max(spec.horizon_grid))
+    assert rep.verdict == "yes"
+    assert f"T={rep.horizon}" == spec.expected
 
 
 class TestFindTWeak:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from swainval.detectability import find_T
+from swainval.examples import numeric_family
 from swainval.detector import (DetectionReport, StreamingDetector,
                                inject_persistent_fault, run_receding,
                                run_streaming)
 from swainval.model import (AffineMode, DimensionError, HyperRectangle,
-                            RandomPolicy, SwitchedAffineModel, Trajectory)
+                            RandomPolicy, SwitchedAffineModel, Trajectory,
+                            simulate_random)
 from swainval.solver import SolverConfig
 
 
@@ -173,6 +175,19 @@ class TestStreaming:
         # the rejected sample is not consumed
         assert det.push(None, [0.5]) == "consistent"
         assert tuple(r.k for r in det.report().results) == (1,)
+
+    def test_push_rejects_a_missing_input_on_a_model_with_inputs(self):
+        model = numeric_family(3)
+        data, _ = simulate_random(model, seed=0, steps=3,
+                                  policy=RandomPolicy(input_box=box(1.0, 1)))
+        det = StreamingDetector(model, 2)
+        with pytest.raises(DimensionError,
+                           match="sample 0 has 0 input columns, model expects 1"):
+            det.push(None, data.outputs[0])
+        # the rejected sample is not consumed
+        verdicts = [det.push(u, y) for u, y in zip(data.inputs, data.outputs)]
+        assert verdicts == ["pending", "pending", "consistent"]
+        assert tuple(r.k for r in det.report().results) == (2,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_push_rejects_a_non_finite_sample(self, bad):

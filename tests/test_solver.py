@@ -599,8 +599,7 @@ def test_sos1_groups_are_the_exactly_one_rows_over_binaries():
     p.add_constraint("two", [(1.0, "d1"), (1.0, "d2")], "=", 2.0)
     p.add_constraint("alone", [(1.0, "d1")], "=", 1.0)
     A, rel, b, _, _, is_bin, _ = p.seal().to_arrays()
-    presolver = presolver_of(A, rel, b, is_bin)
-    assert solver._sos1_groups(presolver, rel, b, is_bin) == [(3, 4), (0, 1, 2)]
+    assert solver._sos1_groups(p) == [(3, 4), (0, 1, 2)]
     assert sos1_groups_by_rows(A, rel, b, is_bin) == [(3, 4), (0, 1, 2)]
 
 
@@ -609,8 +608,7 @@ def test_sos1_groups_match_the_row_by_row_reference(radiant_window):
     pair = encode_t_detectability(system, fault, 3).problem.seal()
     for p in (radiant_window, pair):
         A, rel, b, _, _, is_bin, _ = p.to_arrays()
-        groups = solver._sos1_groups(presolver_of(A, rel, b, is_bin),
-                                     rel, b, is_bin)
+        groups = solver._sos1_groups(p)
         assert groups and groups == sos1_groups_by_rows(A, rel, b, is_bin)
 
 
@@ -703,7 +701,6 @@ class TestBranchingRule:
         # the old most-fractional rule would split a later step
         assert step_of[most] > step_of[earliest]
         # the first box after the root with an open binary is its first child
-        # (the root rounding heuristic fixes them all)
         root_lo, root_hi = recorded.boxes[0]
         child_lo, child_hi = next((lo, hi) for lo, hi in recorded.boxes[1:]
                                   if np.any(hi[bins] - lo[bins] > 0.5))
@@ -732,8 +729,8 @@ class TestBranchingRule:
         monkeypatch.setattr(solver._DualSimplex, "solve", fractional_fixed)
         res = solve_milp(p, SolverConfig(node_limit=2))
         assert res.status == BUDGET_EXCEEDED
-        # root, the failed rounding, then the 1-child of b1
-        lo, hi = recorded.boxes[2]
+        # the root, then the 1-child of b1
+        lo, hi = recorded.boxes[1]
         assert (lo.tolist(), hi.tolist()) == ([0, 1, 0], [0, 1, 1])
 
 
