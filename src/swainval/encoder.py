@@ -55,7 +55,12 @@ cache and its ``out``/``dyn`` rows.  A side's role names end in its suffix,
 from the same suffix.  An invalidation is one side over the data, whose
 inputs enter through ``DB`` draws; a pair encoding is two sides over the
 shared input ``u``, which enters through ``ZB`` products, plus the
-``match`` rows that equate their outputs.
+``match`` rows that equate their outputs.  One output rule serves both:
+when every mode of a side has the same certain output map C (``hatC = 0``)
+its output ``C x_k + eta_k`` needs no mode gate, so an invalidation writes
+``C x_k + eta_k = y_k`` once per sample as ungated ``out[k][q]`` rows, and
+two such sides with the same C match in ungated ``match[k][q]`` rows.
+Any other model keeps one gated block per mode, or per mode pair.
 
 Rows are emitted by index, not term by term.  Each mode's ``out``/``dyn``/
 ``match`` rows come from a template (``_GatedRows``) that holds the sparsity
@@ -308,10 +313,9 @@ class PairEncoding:
     (``("xb", k)``, ``("ZAb", j, k)``, ...), pair binaries under
     ``("d", i, j, k)`` and shared inputs under ``("u", k)``.
 
-    When every mode of both models shares one identical, certain output map
-    the per-mode output rows of the two sides collapse to ungated matching
-    equalities (``collapsed`` is then True) and the final sample needs no
-    mode binaries.
+    ``collapsed`` is True when both sides have one and the same certain
+    output map (the module docstring's output rule): their outputs match in
+    ungated rows and the final sample needs no mode binaries.
     """
 
     problem: MilpProblem
@@ -624,6 +628,23 @@ def _one_hot_rows(sink: _RowSink, names: list[str], cols: np.ndarray) -> None:
                   np.ones(cols.size), np.full(n_rows, EQ), np.ones(n_rows))
 
 
+def _certain_output_rows(sink: _RowSink, names: list[str], C: np.ndarray,
+                         x_cols, eta_cols, signs, rhs) -> None:
+    """Ungated rows ``sum_s signs[s] * (C x_s + eta_s) = rhs``, one per
+    output, where side s has the state columns ``x_cols[s]`` and the noise
+    columns ``eta_cols[s]``; every row lists the state terms of all sides
+    first."""
+    r, c = np.nonzero(C)
+    q = np.arange(C.shape[0])
+    signs = np.asarray(signs, dtype=float)
+    sink.add_rows(names, np.concatenate([np.tile(r, len(signs)),
+                                         np.tile(q, len(signs))]),
+                  np.concatenate([x[c] for x in x_cols] + list(eta_cols)),
+                  np.concatenate([np.outer(signs, C[r, c]).ravel(),
+                                  np.repeat(signs, len(q))]),
+                  np.full(len(q), EQ), rhs)
+
+
 class _Side:
     """One model's part of an encoding: envelope, big-M, variables and rows.
 
@@ -644,6 +665,9 @@ class _Side:
     of sample k; ``dyn[k][i - 1]`` and ``out[k][i - 1]`` are mode i's
     update and output expression intervals at step k, from which each
     gated row's big-M derives.  ``big_m`` is the largest one used.
+
+    ``C`` is the certain (``hatC == 0``) output map all modes share, or
+    None; such outputs need no mode gate.
     """
 
     def __init__(self, model: SwitchedAffineModel, n_samples: int, drive,
@@ -659,6 +683,9 @@ class _Side:
         self.big_m = 0.0
         self.names: dict[str, list] = {}
         self.cols: dict[str, list] = {}
+        C = model.modes[0].C
+        self.C = C if all(not mode.hatC.any() and np.array_equal(mode.C, C)
+                          for mode in model.modes) else None
         if self.data is None:
             # the input's contribution, the same interval at every step
             ul = np.asarray(drive.lower, dtype=float)
@@ -739,8 +766,9 @@ class _Side:
 
     def emit(self, sink: _RowSink, gates: np.ndarray, outputs=None,
              u=None) -> None:
-        """Add the gated rows of every (sample, mode): ``out`` rows against
-        ``outputs`` when given, and ``dyn`` rows for every transition.
+        """Add ``out`` rows against ``outputs`` when given (ungated
+        ``out[k][q]`` when the side has one certain ``C``, else gated per
+        mode) and the gated ``dyn`` rows of every (transition, mode).
 
         ``gates[k, i - 1]`` holds the columns of the binaries that select
         mode i at sample k.  With a shared input, ``u`` is the triple
@@ -753,14 +781,19 @@ class _Side:
         dyn_rows = [_memo(("state", fp, n_gates, data), _state_rows,
                           mode, n_gates, data)
                     for mode, fp in zip(modes, fingerprints)]
-        if outputs is not None:
+        gated_out = outputs is not None and self.C is None
+        if gated_out:
             out_rows = [_memo(("out", fp), _output_rows, mode)
                         for mode, fp in zip(modes, fingerprints)]
         for k in range(self.n_samples):
+            if outputs is not None and not gated_out:
+                _certain_output_rows(
+                    sink, [f"out{sfx}[{k}][{q}]" for q in range(len(outputs[k]))],
+                    self.C, [x_cols[k]], [eta_cols[k]], [1.0], outputs[k])
             for i, mode in enumerate(modes, start=1):
                 za_keys, b_keys, _, df_keys = self.keys[i - 1]
                 gate = gates[k, i - 1]
-                if outputs is not None:
+                if gated_out:
                     zc = self.zc(sink, i, k)
                     out_rows[i - 1].emit(
                         sink, f"out{sfx}[{i}][{k}]",
@@ -834,16 +867,6 @@ def encode_invalidation(model: SwitchedAffineModel,
     return InvalidationEncoding(p, sink.var_index, side.big_m, model, trajectory)
 
 
-def _common_certain_output(system: SwitchedAffineModel,
-                           fault: SwitchedAffineModel) -> bool:
-    ref = system.modes[0].C
-    for model in (system, fault):
-        for mode in model.modes:
-            if np.any(mode.hatC != 0.0) or not np.array_equal(mode.C, ref):
-                return False
-    return True
-
-
 def encode_t_detectability(system: SwitchedAffineModel,
                            fault: SwitchedAffineModel, horizon: int, *,
                            indicator: Indicator | None = None) -> PairEncoding:
@@ -877,11 +900,11 @@ def encode_t_detectability(system: SwitchedAffineModel,
     if n_u:
         _require_bounded(U, "the input set")
 
-    collapsed = _common_certain_output(system, fault)
-    binary_steps = tuple(range(T)) if collapsed else tuple(range(T + 1))
-
     # each side's envelope takes the inputs through the shared box
     sides = (_Side(system, T + 1, U, ""), _Side(fault, T + 1, U, "b"))
+    C = sides[0].C
+    collapsed = C is not None and np.array_equal(C, sides[1].C)
+    binary_steps = tuple(range(T)) if collapsed else tuple(range(T + 1))
     p = MilpProblem(name=f"detectability[T={T}]")
     sink = _RowSink(p)
     for role in ("x", "eta"):
@@ -910,16 +933,11 @@ def encode_t_detectability(system: SwitchedAffineModel,
     x2_cols, e2_cols = sides[1].cols["x"], sides[1].cols["eta"]
     if collapsed:
         # one shared certain output map: C x + eta = C xb + etab, ungated
-        C = system.modes[0].C
-        r, c = np.nonzero(C)
-        q = np.arange(n_y)
-        rows = np.concatenate([r, r, q, q])
-        coefs = np.concatenate([C[r, c], -C[r, c], np.ones(n_y), -np.ones(n_y)])
         for k in range(T + 1):
-            sink.add_rows([f"match[{k}][{qq}]" for qq in q], rows,
-                          np.concatenate([x1_cols[k][c], x2_cols[k][c],
-                                          e1_cols[k], e2_cols[k]]),
-                          coefs, np.full(n_y, EQ), np.zeros(n_y))
+            _certain_output_rows(
+                sink, [f"match[{k}][{q}]" for q in range(n_y)], C,
+                [x1_cols[k], x2_cols[k]], [e1_cols[k], e2_cols[k]],
+                [1.0, -1.0], np.zeros(n_y))
     else:
         fp1 = [_fingerprint(mode) for mode in system.modes]
         fp2 = [_fingerprint(mode) for mode in fault.modes]

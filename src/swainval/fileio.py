@@ -3,13 +3,13 @@
 Model files are JSON with fields ``n, n_u, n_y``, ``modes`` (one entry per
 mode with row-major flat arrays ``A, B, C, f, hatA, hatB, hatC, hatf``) and
 ``state_bounds / noise_bounds / input_bounds`` (``{lower: [...], upper:
-[...]}``); infinite bounds are spelled ``"inf"`` / ``"-inf"``.  Trajectories
-are CSV with header ``k,u_1..u_{n_u},y_1..y_{n_y}`` and one row per time
-step.  Indicators are JSON: ``{"words": [[...], ...]}`` with 1-based mode
-labels, or ``{"tuple": {"S": [...], "W": ..., "m": ..., "O": "="}}``; count
-bands (the prefix normal form) round-trip through the ``"band"`` key.
-Command lines can also give structured tuples inline as
-``S=3,4;W=1;m=1;O==``.
+[...]}``); infinite bounds are spelled ``"inf"`` / ``"-inf"``, and mode
+matrices must be finite.  Trajectories are CSV with header
+``k,u_1..u_{n_u},y_1..y_{n_y}`` and one row per time step.  Indicators are
+JSON: ``{"words": [[...], ...]}`` with 1-based mode labels, or
+``{"tuple": {"S": [...], "W": ..., "m": ..., "O": "="}}``; count bands (the
+prefix normal form) round-trip through the ``"band"`` key.  Command lines
+can also give structured tuples inline as ``S=3,4;W=1;m=1;O==``.
 
 Writers are deterministic: identical objects serialize to identical bytes.
 """
@@ -77,8 +77,10 @@ def _unflat(values, rows: int, cols: int, where: str) -> np.ndarray:
     if len(values) != rows * cols:
         raise FileFormatError(
             f"{where}: expected {rows * cols} entries, got {len(values)}")
-    flat = [_num_in(v, where) for v in values]
-    return np.asarray(flat, dtype=float).reshape(rows, cols)
+    flat = np.array([_num_in(v, where) for v in values], dtype=float)
+    if not np.isfinite(flat).all():
+        raise FileFormatError(f"{where}: entries must be finite")
+    return flat.reshape(rows, cols)
 
 
 def _bounds_out(box: HyperRectangle) -> dict:

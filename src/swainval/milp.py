@@ -522,10 +522,11 @@ def parse_lp(text: str) -> MilpProblem:
 
 def verify(p: MilpProblem, w: Witness, tol: float = FEAS_TOL,
            int_tol: float = INT_TOL) -> tuple[bool, list[str]]:
-    """Check an assignment: every bound, binary integrality and row within tol.
+    """Check an assignment: every value finite, every bound, binary
+    integrality and row within tol.
 
-    Violations are listed bounds first, in variable order, then rows in
-    row order.  A missing value counts as 0 in the rows.
+    Violations are listed per variable first, in variable order, then rows
+    in row order.  A missing value counts as 0 in the rows.
     """
     row, col, val, rel, b, lo, hi, binary, names = p.sparse_arrays()
     values = w.assignment
@@ -535,6 +536,7 @@ def verify(p: MilpProblem, w: Witness, tol: float = FEAS_TOL,
     for j in np.flatnonzero(missing):
         missing[j] = names[j] not in values
     x[missing] = 0.0
+    nonfinite = ~np.isfinite(x)
     with np.errstate(invalid="ignore"):
         outside = (x < lo - tol) | (x > hi + tol)
         fractional = binary & (np.minimum(np.abs(x), np.abs(x - 1.0)) > int_tol)
@@ -544,10 +546,13 @@ def verify(p: MilpProblem, w: Witness, tol: float = FEAS_TOL,
         below = (rel == GE) & (lhs < b - tol)
         off = (rel == EQ) & (np.abs(lhs - b) > tol)
     violations: list[str] = []
-    for j in np.flatnonzero(missing | outside | fractional):
+    for j in np.flatnonzero(missing | nonfinite | outside | fractional):
         name = names[j]
         if missing[j]:
             violations.append(f"missing value for {name}")
+            continue
+        if nonfinite[j]:
+            violations.append(f"{name} = {values[name]} is not finite")
             continue
         if outside[j]:
             violations.append(f"{name} = {values[name]} outside "

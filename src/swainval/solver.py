@@ -37,16 +37,18 @@ It combines
   time linear in their number.  Every node re-optimises from its parent's
   final basis, which rides on the DFS stack as index arrays; rows stay in
   the LP even when presolve finds them redundant, so every basis fits
-  every node.  Presolve rounds binary bounds, so it can empty a root box
-  whose LP relaxation is feasible; the search then runs a second pass
-  without presolve, on the same engine, node count and deadline.
+  every node.
 
 Each node ends *pruned* (presolve empties its box or its LP is
 infeasible), *split* (its children go on the stack as the binaries they
-set to 1 and to 0), as a *proof* (infeasible at the root, with the Farkas
-ray as certificate when it checks) or as a *witness* (a leaf, every binary
-fixed by its bounds, whose LP point with binaries rounded passes
-``verify``).  There is no rounding heuristic.
+set to 1 and to 0), as a *proof* (the root is pruned) or as a *witness* (a
+leaf, every binary fixed by its bounds, whose LP point with binaries
+rounded passes ``verify``).  There is no rounding heuristic.  The root is
+pruned by the same rules as every other node; its proof adds one LP on the
+original bounds, whose Farkas ray is the certificate when it checks.
+Presolve rounds binary bounds, so it can empty a root box whose LP
+relaxation is feasible: the answer is INFEASIBLE all the same, without a
+certificate.
 
 A solve scatters the rows into a dense matrix once (``to_arrays``), for the
 simplex's BLAS pivots; presolve, SOS1 detection, the witness re-check and
@@ -68,7 +70,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dger as _dger
@@ -571,11 +573,6 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
     deadline = None if cfg.time_limit is None else t0 + cfg.time_limit
     nodes = 0
 
-    def out_of_budget() -> bool:
-        if nodes >= cfg.node_limit:
-            return True
-        return deadline is not None and time.perf_counter() > deadline
-
     def finish(status, witness=None, message="", certificate=None) -> SolveResult:
         return SolveResult(status, witness, nodes, lp.iterations,
                            time.perf_counter() - t0, message, certificate)
@@ -588,92 +585,69 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
                 "witness failed verification: " + "; ".join(violations[:4]))
         return w
 
-    def root_infeasible(res: _LpResult | None, presolve: bool,
-                        ) -> SolveResult | None:
-        """Infeasibility before any branching, with a clean certificate;
-        None when presolve emptied a root box whose LP is feasible."""
-        nonlocal nodes
-        if presolve:
-            # a ray under presolve-tightened bounds does not certify the
-            # original ones; re-derive it on the untouched problem
-            res = lp.solve(lo0, hi0, res.basis if res else None, deadline)
-            nodes += 1
-            if res.feasible:
-                # presolve rounds binary bounds, so it can empty a box
-                # whose LP relaxation is feasible
-                return None
-        cert = None
-        if check_certificate(problem, res.ray, FEAS_TOL):
-            cert = tuple(map(float, res.ray))
-        return finish(INFEASIBLE, certificate=cert)
-
-    def search(presolve: bool) -> SolveResult | None:
-        """One DFS pass from the root, cold from the slack basis; None asks
-        for a pass without presolve.  It must not call itself: a closure
-        cycle would keep A and the basis inverse alive until the next GC."""
-        nonlocal nodes
-        # bound boxes, each with the basis its parent's LP ended in; entries
-        # are pushed so the preferred branch pops first
-        stack: list[tuple[np.ndarray, np.ndarray, _Basis | None]] = [
-            (lo0.copy(), hi0.copy(), None)]
-        branched = False
-        try:
-            while stack:
-                if out_of_budget():
-                    return finish(BUDGET_EXCEEDED,
-                                  message=f"stopped after {nodes} nodes")
-                lo, hi, start = stack.pop()
-                is_root = not branched and not stack
-                if presolve:
-                    ok, lo, hi = presolver.run(lo, hi, FEAS_TOL)
-                    if not ok:
-                        if is_root:
-                            return root_infeasible(None, presolve)
-                        continue
-                nodes += 1
-                res = lp.solve(lo, hi, start, deadline)
-                if not res.feasible:
-                    if is_root:
-                        return root_infeasible(res, presolve)
-                    continue
-                x = res.x
-                open_mask = (hi[bin_idx] - lo[bin_idx]) > 0.5   # not yet fixed
-                if not np.any(open_mask):
-                    # every binary is fixed by its bounds: a leaf
-                    x[bin_idx] = np.round(x[bin_idx])
-                    return finish(FEASIBLE, witness=checked_witness(x))
-                # split the earliest open binary that is fractional, or, when
-                # the point is integral, the earliest open one
-                frac = np.abs(x[bin_idx] - np.round(x[bin_idx]))
-                pick = open_mask & (frac > INT_TOL)
-                j = int(bin_idx[np.argmax(pick if pick.any() else open_mask)])
-                branched = True
-                # each child as (set to 1, set to 0), pushed so the child
-                # the relaxation prefers pops first: a group's one-hot
-                # assignments, or a lone binary's 0- and 1-child
-                group = member_group.get(j)
-                if group is None:
-                    splits = [([], [j]), ([j], [])]
-                else:
-                    pinned = [m for m in group if lo[m] > 0.5]
-                    members = (pinned[:1] if pinned
-                               else [m for m in group if hi[m] > 0.5])
-                    members.sort(key=lambda m: (x[m], -m))
-                    splits = [([m], [o for o in group if o != m]) for m in members]
-                for ones, zeros in splits:
-                    lo_c, hi_c = lo.copy(), hi.copy()
-                    lo_c[ones] = 1.0
-                    hi_c[zeros] = 0.0
-                    stack.append((lo_c, hi_c, res.basis))
-        except _OutOfTime:
-            return finish(BUDGET_EXCEEDED, message=(
-                f"time limit reached in the LP after {nodes} nodes"))
-        return finish(INFEASIBLE)
-
     if np.any(lo0 > hi0):
         return finish(INFEASIBLE, message="empty variable bounds")
-    result = search(presolve=True)
-    if result is None:
-        result = replace(search(presolve=False),
-                         message="presolve disagreed; re-solved without it")
-    return result
+    # bound boxes, each with the basis its parent's LP ended in; entries are
+    # pushed so the preferred branch pops first
+    stack: list[tuple[np.ndarray, np.ndarray, _Basis | None]] = [
+        (lo0.copy(), hi0.copy(), None)]
+    branched = False
+    try:
+        while stack:
+            if nodes >= cfg.node_limit or (
+                    deadline is not None and time.perf_counter() > deadline):
+                return finish(BUDGET_EXCEEDED,
+                              message=f"stopped after {nodes} nodes")
+            lo, hi, start = stack.pop()
+            ok, lo, hi = presolver.run(lo, hi, FEAS_TOL)
+            res = None
+            if ok:
+                nodes += 1
+                res = lp.solve(lo, hi, start, deadline)
+            if res is None or not res.feasible:
+                if branched:
+                    continue
+                # the root is pruned.  A ray under presolve-tightened bounds
+                # does not certify the original ones, so the LP runs once
+                # more on those; it is feasible when presolve's rounding of
+                # binary bounds alone emptied the box
+                res = lp.solve(lo0, hi0, res and res.basis, deadline)
+                nodes += 1
+                cert = None
+                if not res.feasible and check_certificate(problem, res.ray,
+                                                          FEAS_TOL):
+                    cert = tuple(map(float, res.ray))
+                return finish(INFEASIBLE, certificate=cert)
+            x = res.x
+            open_mask = (hi[bin_idx] - lo[bin_idx]) > 0.5   # not yet fixed
+            if not np.any(open_mask):
+                # every binary is fixed by its bounds: a leaf
+                x[bin_idx] = np.round(x[bin_idx])
+                return finish(FEASIBLE, witness=checked_witness(x))
+            # split the earliest open binary that is fractional, or, when the
+            # point is integral, the earliest open one
+            frac = np.abs(x[bin_idx] - np.round(x[bin_idx]))
+            pick = open_mask & (frac > INT_TOL)
+            j = int(bin_idx[np.argmax(pick if pick.any() else open_mask)])
+            branched = True
+            # each child as (set to 1, set to 0), pushed so the child the
+            # relaxation prefers pops first: a group's one-hot assignments,
+            # or a lone binary's 0- and 1-child
+            group = member_group.get(j)
+            if group is None:
+                splits = [([], [j]), ([j], [])]
+            else:
+                pinned = [m for m in group if lo[m] > 0.5]
+                members = (pinned[:1] if pinned
+                           else [m for m in group if hi[m] > 0.5])
+                members.sort(key=lambda m: (x[m], -m))
+                splits = [([m], [o for o in group if o != m]) for m in members]
+            for ones, zeros in splits:
+                lo_c, hi_c = lo.copy(), hi.copy()
+                lo_c[ones] = 1.0
+                hi_c[zeros] = 0.0
+                stack.append((lo_c, hi_c, res.basis))
+    except _OutOfTime:
+        return finish(BUDGET_EXCEEDED, message=(
+            f"time limit reached in the LP after {nodes} nodes"))
+    return finish(INFEASIBLE)

@@ -13,7 +13,9 @@ import json
 import pytest
 
 from swainval import cli
-from swainval.examples import asset_path
+from swainval.examples import asset_path, numeric_system
+from swainval.fileio import save_trajectory
+from swainval.model import HyperRectangle, RandomPolicy, simulate_random
 
 FAULTY_CSV = """\
 k,y_1,y_2,y_3,y_4,y_5,y_6
@@ -108,13 +110,13 @@ class TestGolden:
             0, f"wrote 10 samples to {healthy}\n", "")
         assert run("invalidate", "--model", "radiant", "--trajectory", healthy,
                    "--window", "3") == (
-            0, "CONSISTENT  nodes=5 lp_iterations=146\n", "")
+            0, "CONSISTENT  nodes=2 lp_iterations=48\n", "")
 
     def test_invalidate_invalidated(self, run, data):
         faulty, _ = data
         assert run("invalidate", "--model", "radiant",
                    "--trajectory", faulty) == (
-            2, "INVALIDATED  nodes=3 lp_iterations=155\n", "")
+            2, "INVALIDATED  nodes=1 lp_iterations=79\n", "")
 
     def test_invalidate_input_outside_the_input_set(self, run, data):
         _, off_input = data
@@ -131,6 +133,22 @@ class TestGolden:
                    "--trajectory", trace) == (
             1, "", f"error: {trace}: row 1: non-finite value {bad} "
                    "in column y_1\n")
+
+    def test_invalidate_rejects_a_model_file_with_an_infinite_matrix(
+            self, run, tmp_path):
+        window = tmp_path / "window.csv"
+        save_trajectory(simulate_random(
+            numeric_system(), seed=3, steps=4,
+            policy=RandomPolicy(input_box=HyperRectangle([-1.0], [1.0])))[0],
+            window)
+        assert run("invalidate", "--model", "numeric6",
+                   "--trajectory", window)[0] == 0
+        doc = json.loads(asset_path("numeric6").read_text())
+        doc["modes"][0]["A"][0] = "inf"
+        model = tmp_path / "numeric6.json"
+        model.write_text(json.dumps(doc))
+        assert run("invalidate", "--model", model, "--trajectory", window) == (
+            1, "", "error: mode 1 field A: entries must be finite\n")
 
     def test_invalidate_bad_window(self, run, data):
         faulty, _ = data
@@ -151,11 +169,11 @@ class TestGolden:
                              "--export", "-")
         assert (code, err) == (0, "")
         assert sha256(out) == \
-            "766bec24d93c967790d1e0a0d327404ea7fb0706a51d0a2432b9cb0937cdb43e"
+            "317b3a0dab7fde70fb8df8f7fe18cf69805a85724a9f41e2f6dafc140ac10c69"
         lp = tmp_path / "window.lp"
         assert run("invalidate", "--model", "radiant", "--trajectory", faulty,
                    "--window", "1", "--export", lp) == (
-            0, f"exported 56 variables / 146 rows to {lp}\n", "")
+            0, f"exported 56 variables / 62 rows to {lp}\n", "")
         assert lp.read_text() == out
 
     def test_find_t_then_report(self, run, tmp_path):
@@ -217,7 +235,7 @@ class TestGolden:
         assert (code, err) == (0, "")
         assert mask_column(out, 2) == (
             "k,verdict,solve_ms,nodes\n"
-            "3,invalidated,*,3\n4,invalidated,*,2\n5,invalidated,*,1\n"
+            "3,invalidated,*,1\n4,invalidated,*,1\n5,invalidated,*,1\n"
             "6,invalidated,*,1\n7,invalidated,*,1\n8,invalidated,*,1\n"
             "9,invalidated,*,1\n")
 
@@ -236,8 +254,8 @@ class TestGolden:
         assert (code, err) == (0, "")
         assert mask_column(out, 5) == (
             "horizon,seed,verdict,nodes,lp_iterations,solve_s\n"
-            "1,0,consistent,3,50,*\n1,1,consistent,3,57,*\n"
-            "2,0,consistent,4,97,*\n2,1,consistent,4,92,*\n")
+            "1,0,consistent,2,19,*\n1,1,consistent,2,19,*\n"
+            "2,0,consistent,2,33,*\n2,1,consistent,2,31,*\n")
 
     def test_export_milp_consistency_problem(self, run, tmp_path):
         window = tmp_path / "window.csv"
@@ -248,7 +266,7 @@ class TestGolden:
                              "--trajectory", window)
         assert (code, err) == (0, "")
         assert sha256(out) == \
-            "ca1fff57fd4bb24d29e4f96b2d738555b0ed713fe0637b59fb1b8332ecb1fdd0"
+            "8d042fd244da82f68186e741fc15639b078a824e90392d4d7bfb5ad2ad87d281"
 
     def test_export_milp_pair_problem(self, run, tmp_path):
         code, out, err = run("export-milp", *SENSOR_PAIR, "--window", "1")

@@ -48,16 +48,19 @@ def solve_pair(system, fault, T, indicator=None, config=None):
     return enc, solve_milp(enc.problem, config or SolverConfig())
 
 
-def random_certain_model(rng, s, n, n_u=0, n_y=1, noise_r=0.1):
+def random_certain_model(rng, s, n, n_u=0, n_y=1, noise_r=0.1, shared_c=False):
+    """Random stable modes; with ``shared_c`` every mode has the first
+    mode's output map (the draws are the same either way)."""
     modes = []
     for _ in range(s):
         A = rng.normal(size=(n, n))
         radius = max(abs(np.linalg.eigvals(A)))
         if radius > 1e-9:
             A *= 0.85 / max(radius, 0.85)
+        B, C = rng.normal(size=(n, n_u)), rng.normal(size=(n_y, n))
         modes.append(AffineMode.certain(
-            A=A, B=rng.normal(size=(n, n_u)),
-            C=rng.normal(size=(n_y, n)), f=0.3 * rng.normal(size=n)))
+            A=A, B=B, C=modes[0].C if shared_c and modes else C,
+            f=0.3 * rng.normal(size=n)))
     return SwitchedAffineModel(
         modes, state_set=box(5.0, n), noise_set=box(noise_r, n_y),
         input_set=box(1.0, n_u))
@@ -119,8 +122,49 @@ class TestInvalidationBasics:
                 assert enc.var_index[("a", i, k)] == f"a[{i}][{k}]"
 
 
+    def test_a_shared_certain_output_map_is_written_once_per_sample(self):
+        C = [[1.0, 0.0], [0.5, 2.0]]
+        modes = [AffineMode.certain(A, np.zeros((2, 0)), C, [0.0, 0.1])
+                 for A in ([[0.5, 0.0], [0.0, 0.3]], [[0.2, 0.1], [0.0, 0.6]])]
+        model = SwitchedAffineModel(modes, state_set=box(5.0, 2),
+                                    noise_set=box(0.1, 2),
+                                    input_set=HyperRectangle([], []))
+        y = [[0.1, 0.2], [0.3, -0.1], [0.0, 0.4]]
+        enc = encode_invalidation(model, Trajectory(np.zeros((3, 0)), y))
+        out = {c.name: c for c in enc.problem.constraints
+               if c.name.startswith("out")}
+        assert list(out) == [f"out[{k}][{q}]" for k in range(3) for q in range(2)]
+        for k in range(3):
+            for q in range(2):
+                row = out[f"out[{k}][{q}]"]
+                assert row.relation == "=" and row.rhs == y[k][q]
+                assert row.terms == tuple(
+                    [(C[q][j], f"x[{k}][{j}]") for j in range(2) if C[q][j]]
+                    + [(1.0, f"eta[{k}][{q}]")])
+        # a second output map gates every mode's rows again
+        two_maps = SwitchedAffineModel(
+            [modes[0], AffineMode.certain(modes[1].A, np.zeros((2, 0)),
+                                          [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.1])],
+            state_set=box(5.0, 2), noise_set=box(0.1, 2),
+            input_set=HyperRectangle([], []))
+        enc = encode_invalidation(two_maps, Trajectory(np.zeros((3, 0)), y))
+        out = [c.name for c in enc.problem.constraints if c.name.startswith("out")]
+        assert out == [f"out[{i}][{k}][{q}]{side}" for k in range(3)
+                       for i in (1, 2) for q in range(2) for side in "+-"]
+
+
 class TestInvalidationAgainstEnumeration:
+    """Random certain models: most have one output map per mode, and with
+    ``shared_c`` every mode has the same one, whose rows carry no gate."""
+
     def test_agrees_with_mode_enumeration(self):
+        self.check(shared_c=False)
+
+    def test_agrees_with_mode_enumeration_on_a_shared_output_map(self):
+        self.check(shared_c=True)
+
+    @staticmethod
+    def check(shared_c: bool):
         rng = np.random.default_rng(42)
         checked = 0
         for trial in range(25):
@@ -128,7 +172,7 @@ class TestInvalidationAgainstEnumeration:
             n = int(rng.integers(1, 3))
             n_u = int(rng.integers(0, 2))
             N = int(rng.integers(2, 7))
-            model = random_certain_model(rng, s, n, n_u)
+            model = random_certain_model(rng, s, n, n_u, shared_c=shared_c)
             if trial % 2 == 0:
                 traj, _ = simulate_random(model, seed=trial, steps=N,
                                           policy=RandomPolicy())

@@ -71,6 +71,13 @@ def test_malformed_witness_value_is_a_solver_error(fake_run):
     assert not os.path.exists(fake.calls[0][-1])
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_witness_value_is_a_solver_error(fake_run, value):
+    fake_run(stdout=f"FEASIBLE\nx {value}\nb 1\n")
+    with pytest.raises(ExternalSolverError, match="is not finite"):
+        solve_with_command(small_problem(), "solver")
+
+
 def test_witness_is_verified_before_it_is_accepted(fake_run):
     fake_run(stdout="FEASIBLE\nx 0.75\nb 1\n")
     res = solve_with_command(small_problem(), "solver")

@@ -96,6 +96,16 @@ class TestModelFiles:
         with pytest.raises(FileFormatError, match="not valid JSON"):
             load_model(path)
 
+    @pytest.mark.parametrize("bad", ["inf", "-inf", math.nan])
+    @pytest.mark.parametrize("key", ["A", "B", "C", "f",
+                                     "hatA", "hatB", "hatC", "hatf"])
+    def test_mode_matrices_must_be_finite(self, key, bad):
+        doc = model_to_dict(sample_model())
+        doc["modes"][1][key][0] = bad
+        with pytest.raises(FileFormatError,
+                           match=f"^mode 2 field {key}: entries must be finite$"):
+            model_from_dict(doc)
+
     def test_bounds_must_match_dimensions(self):
         doc = model_to_dict(sample_model())
         doc["input_bounds"]["lower"] = [0.0, 0.0]

@@ -332,9 +332,29 @@ class TestBigM:
             pytest.approx(-4.0), pytest.approx(6.0))
         # state row: x1 - step spans at most 6 - (-4) = 10
         assert gate_coefficient(enc, "dyn[1][0][0]") == pytest.approx(1.05 * 10.0)
-        # output rows: |y - 2 x - eta| <= 2 * 10 + 0.5, then 2 * 6 + 0.5
+        # one certain mode: the output rows 2 x + eta = y carry no gate
+        rows = {c.name: c for c in enc.problem.constraints}
+        for k in range(2):
+            out = rows[f"out[{k}][0]"]
+            assert (out.terms, out.relation, out.rhs) == (
+                ((2.0, f"x[{k}][0]"), (1.0, f"eta[{k}][0]")), "=", 0.0)
+        assert [name for name in rows if name.startswith("out")] == [
+            "out[0][0]", "out[1][0]"]
+        assert enc.big_m == pytest.approx(1.05 * 10.0)
+
+    def test_two_output_maps_keep_gated_output_rows(self):
+        # the same dynamics, so the same envelope, but outputs 2 x and x
+        model = SwitchedAffineModel(
+            [AffineMode.certain([[0.5]], [[1.0]], [[c]], [1.0]) for c in (2.0, 1.0)],
+            HyperRectangle.ball(10.0, 1), HyperRectangle.ball(0.5, 1),
+            HyperRectangle.ball(2.0, 1))
+        window = Trajectory(np.array([[0.0], [0.0]]), np.array([[0.0], [0.0]]))
+        enc = encode_invalidation(model, window)
+        # |y - c x - eta| <= c * 10 + 0.5 at sample 0, c * 6 + 0.5 at sample 1
         assert gate_coefficient(enc, "out[1][0][0]") == pytest.approx(1.05 * 20.5)
         assert gate_coefficient(enc, "out[1][1][0]") == pytest.approx(1.05 * 12.5)
+        assert gate_coefficient(enc, "out[2][0][0]") == pytest.approx(1.05 * 10.5)
+        assert gate_coefficient(enc, "out[2][1][0]") == pytest.approx(1.05 * 6.5)
         assert enc.big_m == pytest.approx(1.05 * 20.5)
 
     def test_pair_sums_output_bounds(self):
@@ -473,3 +493,16 @@ class TestVerify:
         p.seal()
         assert verify(p, Witness({"x": 0.5 + 5e-7}))[0]
         assert not verify(p, Witness({"x": 0.5 + 5e-6}))[0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["x", "b"])
+    def test_non_finite_values_are_violations(self, name, bad):
+        # x is free and NaN compares false to every bound and row, so only
+        # the finiteness test can catch these values
+        p = MilpProblem()
+        p.add_continuous("x", -math.inf, math.inf)
+        p.add_binary("b")
+        p.add_constraint("r", [(1.0, "x"), (1.0, "b")], ">=", 0.5)
+        p.seal()
+        ok, v = verify(p, Witness({"x": 0.5, "b": 1.0, name: bad}))
+        assert not ok and v[0] == f"{name} = {bad} is not finite"

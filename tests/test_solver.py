@@ -297,46 +297,17 @@ class TestBudgets:
         assert res.status == BUDGET_EXCEEDED
 
 
-class TestPresolveFallbackBudgets:
-    """When presolve calls a feasible root box empty, the second pass
-    without presolve runs inside the same solve, on what is left of both
-    budgets, not on fresh ones."""
-
-    @pytest.fixture
-    def inner_solves(self, monkeypatch):
-        monkeypatch.setattr(solver._Presolver, "run",
-                            lambda self, lo, hi, tol, max_rounds=8: (False, lo, hi))
-        calls, outer = [], solver.solve_milp
-
-        def recording(problem, config=None):
-            calls.append(config)
-            return outer(problem, config)
-
-        monkeypatch.setattr(solver, "solve_milp", recording)
-        return calls
-
-    def test_node_limit_is_shared(self, radiant_window, inner_solves):
-        # the pass without presolve needs 35 nodes; the root re-solve that
-        # exposes the disagreement comes first, as node 1 of the 3 allowed
-        res = solve_milp(radiant_window, SolverConfig(node_limit=3))
-        assert res.status == BUDGET_EXCEEDED
-        assert res.message == "presolve disagreed; re-solved without it"
-        assert res.nodes <= 3
-        assert inner_solves == []
-
-    def test_time_limit_is_shared(self, radiant_window, inner_solves,
-                                  monkeypatch):
-        # one tick per clock reading; the root re-solve alone takes 34 pivots
-        ticks = itertools.count()
-        monkeypatch.setattr(solver, "time", SimpleNamespace(
-            perf_counter=lambda: float(next(ticks))))
-        limit = 60.0
-        res = solve_milp(radiant_window, SolverConfig(time_limit=limit))
-        assert res.status == BUDGET_EXCEEDED
-        assert res.message == "presolve disagreed; re-solved without it"
-        # the reading that found the limit passed, then the final one
-        assert res.wall_time <= limit + 2
-        assert inner_solves == []
+def test_presolve_emptying_a_root_box_with_a_feasible_relaxation_is_infeasible():
+    # b in [0.4, 0.6] holds for the relaxation, but no binary fits: presolve
+    # rounds the bounds to 1 <= b <= 0, and the root LP on the original
+    # bounds finds no ray, so the answer comes without a certificate
+    p = MilpProblem()
+    p.add_binary("b")
+    p.add_constraint("lo", [(1.0, "b")], ">=", 0.4)
+    p.add_constraint("hi", [(1.0, "b")], "<=", 0.6)
+    res = solve_milp(p.seal())
+    assert (res.status, res.nodes, res.certificate, res.message) == (
+        INFEASIBLE, 1, None, "")
 
 
 class TestCertificates:
