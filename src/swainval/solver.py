@@ -9,15 +9,20 @@ It combines
   the row's relation as bounds (``r <= b``, ``r >= b`` or ``r = b``).  The
   slack basis ``-I`` is always a valid start.  Without an objective every
   basis is dual feasible, so an iteration only has to pick a leaving row
-  (the most infeasible basic variable) and an entering column (the largest
-  ``|alpha|`` of the right sign), switching to Bland's least-index rule
-  when the total infeasibility stops falling; that rule skips pivots far
-  below the largest, which would ruin the basis.  The slack basis is also
-  the fallback when a warm basis turns out singular.  A row with no
-  entering candidate yields the Farkas ray
-  ``+-e_r^T B^-1`` directly.  The basis inverse is kept explicitly, updated
-  by rank-one steps and refactored through the structural kernel of the
-  basis; and
+  and an entering column (the largest ``|alpha|`` of the right sign).  The
+  leaving row is priced by dual Devex (Forrest & Goldfarb, *Math. Prog.*
+  57, 1992): the largest infeasibility relative to a reference weight of
+  its row of ``B^-1``, which starts at 1 in every solve and is updated in
+  O(m) per pivot.  Without that scaling, the most infeasible row cycled on
+  the sensor-pair LPs.  A 64-bit Zobrist key of the vertex (the basic
+  columns and the nonbasic ones at their upper bound) changes by a few
+  XORs per pivot; the first time a solve repeats a key, Bland's
+  least-index rule takes over, which skips pivots far below the largest
+  because they would ruin the basis.  The slack basis is also the
+  fallback when a warm basis turns out singular.  A row with no entering
+  candidate yields the Farkas ray ``+-e_r^T B^-1`` directly.  The basis
+  inverse is kept explicitly, updated by rank-one steps and refactored
+  through the structural kernel of the basis; and
 * depth-first branch and bound on the binaries, splitting the lowest-index
   open binary whose relaxation value is fractional (the lowest-index open
   one when none is), the 1-branch explored first.  Both encoders number
@@ -68,7 +73,7 @@ answer, witness, node and pivot count on every run.
 
 from __future__ import annotations
 
-import math
+import random
 import time
 from dataclasses import dataclass
 
@@ -153,8 +158,25 @@ _PIV_TOL = 1e-9       # smallest |alpha| a pivot may use, relative to its row
 _BLAND_PIV = 1e-3     # Bland's rule skips pivots this far below the largest
 _KERNEL_TOL = 1e-7    # largest |K^-1 K - I| entry of a usable refactorization
 _REFACTOR_EVERY = 100  # basis updates between refactorizations
-_BLAND_AFTER = 150     # pivots without a new low in total infeasibility
-                       # before Bland's rule
+_ZOBRIST_SEED = 1992   # seed of the vertex keys' stream
+
+_zobrist = np.zeros(0, dtype=np.uint64)
+
+
+def _zobrist_keys(columns: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random 64-bit keys of the first ``columns`` columns: one for the
+    column in the basis, one for the column nonbasic at its upper bound.
+
+    The table is shared by every engine and grows on demand.  Key k is the
+    k-th draw of one fixed-seed stream, so a grown table keeps every key
+    it had and a vertex's key never depends on the problems solved before.
+    """
+    global _zobrist
+    if _zobrist.size < 2 * columns:
+        draw = random.Random(_ZOBRIST_SEED).getrandbits
+        size = max(2 * columns, 2 * _zobrist.size)
+        _zobrist = np.array([draw(64) for _ in range(size)], dtype=np.uint64)
+    return _zobrist[0:2 * columns:2], _zobrist[1:2 * columns:2]
 
 
 class _NumericalTrouble(Exception):
@@ -191,6 +213,10 @@ class _DualSimplex:
     structural bounds from a given basis or from the slack basis ``-I``.
     The engine keeps its last basis and inverse, so a node that starts from
     the basis the previous solve ended in needs no refactorization.
+
+    The leaving row maximizes ``(infeas_i - tol) / sqrt(w_i)`` over dual
+    Devex weights ``w``; a solve that returns to a vertex it stood at
+    continues under Bland's rule, and ``bland_switches`` counts such solves.
     """
 
     def __init__(self, A: np.ndarray, rel: np.ndarray, b: np.ndarray):
@@ -201,6 +227,7 @@ class _DualSimplex:
         self.tol = FEAS_TOL
         self.max_iter = 50 * (self.m + self.n) + 2000
         self.iterations = 0
+        self.bland_switches = 0   # solves that found a repeated vertex
         self.basis: np.ndarray | None = None   # set by the first solve
 
     def solve(self, lo: np.ndarray, hi: np.ndarray, start: _Basis | None,
@@ -288,8 +315,9 @@ class _DualSimplex:
                           np.where(lo_fin, self.lo, np.where(hi_fin, self.hi, 0.0)))
         self.is_basic = np.zeros(self.n + self.m, dtype=bool)
         self.is_basic[self.basis] = True
-        self.can_up = ~self.is_basic & (self.z < self.hi)
-        self.can_down = ~self.is_basic & (self.z > self.lo)
+        # 1.0 where a nonbasic column may move up (down), else 0.0
+        self.can_up = (~self.is_basic & (self.z < self.hi)).astype(float)
+        self.can_down = (~self.is_basic & (self.z > self.lo)).astype(float)
         self._recompute_basics()
         return self._iterate(deadline)
 
@@ -304,10 +332,31 @@ class _DualSimplex:
             return False
         return float(coef[pos] @ self.hi[pos] + coef[neg] @ self.lo[neg]) < -0.5 * self.tol
 
+    def _vertex_key(self) -> int:
+        """The Zobrist key of the current vertex: the XOR of the keys of the
+        basic columns and of the nonbasic columns at their upper bound."""
+        basic_keys, upper_keys = _zobrist_keys(self.n + self.m)
+        at_upper = ~self.is_basic & (self.z >= self.hi)
+        return int(np.bitwise_xor.reduce(basic_keys[self.basis])
+                   ^ np.bitwise_xor.reduce(upper_keys[at_upper]))
+
+    def _revisited(self, key: int) -> bool:
+        """Has this solve stood at the vertex of ``key`` before?  Records it."""
+        if key in self.visited:
+            return True
+        self.visited.add(key)
+        return False
+
     def _iterate(self, deadline: float | None) -> _LpResult:
         n, tol = self.n, self.tol
         lo_B, hi_B = self.lo[self.basis], self.hi[self.basis]
-        best, stall, bland = math.inf, 0, False
+        basic_keys, upper_keys = _zobrist_keys(n + self.m)
+        weights = np.ones(self.m)        # dual Devex reference weights
+        alpha = np.empty(n + self.m)
+        self.visited: set[int] = set()
+        key = self._vertex_key()
+        bland = self._revisited(key)     # records the starting vertex
+        self.bland_switches += bland
         pivots = 0
         while True:
             if deadline is not None and time.perf_counter() > deadline:
@@ -318,8 +367,11 @@ class _DualSimplex:
                 rows = np.flatnonzero(infeas > tol)
                 p = int(rows[np.argmin(self.basis[rows])]) if rows.size else -1
             else:
-                p = int(np.argmax(infeas)) if infeas.size else -1
-                if p >= 0 and infeas[p] <= tol:
+                # dual Devex: the largest infeasibility relative to the
+                # reference norm of its row of B^-1
+                price = (infeas - tol) / np.sqrt(weights)
+                p = int(np.argmax(price)) if price.size else -1
+                if p >= 0 and not price[p] > 0.0:
                     p = -1
             if p < 0:
                 z = self._values()
@@ -329,32 +381,24 @@ class _DualSimplex:
                     continue
                 return _LpResult(True, z[:n], None, self._snapshot())
 
-            if not bland:
-                total = float(np.sum(np.maximum(infeas, 0.0)))
-                if total < best:
-                    best, stall = total, 0
-                else:
-                    stall += 1
-                    bland = stall > _BLAND_AFTER
-
             # leave row p at its violated bound; enter the column whose
             # move pushes x_B[p] toward it with the largest |alpha|
             below = lo_B[p] - x_B[p] > x_B[p] - hi_B[p]
             target = lo_B[p] if below else hi_B[p]
             rho = self.B_inv[p].copy()
-            alpha = np.concatenate([rho @ self.A, -rho])
+            np.matmul(rho, self.A, out=alpha[:n])
+            np.negative(rho, out=alpha[n:])
             toward = alpha if below else -alpha
             # alphas this small next to the row's largest are rounding noise
             piv_tol = _PIV_TOL * max(1.0, float(np.abs(alpha).max()))
-            elig = ((self.can_up & (toward < -piv_tol))
-                    | (self.can_down & (toward > piv_tol)))
-            score = np.where(elig, np.abs(alpha), 0.0)
+            score = np.maximum(toward * self.can_down, -toward * self.can_up)
             q = int(np.argmax(score))
-            if score[q] == 0.0:
+            if score[q] <= piv_tol:
                 q = -1
             elif bland:
                 # lowest index, among pivots that cannot wreck the basis
-                q = int(np.flatnonzero(score >= _BLAND_PIV * score[q])[0])
+                q = int(np.flatnonzero((score > piv_tol)
+                                       & (score >= _BLAND_PIV * score[q]))[0])
             if q < 0:
                 y = -rho if below else rho
                 if self.updates and not self._ray_proves(y):
@@ -371,15 +415,25 @@ class _DualSimplex:
             theta = (x_B[p] - target) / piv
             x_B -= theta * col
             leaving = int(self.basis[p])
+            key ^= int(basic_keys[leaving]) ^ int(basic_keys[q])
+            if target >= self.hi[leaving]:
+                key ^= int(upper_keys[leaving])
+            if self.z[q] >= self.hi[q]:
+                key ^= int(upper_keys[q])
             self.z[leaving] = target
             self.is_basic[leaving] = False
             self.can_up[leaving] = target < self.hi[leaving]
             self.can_down[leaving] = target > self.lo[leaving]
             x_B[p] = self.z[q] + theta
             self.is_basic[q] = True
-            self.can_up[q] = self.can_down[q] = False
+            self.can_up[q] = self.can_down[q] = 0.0
             self.basis[p] = q
             lo_B[p], hi_B[p] = self.lo[q], self.hi[q]
+            # Devex: row i of the new B^-1 is row i minus col_i / piv times
+            # row p, whose reference norm is w_p / piv^2
+            scaled = weights[p] / (piv * piv)
+            np.maximum(weights, scaled * (col * col), out=weights)
+            weights[p] = max(scaled, 1.0)
             pivot_row = rho / piv
             self.B_inv = _dger(-1.0, col, pivot_row, a=self.B_inv, overwrite_a=True)
             self.B_inv[p] = pivot_row
@@ -390,6 +444,9 @@ class _DualSimplex:
                 raise _NumericalTrouble(
                     f"dual simplex exceeded {self.max_iter} pivots on a "
                     f"{self.m}x{self.n} problem")
+            if self._revisited(key) and not bland:
+                bland = True             # a cycle: Bland's rule ends it
+                self.bland_switches += 1
             if self.updates >= _REFACTOR_EVERY:
                 self._refresh()
 

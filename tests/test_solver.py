@@ -24,7 +24,9 @@ from swainval import solver
 from swainval.detector import inject_persistent_fault
 from swainval.encoder import (CONSISTENT, INVALIDATED, check_invalidation,
                               encode_invalidation, encode_t_detectability)
-from swainval.examples import builtin_pair, numeric_family, numeric_system
+from swainval.detectability import find_T
+from swainval.examples import (builtin_pair, numeric_family, numeric_system,
+                               scenario_specs)
 from swainval.milp import FEAS_TOL, INT_TOL, MilpProblem, Witness, verify
 from swainval.model import HyperRectangle, RandomPolicy, simulate_random
 from swainval.solver import (
@@ -430,6 +432,80 @@ class TestDualSimplexProperties:
                 tol = 10 * FEAS_TOL
                 assert np.all(res.x >= lo2 - tol) and np.all(res.x <= hi2 + tol)
                 assert rows_hold(A, rel, b, res.x, tol)
+
+
+class TestLeavingRule:
+    """Dual Devex picks the leaving row; Bland's rule takes over only when a
+    solve returns to a vertex it stood at, which the engine detects by an
+    incremental Zobrist key of the basis and the at-upper set."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_bland_from_the_first_pivot_agrees_with_linprog(self, seed):
+        p = random_bounded_lp(np.random.default_rng(seed))
+        A, rel, b, lo, hi, _, _ = p.to_arrays()
+        engine = _DualSimplex(A, rel, b)
+        with pytest.MonkeyPatch.context() as mp:
+            # every vertex counts as a repeat, so Bland rules from the start
+            mp.setattr(_DualSimplex, "_revisited", lambda self, key: True)
+            res = engine.solve(lo, hi, None, None)
+        assert engine.bland_switches == 1
+        assert res.feasible == linprog_feasible(A, rel, b, lo, hi)
+        if res.feasible:
+            tol = 10 * FEAS_TOL
+            assert np.all(res.x >= lo - tol) and np.all(res.x <= hi + tol)
+            assert rows_hold(A, rel, b, res.x, tol)
+        else:
+            assert check_certificate(p, res.ray)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.booleans())
+    def test_incremental_vertex_key_matches_the_recomputed_one(self, seed, bland):
+        rng = np.random.default_rng(seed)
+        A, rel, b, lo, hi, _, _ = random_bounded_lp(rng).to_arrays()
+        revisited = _DualSimplex._revisited
+        keys = []
+
+        def checking(self, key):
+            keys.append((key, self._vertex_key()))
+            return bland or revisited(self, key)
+
+        engine = _DualSimplex(A, rel, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_DualSimplex, "_revisited", checking)
+            first = engine.solve(lo, hi, None, None)
+            # a warm start that rests nonbasic columns at their upper bound
+            engine.solve(*tightened(rng, lo, hi), first.basis, None)
+        # once at the start of each solve (a singular warm start adds one
+        # from the slack basis), then after every pivot
+        assert len(keys) >= 2 + engine.iterations
+        assert all(incremental == recomputed for incremental, recomputed in keys)
+
+
+def test_benchmark_lps_never_switch_to_bland(monkeypatch, radiant_window):
+    made = []
+    init = _DualSimplex.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(_DualSimplex, "__init__", recording_init)
+    specs = {s.name: s for s in scenario_specs()}
+    iterations = {}
+    for i in (1, 2, 3, 4):
+        spec = specs[f"sensor-scenario-{i}"]
+        first = len(made)
+        rep = find_T(*builtin_pair(f"sensorScenario{i}",
+                                   uncertainty=spec.uncertainty))
+        assert f"T={rep.horizon}" == spec.expected
+        iterations[i] = sum(e.iterations for e in made[first:])
+    find_T(*builtin_pair("radiant"), t_max=4)
+    assert solve_milp(radiant_window).decided
+    assert made and all(e.bland_switches == 0 for e in made)
+    # the most-infeasible leaving rule took 10,761 pivots here (7,968 with
+    # Bland on a repeated vertex, in 18 switches), Devex 5,859
+    assert iterations[3] < 8000
 
 
 class TestNonzeroReaders:
