@@ -31,7 +31,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -79,13 +78,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_model_arg(value: str, *, uncertainty: bool = True) -> SwitchedAffineModel:
+    """A bundled model by name, or a model file; without ``uncertainty``
+    both are stripped the same way."""
     if value in BUILTIN_NAMES:
-        return load_builtin(value, uncertainty=uncertainty)
-    path = Path(value)
-    if not path.exists():
+        model = load_builtin(value)
+    elif Path(value).exists():
+        model = load_model(Path(value))
+    else:
         raise CliError(f"model {value!r} is neither a bundled name nor a file"
                        f" (bundled: {', '.join(BUILTIN_NAMES)})")
-    model = load_model(path)
     return model if uncertainty else _strip_uncertainty(model)
 
 
@@ -95,8 +96,8 @@ def _strip_uncertainty(model: SwitchedAffineModel) -> SwitchedAffineModel:
                           hatB=np.zeros_like(m.hatB),
                           hatC=np.zeros_like(m.hatC),
                           hatf=np.zeros_like(m.hatf)) for m in model.modes)
-    zero = HyperRectangle([0.0] * model.n_y, [0.0] * model.n_y)
-    return replace(model, modes=modes, noise_set=zero)
+    return replace(model, modes=modes,
+                   noise_set=HyperRectangle.ball(0.0, model.n_y))
 
 
 def _parse_mode_range(value: str) -> tuple[int, int]:
@@ -329,9 +330,8 @@ def _cmd_export_milp(args) -> int:
     return EXIT_OK
 
 
-def _bench_case(payload):
+def _bench_case(model, data_model, horizon: int, seed: int, cfg):
     """One (horizon, seed) cell: simulate data, time the consistency check."""
-    model, data_model, horizon, seed, cfg = payload
     traj, _ = simulate_random(data_model, seed=seed, steps=horizon + 1)
     start = time.perf_counter()
     res = check_invalidation(model, traj, config=cfg)
@@ -349,15 +349,9 @@ def _cmd_bench(args) -> int:
     if args.t0 < 1 or args.tmax < args.t0:
         raise CliError("bench needs 1 <= --t0 <= --tmax")
     cfg = _solver_config(args)
-    cases = [(model, data_model, horizon, args.seed + s, cfg)
-             for horizon in range(args.t0, args.tmax + 1)
-             for s in range(args.seeds)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_case, cases))
-    else:
-        rows = [_bench_case(c) for c in cases]
-    rows.sort(key=lambda r: (r[0], r[1]))
+    rows = [_bench_case(model, data_model, horizon, args.seed + s, cfg)
+            for horizon in range(args.t0, args.tmax + 1)
+            for s in range(args.seeds)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["horizon", "seed", "verdict", "nodes",
@@ -510,8 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seeds", type=int, default=5,
                      help="seeds per horizon (default 5)")
     sub.add_argument("--seed", type=int, default=0, help="base seed")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers (output order is deterministic)")
     sub.add_argument("--out", default="-", help="CSV path (default stdout)")
     _add_budget_flags(sub)
     sub.set_defaults(func=_cmd_bench)

@@ -28,16 +28,17 @@ indices 0-based):
 ``a[i][k]``            binary: mode i of the model is active at step k
 ``d[i][j][k]``         binary: modes (i, j) of the pair are active at step k
 ``ZA[i][k][r][c]``     product hatA[r,c] * Delta^A[r,c] * x_k[c], mode i
-``ZB[i][k][r][c]``     product hatB[r,c] * Delta^B[r,c] * u_k[c], mode i
+``ZB[i][k][r][c]``     product hatB[r,c] * Delta^B[r,c] * u_k[c], mode i,
+                       of the shared or the observed input
 ``ZC[i][k][q][c]``     product hatC[q,c] * Delta^C[q,c] * x_k[c], mode i
-``DB[i][k][r][c]``     Delta^B itself where the input is data
 ``Df[i][k][r]``        Delta^f itself (the offset uncertainty is not bilinear)
 ``absx[k][c]``         shared auxiliary |x_k[c]| backing the Z bounds
 =====================  =====================================================
 
 Bilinear products Z are linearized exactly with ``|Z| <= hat * |x|`` plus a
 one-binary absolute-value encoding of ``|x|`` that is shared by every Z
-touching the same component.
+touching the same component.  An observed input is the point box
+``{u_k}``, so its ``ZB`` needs only the bounds ``|Z| <= hatB |u_k|``.
 
 Both builders tighten the relaxation with a conservative reachability
 envelope: the state variables of sample k are bounded by the k-step interval
@@ -52,15 +53,18 @@ the big-M of its gated blocks, its state and noise variables, its ``absx``
 cache and its ``out``/``dyn`` rows.  A side's role names end in its suffix,
 ``""`` for the first model and ``"b"`` for the second (``x``/``xb``,
 ``ZA``/``ZAb``, ``dyn``/``dynb``, ...), and the decoders derive the names
-from the same suffix.  An invalidation is one side over the data, whose
-inputs enter through ``DB`` draws; a pair encoding is two sides over the
-shared input ``u``, which enters through ``ZB`` products, plus the
-``match`` rows that equate their outputs.  One output rule serves both:
-when every mode of a side has the same certain output map C (``hatC = 0``)
-its output ``C x_k + eta_k`` needs no mode gate, so an invalidation writes
-``C x_k + eta_k = y_k`` once per sample as ungated ``out[k][q]`` rows, and
-two such sides with the same C match in ungated ``match[k][q]`` rows.
-Any other model keeps one gated block per mode, or per mode pair.
+from the same suffix.  A side reads its input as one box per transition:
+an invalidation is one side over the data, whose observed inputs are
+point boxes; a pair encoding is two sides over the shared input box, whose
+``u`` variables both sides read, plus the ``match`` rows that equate their
+outputs.  Either way the input's uncertainty enters through ``ZB``
+products.  One output rule serves both: when every mode of a side has the
+same certain output map C (``hatC = 0``) its output ``C x_k + eta_k``
+needs no mode gate, so an invalidation writes ``C x_k + eta_k = y_k`` once
+per sample as ungated ``out[k][q]`` rows, and two such sides with the same
+C match in ungated ``match[k][q]`` rows.  The last sample's mode then
+gates no row at all, and it gets no mode binaries.  Any other model keeps
+one gated block per mode, or per mode pair.
 
 Rows are emitted by index, not term by term.  Each mode's ``out``/``dyn``/
 ``match`` rows come from a template (``_GatedRows``) that holds the sparsity
@@ -284,11 +288,15 @@ class InvalidationEncoding:
     ``var_index`` maps semantic roles to variable names:
 
     - ``("x", k)`` / ``("eta", k)``: tuples of names, one per component;
-    - ``("a", i, k)``: the mode binary;
-    - ``("ZA", i, k)`` / ``("ZC", i, k)``: dicts ``(row, col) -> name``;
-    - ``("DB", i, k)``: dict ``(row, col) -> name``;
+    - ``("a", i, k)``: the mode binary, for k in ``binary_steps``;
+    - ``("ZA", i, k)`` / ``("ZB", i, k)`` / ``("ZC", i, k)``: dicts
+      ``(row, col) -> name``;
     - ``("Df", i, k)``: dict ``row -> name``;
     - ``("absx", k, c)``: the shared |x_k[c]| auxiliary.
+
+    ``binary_steps`` lists the samples whose mode gates some row: all of
+    them, or all but the last when the outputs need no mode gate (the
+    module docstring's output rule).
     """
 
     problem: MilpProblem
@@ -296,6 +304,7 @@ class InvalidationEncoding:
     big_m: float
     model: SwitchedAffineModel
     trajectory: Trajectory
+    binary_steps: tuple[int, ...]
 
     @property
     def n_samples(self) -> int:
@@ -416,8 +425,7 @@ class _GatedRows:
     """One mode's gated rows as a template: built once, shifted per step.
 
     ``parts`` lists the terms ``(row, slot, coef)`` of the base rows in term
-    order; a NaN coefficient is set per block (``free`` of :meth:`emit`).
-    A block turns base row r into the pair
+    order.  A block turns base row r into the pair
 
         stem[r]+:  terms + M_r * gate  <=  rhs_r + M_r
         stem[r]-:  terms - M_r * gate  >=  rhs_r - M_r
@@ -433,7 +441,6 @@ class _GatedRows:
         order = np.argsort(rows, kind="stable")
         rows, slots = rows[order], slots[order]
         self.coefs = coefs[order]
-        self.free = np.flatnonzero(np.isnan(self.coefs))
         n_terms, gate_slots = len(rows), np.asarray(gate_slots)
         g_rows = np.repeat(np.arange(n_rows), len(gate_slots))
         g_slots = np.tile(gate_slots, n_rows)
@@ -452,12 +459,8 @@ class _GatedRows:
         self.labels = [f"[{r}]{side}" for r in range(n_rows) for side in "+-"]
 
     def emit(self, sink: _RowSink, stem: str, colmap: np.ndarray,
-             rhs: np.ndarray, big_m: np.ndarray, free=()) -> None:
-        coefs = self.coefs
-        if self.free.size:
-            coefs = coefs.copy()
-            coefs[self.free] = free
-        vals = np.concatenate([coefs, big_m])[self.src] * self.sign
+             rhs: np.ndarray, big_m: np.ndarray) -> None:
+        vals = np.concatenate([self.coefs, big_m])[self.src] * self.sign
         bounds = np.empty(len(self.labels))
         np.add(rhs, big_m, out=bounds[0::2])
         np.subtract(rhs, big_m, out=bounds[1::2])
@@ -526,13 +529,13 @@ def _match_rows(mode1, mode2) -> _GatedRows:
 
 
 def _state_rows(mode, n_gates: int, data_input: bool) -> _GatedRows:
-    """Gated rows of ``x_{k+1} = (A + hatA DA) x_k + f + hatf Df + input``.
+    """Gated rows of ``x_{k+1} = (A + hatA DA) x_k + f + hatf Df
+    + (B + hatB DB) u_k``.
 
     Slots: x_{k+1} (n), x_k (n), ZA (one per nonzero of hatA), Df (one per
-    nonzero of hatf), then the input: DB (one per nonzero of hatB, its
-    coefficient ``-hatB u_k`` set per step) when the input is data, or
-    u_k (n_u) and ZB (one per nonzero of hatB) when it is a variable; the
-    gate binaries come last.
+    nonzero of hatf), u_k (n_u) unless the input is data, whose ``B u_k``
+    goes to the rhs instead, ZB (one per nonzero of hatB), and the gate
+    binaries last.
     """
     n = mode.n
     za_rows = np.nonzero(mode.hatA)[0]
@@ -544,12 +547,10 @@ def _state_rows(mode, n_gates: int, data_input: bool) -> _GatedRows:
              _one_each(za_rows, 2 * n, -1.0),
              _one_each(df_rows, slot, -mode.hatf[df_rows])]
     slot += len(df_rows)
-    if data_input:
-        parts.append(_one_each(zb_rows, slot, np.nan))
-    else:
-        parts += [_nonzeros(mode.B, slot, -1.0),
-                  _one_each(zb_rows, slot + mode.n_u, -1.0)]
+    if not data_input:
+        parts.append(_nonzeros(mode.B, slot, -1.0))
         slot += mode.n_u
+    parts.append(_one_each(zb_rows, slot, -1.0))
     slot += len(zb_rows)
     return _GatedRows(parts, n, slot + np.arange(n_gates))
 
@@ -586,46 +587,60 @@ class _AbsCache:
         bound_by_abs(sink, var, hat, self._cache[key])
 
 
-def _add_products(sink: _RowSink, absx: _AbsCache, role: str, i: int, k: int,
-                  hat: np.ndarray, keys: list, carrier,
-                  carrier_max) -> np.ndarray:
+def _add_products(sink: _RowSink, role: str, i: int, k: int, hat: np.ndarray,
+                  keys: list, carrier_max, absx: _AbsCache | None = None,
+                  carrier=None) -> np.ndarray:
     """One ``role[i][k][r][c]`` per nonzero (r, c) of hat in ``keys``: the
     product hat[r, c] * Delta[r, c] * carrier[c], bounded by
-    hat[r, c] |carrier[c]|.  Returns their columns."""
+    hat[r, c] * carrier_max[c].  A variable carrier also gets the rows
+    ``|Z| <= hat |carrier|`` through ``absx``; a constant one (an observed
+    input, ``absx=None``) needs the bounds only.  Returns their columns."""
     if not keys:
         return _NO_COLS
     names: dict[tuple[int, int], str] = {}
     for r, c in keys:
         bound = hat[r, c] * carrier_max[c]
         z = sink.add_continuous(f"{role}[{i}][{k}][{r}][{c}]", -bound, bound)
-        absx.bound(sink, z, float(hat[r, c]), k, c, carrier[c], carrier_max[c])
+        if absx is not None:
+            absx.bound(sink, z, float(hat[r, c]), k, c, carrier[c],
+                       carrier_max[c])
         names[(r, c)] = z
     sink.var_index[(role, i, k)] = names
     return _cols(sink.p, names.values())
 
 
 def _add_draws(sink: _RowSink, role: str, i: int, k: int,
-               keys: list) -> np.ndarray:
-    """One normalized draw in [-1, 1] per key: ``role[i][k][r]`` for a key
-    r (Df), ``role[i][k][r][c]`` for a key (r, c) (DB).  Returns their
-    columns."""
-    if not keys:
+               rows: list) -> np.ndarray:
+    """One normalized draw ``role[i][k][r]`` in [-1, 1] per row r (Df).
+    Returns their columns."""
+    if not rows:
         return _NO_COLS
     p = sink.p
-    first, stem = p.n_vars, f"{role}[{i}][{k}]"
+    first = p.n_vars
     sink.var_index[(role, i, k)] = {
-        key: p.add_continuous(
-            stem + ("".join(f"[{x}]" for x in key) if isinstance(key, tuple)
-                    else f"[{key}]"), -1.0, 1.0)
-        for key in keys}
+        r: p.add_continuous(f"{role}[{i}][{k}][{r}]", -1.0, 1.0) for r in rows}
     return np.arange(first, p.n_vars)
 
 
-def _one_hot_rows(sink: _RowSink, names: list[str], cols: np.ndarray) -> None:
-    """Row t: the binaries ``cols[t]`` sum to one."""
-    n_rows, width = cols.shape
-    sink.add_rows(names, np.repeat(np.arange(n_rows), width), cols.ravel(),
-                  np.ones(cols.size), np.full(n_rows, EQ), np.ones(n_rows))
+def _mode_binaries(sink: _RowSink, role: str, row: str, n_samples: int,
+                   shape: tuple[int, ...], steps) -> np.ndarray:
+    """At each sample k of ``steps``, one binary ``role[i]..[k]`` per mode
+    choice (1-based indices, the last varying fastest) and the one-hot row
+    ``row[k]`` over them.  Returns their columns as an array of shape
+    ``(n_samples, *shape)``, 0 at the samples without binaries."""
+    cols = np.zeros((n_samples, *shape), dtype=np.intp)
+    for k in steps:
+        for choice in np.ndindex(*shape):
+            key = tuple(c + 1 for c in choice)
+            name = role + "".join(f"[{c}]" for c in key) + f"[{k}]"
+            sink.var_index[(role, *key, k)] = sink.add_binary(name)
+            cols[(k, *choice)] = sink.p.n_vars - 1
+    one_hot = cols[list(steps)].ravel()
+    sink.add_rows([f"{row}[{k}]" for k in steps],
+                  np.repeat(np.arange(len(steps)), np.prod(shape)), one_hot,
+                  np.ones(one_hot.size), np.full(len(steps), EQ),
+                  np.ones(len(steps)))
+    return cols
 
 
 def _certain_output_rows(sink: _RowSink, names: list[str], C: np.ndarray,
@@ -649,33 +664,38 @@ class _Side:
     """One model's part of an encoding: envelope, big-M, variables and rows.
 
     Role names end in ``suffix`` (``x`` or ``xb``, ``ZA`` or ``ZAb``, ...).
-    ``drive`` is the model's input: the observed inputs of a data window,
-    an array of ``n_samples`` rows that enters through ``DB`` draws, or
-    the shared input box of a pair encoding, whose ``u`` variables enter
-    through ``ZB`` products.
+    ``inputs`` is the pair ``(lower, upper)`` of arrays with one input box
+    per transition k: the point box ``(u_k, u_k)`` of an observed input,
+    or the shared input box of a pair encoding at every step.  Each nonzero
+    ``hatB[r, c]`` enters mode i's ``dyn`` rows at step k as a product
+    ``ZB[i][k][r][c]`` bounded by ``hatB[r, c] * umax[k][c]``, the largest
+    ``|u_k[c]|`` in the box.  An observed input's ``B u_k`` is a constant
+    on the right-hand side; a pair's shared ``u`` variables enter through
+    B and back their ``ZB`` with ``|u|`` rows.
 
     The constructor derives a conservative per-sample envelope of
     model-consistent state windows.  Starting from the admissible state
     box, the box of sample k + 1 is the interval hull over modes of the
-    one-step update applied to the box of sample k (with the mode's input
-    contribution as an interval), intersected with the admissible box and
-    padded by a hair against rounding.  Any state window every model
-    explanation can use stays inside the envelope, so it is safe to bound
-    the state variables by it.  ``boxes[k]`` is the ``(lower, upper)`` pair
-    of sample k; ``dyn[k][i - 1]`` and ``out[k][i - 1]`` are mode i's
-    update and output expression intervals at step k, from which each
-    gated row's big-M derives.  ``big_m`` is the largest one used.
+    one-step update applied to the box of sample k and the input box of
+    step k, intersected with the admissible box and padded by a hair
+    against rounding.  Any state window every model explanation can use
+    stays inside the envelope, so it is safe to bound the state variables
+    by it.  ``boxes[k]`` is the ``(lower, upper)`` pair of sample k;
+    ``dyn[k][i - 1]`` and ``out[k][i - 1]`` are mode i's update and output
+    expression intervals at step k, from which each gated row's big-M
+    derives.  ``big_m`` is the largest one used.
 
     ``C`` is the certain (``hatC == 0``) output map all modes share, or
     None; such outputs need no mode gate.
     """
 
-    def __init__(self, model: SwitchedAffineModel, n_samples: int, drive,
+    def __init__(self, model: SwitchedAffineModel, n_samples: int, inputs,
                  suffix: str):
         _require_bounded(model.state_set, "the state set")
         _require_bounded(model.noise_set, "the noise set")
         self.model, self.n_samples, self.suffix = model, n_samples, suffix
-        self.data = drive if isinstance(drive, np.ndarray) else None
+        self.inputs = inputs
+        self.umax = np.maximum(np.abs(inputs[0]), np.abs(inputs[1]))
         self.keys = [[_keys(hat) for hat in (mode.hatA, mode.hatB, mode.hatC,
                                              mode.hatf)]
                      for mode in model.modes]
@@ -686,22 +706,13 @@ class _Side:
         C = model.modes[0].C
         self.C = C if all(not mode.hatC.any() and np.array_equal(mode.C, C)
                           for mode in model.modes) else None
-        if self.data is None:
-            # the input's contribution, the same interval at every step
-            ul = np.asarray(drive.lower, dtype=float)
-            uu = np.asarray(drive.upper, dtype=float)
-            self.umax = np.maximum(np.abs(ul), np.abs(uu))
-            box_push = []
-            for mode in model.modes:
-                blo, bhi = _interval_product(_signs(mode.B), ul, uu)
-                spread = mode.hatB @ self.umax
-                box_push.append((blo - spread, bhi + spread))
 
         xl0 = np.asarray(model.state_set.lower, dtype=float)
         xu0 = np.asarray(model.state_set.upper, dtype=float)
         el = np.asarray(model.noise_set.lower, dtype=float)
         eu = np.asarray(model.noise_set.upper, dtype=float)
-        signs = [(_signs(mode.A), _signs(mode.C)) for mode in model.modes]
+        signs = [(_signs(mode.A), _signs(mode.B), _signs(mode.C))
+                 for mode in model.modes]
         self.boxes = [(xl0, xu0)]
         self.xmax, self.dyn, self.out = [], [], []
         for k in range(n_samples):
@@ -709,7 +720,7 @@ class _Side:
             xmax = np.maximum(np.abs(xl), np.abs(xu))
             self.xmax.append(xmax)
             out = []
-            for mode, (_, c_signs) in zip(model.modes, signs):
+            for mode, (*_, c_signs) in zip(model.modes, signs):
                 clo, chi = _interval_product(c_signs, xl, xu)
                 spread = mode.hatC @ xmax
                 out.append((clo + el - spread, chi + eu + spread))
@@ -717,15 +728,13 @@ class _Side:
             if k == n_samples - 1:
                 break
             dyn = []
-            for i, (mode, (a_signs, _)) in enumerate(zip(model.modes, signs)):
+            for mode, (a_signs, b_signs, _) in zip(model.modes, signs):
                 alo, ahi = _interval_product(a_signs, xl, xu)
                 spread = mode.hatA @ xmax + mode.hatf
-                if self.data is None:
-                    dlo, dhi = box_push[i]
-                else:
-                    mid = mode.B @ drive[k]
-                    slack = mode.hatB @ np.abs(drive[k])
-                    dlo, dhi = mid - slack, mid + slack
+                blo, bhi = _interval_product(b_signs, inputs[0][k],
+                                             inputs[1][k])
+                b_spread = mode.hatB @ self.umax[k]
+                dlo, dhi = blo - b_spread, bhi + b_spread
                 dyn.append((alo + mode.f - spread + dlo,
                             ahi + mode.f + spread + dhi))
             self.dyn.append(dyn)
@@ -760,9 +769,9 @@ class _Side:
 
     def zc(self, sink: _RowSink, i: int, k: int) -> np.ndarray:
         """Columns of mode i's ``ZC`` products at sample k."""
-        return _add_products(sink, self.absx, "ZC" + self.suffix, i, k,
+        return _add_products(sink, "ZC" + self.suffix, i, k,
                              self.model.modes[i - 1].hatC, self.keys[i - 1][2],
-                             self.names["x"][k], self.xmax[k])
+                             self.xmax[k], self.absx, self.names["x"][k])
 
     def emit(self, sink: _RowSink, gates: np.ndarray, outputs=None,
              u=None) -> None:
@@ -772,12 +781,13 @@ class _Side:
 
         ``gates[k, i - 1]`` holds the columns of the binaries that select
         mode i at sample k.  With a shared input, ``u`` is the triple
-        (names, columns, ``_AbsCache``) of its variables.
+        (names, columns, ``_AbsCache``) of its variables; without it the
+        input is data, the lower end of each point box.
         """
         modes, sfx = self.model.modes, self.suffix
         x, x_cols, eta_cols = self.names["x"], self.cols["x"], self.cols["eta"]
         fingerprints = [_fingerprint(mode) for mode in modes]
-        data, n_gates = self.data is not None, gates.shape[2]
+        data, n_gates = u is None, gates.shape[2]
         dyn_rows = [_memo(("state", fp, n_gates, data), _state_rows,
                           mode, n_gates, data)
                     for mode, fp in zip(modes, fingerprints)]
@@ -802,28 +812,22 @@ class _Side:
                         self.gate_m(outputs[k], outputs[k], *self.out[k][i - 1]))
                 if k == self.n_samples - 1:
                     continue
-                za = _add_products(sink, self.absx, "ZA" + sfx, i, k,
-                                   mode.hatA, za_keys, x[k], self.xmax[k])
+                za = _add_products(sink, "ZA" + sfx, i, k, mode.hatA, za_keys,
+                                   self.xmax[k], self.absx, x[k])
                 df = _add_draws(sink, "Df" + sfx, i, k, df_keys)
                 if data:
-                    u_k = self.data[k]
-                    inputs = [_add_draws(sink, "DB" + sfx, i, k, b_keys)]
-                    # DB[r][c] enters with -hatB[r, c] u_k[c], so not where
-                    # u_k[c] = 0
-                    free = [-(mode.hatB[r, c] * u_k[c]) for r, c in b_keys]
-                    rhs = mode.B @ u_k + mode.f
+                    u_names, u_cols, absu = None, _NO_COLS, None
+                    rhs = mode.B @ self.inputs[0][k] + mode.f
                 else:
-                    u_names, u_cols, absu = u
-                    inputs = [u_cols[k], _add_products(
-                        sink, absu, "ZB" + sfx, i, k, mode.hatB, b_keys,
-                        u_names[k], self.umax)]
-                    free, rhs = (), mode.f
+                    u_names, u_cols, absu = u[0][k], u[1][k], u[2]
+                    rhs = mode.f
+                zb = _add_products(sink, "ZB" + sfx, i, k, mode.hatB, b_keys,
+                                   self.umax[k], absu, u_names)
                 dyn_rows[i - 1].emit(
                     sink, f"dyn{sfx}[{i}][{k}]",
-                    np.concatenate([x_cols[k + 1], x_cols[k], za, df, *inputs,
-                                    gate]),
-                    rhs, self.gate_m(*self.boxes[k + 1], *self.dyn[k][i - 1]),
-                    free=free)
+                    np.concatenate([x_cols[k + 1], x_cols[k], za, df, u_cols,
+                                    zb, gate]),
+                    rhs, self.gate_m(*self.boxes[k + 1], *self.dyn[k][i - 1]))
 
 
 def encode_invalidation(model: SwitchedAffineModel,
@@ -836,7 +840,8 @@ def encode_invalidation(model: SwitchedAffineModel,
     derive a big-M constant.
 
     The mode binaries ``a[i][k]`` are the first binary columns, step by
-    step (k outermost, then i); the sign binaries of the ``|x|`` terms that
+    step (k outermost, then i), at every sample whose mode gates a row;
+    the sign binaries of the ``|x|`` terms that
     parameter uncertainty needs follow them.  The solver branches on the
     lowest-index fractional binary, so it decides the modes in time order.
     """
@@ -849,22 +854,19 @@ def encode_invalidation(model: SwitchedAffineModel,
         if model.n_u and not U.contains(trajectory.inputs[k], tol=1e-9):
             raise InputOutsideAdmissibleSet(k, trajectory.inputs[k])
 
-    # the observed input enters the envelope exactly, not via its box
-    side = _Side(model, N, trajectory.inputs, "")
+    # an observed input is the point box {u_k}
+    side = _Side(model, N, (trajectory.inputs, trajectory.inputs), "")
     p = MilpProblem(name=f"invalidation[{model.name or 'model'}][N={N}]")
     sink = _RowSink(p)
     side.add_vars(sink, "x")
     side.add_vars(sink, "eta")
-    s = model.s
-    a = np.empty((N, s), dtype=np.intp)
-    for k in range(N):
-        for i in range(1, s + 1):
-            sink.var_index[("a", i, k)] = p.add_binary(f"a[{i}][{k}]")
-            a[k, i - 1] = p.n_vars - 1
-    _one_hot_rows(sink, [f"mode[{k}]" for k in range(N)], a)
+    # with ungated outputs the last sample's mode gates no row
+    binary_steps = tuple(range(N - 1 if side.C is not None else N))
+    a = _mode_binaries(sink, "a", "mode", N, (model.s,), binary_steps)
     side.emit(sink, a[:, :, None], outputs=trajectory.outputs)
     sink.flush()
-    return InvalidationEncoding(p, sink.var_index, side.big_m, model, trajectory)
+    return InvalidationEncoding(p, sink.var_index, side.big_m, model,
+                                trajectory, binary_steps)
 
 
 def encode_t_detectability(system: SwitchedAffineModel,
@@ -900,8 +902,10 @@ def encode_t_detectability(system: SwitchedAffineModel,
     if n_u:
         _require_bounded(U, "the input set")
 
-    # each side's envelope takes the inputs through the shared box
-    sides = (_Side(system, T + 1, U, ""), _Side(fault, T + 1, U, "b"))
+    # both sides take the shared input box at every step
+    boxes = (np.tile(np.asarray(U.lower, dtype=float), (T, 1)),
+             np.tile(np.asarray(U.upper, dtype=float), (T, 1)))
+    sides = (_Side(system, T + 1, boxes, ""), _Side(fault, T + 1, boxes, "b"))
     C = sides[0].C
     collapsed = C is not None and np.array_equal(C, sides[1].C)
     binary_steps = tuple(range(T)) if collapsed else tuple(range(T + 1))
@@ -915,14 +919,7 @@ def encode_t_detectability(system: SwitchedAffineModel,
         sink.var_index[("u", k)] = u[k]
     u_cols = [_cols(p, names) for names in u]
 
-    d = np.zeros((T + 1, s1, s2), dtype=np.intp)
-    for k in binary_steps:
-        for i in range(1, s1 + 1):
-            for j in range(1, s2 + 1):
-                sink.var_index[("d", i, j, k)] = p.add_binary(f"d[{i}][{j}][{k}]")
-                d[k, i - 1, j - 1] = p.n_vars - 1
-    _one_hot_rows(sink, [f"pair[{k}]" for k in binary_steps],
-                  d[list(binary_steps)].reshape(len(binary_steps), s1 * s2))
+    d = _mode_binaries(sink, "d", "pair", T + 1, (s1, s2), binary_steps)
 
     shared_u = (u, u_cols, _AbsCache("absu"))
     sides[0].emit(sink, d, u=shared_u)
@@ -1058,10 +1055,10 @@ def _recover_delta(z_value: float, hat: float, carrier: float) -> float:
 
 def _decode_side(model: SwitchedAffineModel, w: Witness, var_index: Mapping,
                  n_samples: int, suffix: str, mode_of,
-                 u_data: np.ndarray | None) -> Explanation:
+                 u_data: np.ndarray) -> Explanation:
     """Decode the side whose role names end in ``suffix``.  ``u_data`` is
-    the shared input of a pair encoding, or None where the input was data
-    and its uncertainty sits in ``DB`` draws."""
+    the input each ``ZB`` multiplies: the data window's inputs, or the
+    shared input of a pair encoding."""
     n, n_u, n_y = model.n, model.n_u, model.n_y
     states = np.array([[w[v] for v in var_index[("x" + suffix, k)]]
                        for k in range(n_samples)])
@@ -1081,28 +1078,34 @@ def _decode_side(model: SwitchedAffineModel, w: Witness, var_index: Mapping,
             DC[k, q, c] = _recover_delta(w[name], mode.hatC[q, c], states[k, c])
         for r, name in var_index.get(("Df" + suffix, i, k), {}).items():
             Df[k, r] = float(np.clip(w[name], -1.0, 1.0))
-        if u_data is None:
-            for (r, c), name in var_index.get(("DB" + suffix, i, k), {}).items():
-                DB[k, r, c] = float(np.clip(w[name], -1.0, 1.0))
-        else:
-            for (r, c), name in var_index.get(("ZB" + suffix, i, k), {}).items():
-                DB[k, r, c] = _recover_delta(w[name], mode.hatB[r, c],
-                                             u_data[k, c])
+        for (r, c), name in var_index.get(("ZB" + suffix, i, k), {}).items():
+            DB[k, r, c] = _recover_delta(w[name], mode.hatB[r, c], u_data[k, c])
     draw = SimulationDraw(states[0], modes0, noise, DA, DB, DC, Df)
     return Explanation(states, noise, modes0, draw)
+
+
+def _mode_sequence(w: Witness, var_index: Mapping, role: str,
+                   shape: tuple[int, ...], n_samples: int,
+                   binary_steps) -> list[tuple[int, ...]]:
+    """The 1-based mode choice of every sample: the one whose binary
+    ``role[i]..[k]`` is largest.  A sample without binaries repeats the
+    sample before it, or takes the first choice when it is the first."""
+    choices = [tuple(c + 1 for c in choice) for choice in np.ndindex(*shape)]
+    sequence, chosen = [], choices[0]
+    for k in range(n_samples):
+        if k in binary_steps:
+            chosen = max(choices, key=lambda c: w[var_index[(role, *c, k)]])
+        sequence.append(chosen)
+    return sequence
 
 
 def decode_invalidation_witness(enc: InvalidationEncoding, w: Witness) -> Explanation:
     """Invert the change of variables: recover states, noise, the mode
     sequence and normalized uncertainty draws from a feasible assignment."""
-    s = enc.model.s
-
-    def mode_of(k: int) -> int:
-        return max(range(1, s + 1),
-                   key=lambda i: w[enc.var_index[("a", i, k)]]) - 1
-
+    modes = _mode_sequence(w, enc.var_index, "a", (enc.model.s,),
+                           enc.n_samples, enc.binary_steps)
     return _decode_side(enc.model, w, enc.var_index, enc.n_samples, "",
-                        mode_of, None)
+                        lambda k: modes[k][0] - 1, enc.trajectory.inputs)
 
 
 @dataclass(frozen=True)
@@ -1122,15 +1125,9 @@ class CommonBehavior:
 
 def decode_pair_witness(enc: PairEncoding, w: Witness) -> CommonBehavior:
     T = enc.horizon
-    s1, s2 = enc.system.s, enc.fault.s
     n_u = enc.system.n_u
-
-    def pair_of(k: int) -> tuple[int, int]:
-        kk = k if k in enc.binary_steps else enc.binary_steps[-1]
-        return max(((i, j) for i in range(1, s1 + 1) for j in range(1, s2 + 1)),
-                   key=lambda ij: w[enc.var_index[("d", ij[0], ij[1], kk)]])
-
-    pairs = [pair_of(k) for k in range(T + 1)]
+    pairs = _mode_sequence(w, enc.var_index, "d", (enc.system.s, enc.fault.s),
+                           T + 1, enc.binary_steps)
     u = np.zeros((T + 1, n_u))
     for k in range(T):
         u[k] = [w[v] for v in enc.var_index[("u", k)]]

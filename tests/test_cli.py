@@ -110,13 +110,13 @@ class TestGolden:
             0, f"wrote 10 samples to {healthy}\n", "")
         assert run("invalidate", "--model", "radiant", "--trajectory", healthy,
                    "--window", "3") == (
-            0, "CONSISTENT  nodes=2 lp_iterations=48\n", "")
+            0, "CONSISTENT  nodes=1 lp_iterations=47\n", "")
 
     def test_invalidate_invalidated(self, run, data):
         faulty, _ = data
         assert run("invalidate", "--model", "radiant",
                    "--trajectory", faulty) == (
-            2, "INVALIDATED  nodes=1 lp_iterations=79\n", "")
+            2, "INVALIDATED  nodes=1 lp_iterations=78\n", "")
 
     def test_invalidate_input_outside_the_input_set(self, run, data):
         _, off_input = data
@@ -169,11 +169,11 @@ class TestGolden:
                              "--export", "-")
         assert (code, err) == (0, "")
         assert sha256(out) == \
-            "317b3a0dab7fde70fb8df8f7fe18cf69805a85724a9f41e2f6dafc140ac10c69"
+            "c9a08315085bf09feef8934978b663e76b54152837ed44e85092df302eee7bf4"
         lp = tmp_path / "window.lp"
         assert run("invalidate", "--model", "radiant", "--trajectory", faulty,
                    "--window", "1", "--export", lp) == (
-            0, f"exported 56 variables / 62 rows to {lp}\n", "")
+            0, f"exported 52 variables / 61 rows to {lp}\n", "")
         assert lp.read_text() == out
 
     def test_find_t_then_report(self, run, tmp_path):
@@ -195,6 +195,13 @@ class TestGolden:
             run("find-t", *SENSOR_PAIR, "--tmax", "5") == (
             0, "T=1\n  T=1: infeasible\n  T=2: infeasible\n"
                "  recheck at T=2: infeasible\n", "")
+
+    def test_export_milp_strips_a_model_file_like_its_bundled_name(self, run):
+        files = ["--model", asset_path("sensorScenario1"),
+                 "--fault", asset_path("sensorScenario1Fault"), "--no-uncertainty"]
+        bundled = run("export-milp", *SENSOR_PAIR, "--window", "1")
+        assert run("export-milp", *files, "--window", "1") == bundled
+        assert sha256(bundled[1]) == PAIR_LP_SHA256
 
     @pytest.mark.parametrize("verdict, argv, code, text", [
         ("notUpTo", ["--tmax", "1"], 0,
@@ -254,8 +261,8 @@ class TestGolden:
         assert (code, err) == (0, "")
         assert mask_column(out, 5) == (
             "horizon,seed,verdict,nodes,lp_iterations,solve_s\n"
-            "1,0,consistent,2,19,*\n1,1,consistent,2,19,*\n"
-            "2,0,consistent,2,33,*\n2,1,consistent,2,31,*\n")
+            "1,0,consistent,1,18,*\n1,1,consistent,1,18,*\n"
+            "2,0,consistent,1,32,*\n2,1,consistent,1,30,*\n")
 
     def test_export_milp_consistency_problem(self, run, tmp_path):
         window = tmp_path / "window.csv"
@@ -266,7 +273,7 @@ class TestGolden:
                              "--trajectory", window)
         assert (code, err) == (0, "")
         assert sha256(out) == \
-            "8d042fd244da82f68186e741fc15639b078a824e90392d4d7bfb5ad2ad87d281"
+            "08b7ad77417514093aeeada7076b3f423486e5616a9641f6662c264d07b54e16"
 
     def test_export_milp_pair_problem(self, run, tmp_path):
         code, out, err = run("export-milp", *SENSOR_PAIR, "--window", "1")

@@ -10,11 +10,12 @@ from swainval.encoder import (BadIndicator, BadMode, CountBand,
                               check_invalidation, decode_pair_witness,
                               encode_invalidation, encode_t_detectability,
                               prefix_indicator)
+from swainval.external import solve_lp_problem_with_scipy
 from swainval.milp import encode_abs_leq, MilpProblem
 from swainval.model import (AffineMode, DimensionError, HyperRectangle,
                             RandomPolicy, SwitchedAffineModel, Trajectory,
                             simulate, simulate_random)
-from swainval.solver import SolverConfig, solve_milp
+from swainval.solver import FEASIBLE, INFEASIBLE, SolverConfig, solve_milp
 
 from oracles import consistent_by_enumeration, pair_feasible_by_enumeration
 
@@ -108,11 +109,13 @@ class TestInvalidationBasics:
         assert "budget" in res.reason
 
     def test_every_step_has_mode_binaries_and_choice_row(self):
+        # two output maps gate the out rows of every sample, the last too
         m1 = AffineMode.certain([[0.5]], np.zeros((1, 0)), [[1.0]], [0.0])
-        m2 = AffineMode.certain([[0.2]], np.zeros((1, 0)), [[1.0]], [0.1])
+        m2 = AffineMode.certain([[0.2]], np.zeros((1, 0)), [[2.0]], [0.1])
         model = autonomous([m1, m2], noise_r=0.05)
         traj = Trajectory(np.zeros((4, 0)), [[0.1]] * 4)
         enc = encode_invalidation(model, traj)
+        assert enc.binary_steps == (0, 1, 2, 3)
         names = set(enc.problem.variable_names)
         rows = {c.name for c in enc.problem.constraints}
         for k in range(4):
@@ -120,6 +123,28 @@ class TestInvalidationBasics:
             for i in (1, 2):
                 assert f"a[{i}][{k}]" in names
                 assert enc.var_index[("a", i, k)] == f"a[{i}][{k}]"
+
+    def test_a_shared_certain_output_map_leaves_the_last_sample_unchosen(self):
+        # one certain C: the last sample's mode gates no row, so it gets no
+        # binaries and no choice row, and decodes as the mode before it
+        m1 = AffineMode.certain([[0.5]], np.zeros((1, 0)), [[1.0]], [0.0])
+        m2 = AffineMode.certain([[0.2]], np.zeros((1, 0)), [[1.0]], [0.1])
+        model = autonomous([m1, m2], noise_r=0.01)
+        # halved twice, then 0.2 x + 0.1: only the modes (1, 1, 2) fit
+        y = [[0.5], [0.25], [0.125], [0.125]]
+        res = check_invalidation(model, Trajectory(np.zeros((4, 0)), y))
+        enc = res.encoding
+        assert enc.binary_steps == (0, 1, 2)
+        names = set(enc.problem.variable_names)
+        rows = {c.name for c in enc.problem.constraints}
+        assert "mode[3]" not in rows and "mode[2]" in rows
+        assert not {"a[1][3]", "a[2][3]"} & names
+        assert res.is_consistent
+        assert res.explanation.mode_sequence == (0, 0, 1, 1)
+        # a 1-sample window has no binaries at all and reports the first mode
+        one = check_invalidation(model, Trajectory(np.zeros((1, 0)), [[0.1]]))
+        assert one.encoding.binary_steps == () and one.is_consistent
+        assert one.explanation.mode_sequence == (0,)
 
 
     def test_a_shared_certain_output_map_is_written_once_per_sample(self):
@@ -214,6 +239,36 @@ class TestSoundnessWithUncertainty:
             replay = simulate(uncertain_model, traj.inputs, draw,
                               check_bounds=False)
             assert np.max(np.abs(replay.outputs - traj.outputs)) < 1e-6
+
+    def test_observed_inputs_agree_with_highs(self, uncertain_model):
+        """An observed input enters as a ZB product pinned to the point box
+        of u_k.  Windows with inputs set to exactly 0 at some steps, some
+        with a tampered output, get HiGHS's verdict on the same encoding;
+        a consistent one decodes DB = 0 wherever u = 0 and replays."""
+        verdicts = []
+        for seed in range(10):
+            traj, draw = simulate_random(uncertain_model, seed=seed, steps=6,
+                                         policy=RandomPolicy())
+            inputs = traj.inputs.copy()
+            inputs[seed % 3::3] = 0.0
+            clean = simulate(uncertain_model, inputs, draw, check_bounds=False)
+            tampered = clean.outputs.copy()
+            tampered[3, 0] += 0.1 + 0.4 * (seed % 4)
+            for window in (clean, Trajectory(inputs, tampered)):
+                res = check_invalidation(uncertain_model, window)
+                highs = solve_lp_problem_with_scipy(res.encoding.problem.seal())
+                assert highs.status in (FEASIBLE, INFEASIBLE)
+                assert res.is_consistent == (highs.status == FEASIBLE), seed
+                verdicts.append(res.verdict)
+                if not res.is_consistent:
+                    continue
+                # DB[k, r, c] multiplies u_k[c]
+                DB = res.explanation.draw.DB.transpose(0, 2, 1)
+                assert np.all(DB[window.inputs == 0.0] == 0.0)
+                replay = simulate(uncertain_model, window.inputs,
+                                  res.explanation.draw, check_bounds=False)
+                assert np.max(np.abs(replay.outputs - window.outputs)) < 1e-6
+        assert {"consistent", "invalidated"} <= set(verdicts)
 
     def test_tampered_uncertain_window_invalidated(self, uncertain_model):
         traj, _ = simulate_random(uncertain_model, seed=0, steps=6,

@@ -3,11 +3,14 @@
 ``export_lp`` writes every variable, bound, row, term and coefficient in a
 fixed order with 17 significant digits, so its SHA-256 pins an encoding
 bit for bit: variable order, row order, the term order inside each row,
-coefficients, right-hand sides and bounds.  The models below carry nonzero
-``hatA``, ``hatB``, ``hatC`` and ``hatf`` so that the ``ZA``/``ZB``/``ZC``/
-``DB``/``Df`` variables, the shared ``absx``/``absu`` rows and the
+coefficients, right-hand sides and bounds.  The toy models below carry
+nonzero ``hatA``, ``hatB``, ``hatC`` and ``hatf`` so that the ``ZA``/
+``ZB``/``ZC``/``Df`` variables, the shared ``absx``/``absu`` rows and the
 ``bound_by_abs`` rows all occur, next to the ``out``/``dyn``/``match``/
-``mode``/``pair`` rows and both indicator forms.
+``mode``/``pair`` rows and both indicator forms.  The ``ZB`` of a data
+window multiply observed inputs, those of a pair the shared ``u``.  Three
+more digests pin the benchmark's own encodings: a radiant monitor window,
+a numeric3 window and the ideal sensorScenario3 pair at T=2.
 """
 
 import hashlib
@@ -18,10 +21,10 @@ import pytest
 from swainval.encoder import (CountBand, ExplicitWords, StructuredTuple,
                               apply_indicator, encode_invalidation,
                               encode_t_detectability)
-from swainval.examples import builtin_pair
+from swainval.examples import builtin_pair, load_builtin, numeric_family
 from swainval.milp import export_lp
-from swainval.model import (AffineMode, HyperRectangle, SwitchedAffineModel,
-                            Trajectory)
+from swainval.model import (AffineMode, HyperRectangle, RandomPolicy,
+                            SwitchedAffineModel, Trajectory, simulate_random)
 
 
 def uncertain_model(name: str, modes) -> SwitchedAffineModel:
@@ -51,8 +54,8 @@ FAULT = uncertain_model("goldenFault", [
          hatC=[[0.01, 0.0], [0.0, 0.02]], hatf=[0.0, 0.01]),
 ])
 
-# the input samples u_0[1] and u_1[0] are exactly 0, so the DB terms that
-# multiply them drop out of their rows
+# the input samples u_0[1] and u_1[0] are exactly 0, so the ZB products
+# that multiply them are pinned to 0
 WINDOW = Trajectory([[0.3, 0.0], [0.0, -0.4], [0.2, 0.1]],
                     [[0.5, 0.2], [0.4, 0.1], [0.3, -0.1]])
 
@@ -90,9 +93,32 @@ def radiant_weak_indicator():
         indicator=StructuredTuple([3, 4], 1, 1, "=")).problem
 
 
+def radiant_window():
+    # a 4-sample window of the radiant monitor's model: ungated ``out``
+    # rows, ``Df`` draws and no input
+    radiant = load_builtin("radiant")
+    window, _ = simulate_random(radiant, seed=0, steps=4)
+    return encode_invalidation(radiant, window).problem
+
+
+def numeric3_window():
+    # a 6-sample window of the numeric sweep's model, with certain modes
+    numeric3 = numeric_family(3)
+    window, _ = simulate_random(
+        numeric3, seed=0, steps=6,
+        policy=RandomPolicy(input_box=HyperRectangle([-1.0], [1.0])))
+    return encode_invalidation(numeric3, window).problem
+
+
+def sensor_scenario3_pair():
+    # the ideal sensorScenario3 pair at T=2, as find_T probes it
+    return encode_t_detectability(
+        *builtin_pair("sensorScenario3", uncertainty=False), 2).problem
+
+
 @pytest.mark.parametrize("build, expected", [
     (invalidation_window,
-     "7a8726ada62c1e8ed2229e5cfdceaad3275f04eeabfe3a50ca533a17c6ccca78"),
+     "416435347a4695fd0cf0c5973d345fd3bc6ea403986fbc5b5abb2c2a9089462d"),
     (uncertain_pair,
      "9c142365c893829d8695307abc0ecb5435c8f409b3c8e7109c7b06797f13386e"),
     (explicit_words,
@@ -101,6 +127,12 @@ def radiant_weak_indicator():
      "1b3dd5ead297b4fe851719819d7d2d81c4fb48dfda5b1a0852e48f486f31e6f1"),
     (radiant_weak_indicator,
      "8ac486ea535a119d729a914debf909cd7fdab75391fe70f06408f21ca587ec40"),
+    (radiant_window,
+     "7d1b20b15b807089e74ae0804c82c7eb27753b5a622066aa78868f271daff724"),
+    (numeric3_window,
+     "a10065cdd5b5b3f1794f49bf1f80052ca3f8d8d7591eb262f6644e377381089e"),
+    (sensor_scenario3_pair,
+     "b0d5f1eb3f7837beec467890392b70380d6ebef9df6e55385ac0796e4deaa4ef"),
 ])
 def test_export_lp_digest(build, expected):
     assert digest(build()) == expected
@@ -118,11 +150,12 @@ def test_the_encodings_cover_every_row_family():
     for role in ("ZA", "ZAb", "ZB", "ZBb", "ZC", "ZCb", "Df", "Dfb"):
         assert any(v.startswith(role + "[") for v in names), role
     window = invalidation_window()
-    assert any(v.startswith("DB[") for v in window.variable_names)
-    # DB[2][0][0][1] multiplies u_0[1] = 0: the variable exists, its term not
-    assert "DB[2][0][0][1]" in window.variable_names
-    assert not any(v == "DB[2][0][0][1]" for c in window.constraints
-                   for _, v in c.terms)
+    assert any(v.startswith("ZB[") for v in window.variable_names)
+    # ZB[2][0][0][1] multiplies u_0[1] = 0: its bounds pin it to 0, and its
+    # term stays in its row
+    assert window.bounds_of("ZB[2][0][0][1]") == (-0.0, 0.0)
+    assert any(v == "ZB[2][0][0][1]" for c in window.constraints
+               for _, v in c.terms)
     assert any(c.name.startswith("ind.sel") for c in explicit_words().constraints)
     assert {c.name for c in count_band().constraints} >= {"ind.count.lo",
                                                           "ind.count.hi"}
