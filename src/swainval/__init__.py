@@ -28,14 +28,12 @@ from .model import (
     build_attack_model,
     concat_cascaded,
     submodel,
+    strip_uncertainty,
 )
 from .milp import (
     MilpProblem,
     Witness,
     UnboundedSet,
-    BadBigM,
-    add_abs_var,
-    encode_abs_leq,
     export_lp,
     parse_lp,
     verify,
@@ -138,10 +136,10 @@ __all__ = [
     "SimulationDraw", "RandomPolicy", "ValidationIssue", "ValidationReport",
     "DimensionError", "StateBoundViolation", "NoAdmissibleDraw",
     "validate_model", "simulate", "simulate_random", "discretize_affine",
-    "build_attack_model", "concat_cascaded", "submodel",
+    "build_attack_model", "concat_cascaded", "submodel", "strip_uncertainty",
     # milp
-    "MilpProblem", "Witness", "UnboundedSet", "BadBigM", "add_abs_var",
-    "encode_abs_leq", "export_lp", "parse_lp", "verify",
+    "MilpProblem", "Witness", "UnboundedSet", "export_lp", "parse_lp",
+    "verify",
     # solver
     "FEASIBLE", "INFEASIBLE", "BUDGET_EXCEEDED", "SolverConfig",
     "SolveResult", "SolverNumericalError", "solve_milp", "check_certificate",

@@ -34,8 +34,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .detectability import (NOT_UP_TO, UNDECIDED as SEARCH_UNDECIDED, YES,
                             ConversePathsDisagree, DetectabilityReport,
                             MonotonicityViolation, find_T)
@@ -50,8 +48,8 @@ from .fileio import (FileFormatError, load_model, load_trajectory,
                      parse_indicator_arg, save_trajectory, trajectory_from_csv,
                      trajectory_to_csv)
 from .milp import UnboundedSet, export_lp
-from .model import (DimensionError, HyperRectangle, NoAdmissibleDraw,
-                    RandomPolicy, SwitchedAffineModel, simulate_random,
+from .model import (DimensionError, NoAdmissibleDraw, RandomPolicy,
+                    SwitchedAffineModel, simulate_random, strip_uncertainty,
                     submodel, validate_model)
 from .solver import SolverConfig, SolverNumericalError
 
@@ -87,17 +85,7 @@ def _load_model_arg(value: str, *, uncertainty: bool = True) -> SwitchedAffineMo
     else:
         raise CliError(f"model {value!r} is neither a bundled name nor a file"
                        f" (bundled: {', '.join(BUILTIN_NAMES)})")
-    return model if uncertainty else _strip_uncertainty(model)
-
-
-def _strip_uncertainty(model: SwitchedAffineModel) -> SwitchedAffineModel:
-    """Zero every uncertainty radius and pin the noise set to the origin."""
-    modes = tuple(replace(m, hatA=np.zeros_like(m.hatA),
-                          hatB=np.zeros_like(m.hatB),
-                          hatC=np.zeros_like(m.hatC),
-                          hatf=np.zeros_like(m.hatf)) for m in model.modes)
-    return replace(model, modes=modes,
-                   noise_set=HyperRectangle.ball(0.0, model.n_y))
+    return model if uncertainty else strip_uncertainty(model)
 
 
 def _parse_mode_range(value: str) -> tuple[int, int]:

@@ -37,8 +37,9 @@ indices 0-based):
 
 Bilinear products Z are linearized exactly with ``|Z| <= hat * |x|`` plus a
 one-binary absolute-value encoding of ``|x|`` that is shared by every Z
-touching the same component.  An observed input is the point box
-``{u_k}``, so its ``ZB`` needs only the bounds ``|Z| <= hatB |u_k|``.
+touching the same component; ``_AbsCache`` writes both.  An observed input
+is the point box ``{u_k}``, so its ``ZB`` needs only the bounds
+``|Z| <= hatB |u_k|``.
 
 Both builders tighten the relaxation with a conservative reachability
 envelope: the state variables of sample k are bounded by the k-step interval
@@ -71,8 +72,10 @@ Rows are emitted by index, not term by term.  Each mode's ``out``/``dyn``/
 of A, C, B and hatf as column slots, built once per distinct mode and
 shared by later encodings of the same model; a (mode, step) block maps the
 slots to that step's columns and adds its own big-M and rhs vectors.
-These blocks, the ``mode``/``pair`` rows and the abs-transform rows wait
-in one buffer (``_RowSink``) that enters the problem through a single
+Variables go straight into the ``MilpProblem``, and each column is
+recorded as its variable is made.  The rows (these blocks, the ``mode``/
+``pair`` rows and the abs-transform rows) wait in one buffer
+(``_RowSink``) that enters the problem through a single
 ``MilpProblem.add_rows`` call.  Rows keep the order in which they are
 emitted and each row its term order, so the exported LP text is
 byte-stable (``tests/test_golden_lp.py`` pins it).  Indicator rows are
@@ -86,8 +89,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .milp import (EQ, GE, LE, MilpProblem, UnboundedSet, Witness,
-                   add_abs_var, bound_by_abs)
+from .milp import EQ, GE, LE, MilpProblem, UnboundedSet, Witness
 from .model import (DimensionError, HyperRectangle, SimulationDraw,
                     SwitchedAffineModel, Trajectory)
 from .solver import (FEASIBLE, INFEASIBLE, SolveResult, SolverConfig,
@@ -195,6 +197,9 @@ class StructuredTuple:
             raise BadIndicator(f"the count m must satisfy 0 <= m <= W, got {count}")
         if relation not in ("<", "=", ">"):
             raise BadIndicator(f"the relation O must be '<', '=' or '>', got {relation!r}")
+        if relation == "<" and count == 0:
+            raise BadIndicator("no mode word has fewer than 0 hits (m = 0 "
+                               "with O = '<')")
         object.__setattr__(self, "modes", tidy)
         object.__setattr__(self, "window", window)
         object.__setattr__(self, "count", count)
@@ -348,10 +353,14 @@ def _check_trajectory(model: SwitchedAffineModel, traj: Trajectory) -> None:
             f"trajectory has {traj.outputs.shape[1]} output columns, model expects {model.n_y}")
 
 
-def _add_vars(p: MilpProblem, stem: str, k: int, lo, hi) -> tuple[str, ...]:
-    """Continuous ``stem[k][j]`` in [lo[j], hi[j]], one per component."""
-    return tuple(p.add_continuous(f"{stem}[{k}][{j}]", lo[j], hi[j])
-                 for j in range(len(lo)))
+def _add_vars(p: MilpProblem, stem: str, k: int, lo, hi,
+              ) -> tuple[tuple[str, ...], np.ndarray]:
+    """Continuous ``stem[k][j]`` in [lo[j], hi[j]], one per component.
+    Returns their names and their columns."""
+    first = p.n_vars
+    names = tuple(p.add_continuous(f"{stem}[{k}][{j}]", lo[j], hi[j])
+                  for j in range(len(lo)))
+    return names, np.arange(first, p.n_vars)
 
 
 _TUBE_PAD = 1e-9
@@ -385,10 +394,9 @@ def _gate_m(lo, hi, expr_lo, expr_hi) -> np.ndarray:
 class _RowSink:
     """Rows waiting to enter the problem in one ``add_rows`` call.
 
-    Rows enter in the order they were added.  The sink also stands in for
-    the problem in ``add_abs_var`` and ``bound_by_abs``: their variables
-    go straight to the problem and their rows wait here with the rest.
-    ``var_index`` maps the encoding's roles to variable names.
+    Only a buffer: the encoders add their variables to the problem ``p``
+    themselves and queue their rows here, which enter in the order they
+    were added.  ``var_index`` maps the encoding's roles to variable names.
     """
 
     def __init__(self, p: MilpProblem):
@@ -407,18 +415,6 @@ class _RowSink:
             self.p.add_rows(self._names,
                             *(np.concatenate(part) for part in zip(*self._parts)))
             self._names, self._parts = [], []
-
-    def add_continuous(self, name: str, lower: float, upper: float) -> str:
-        return self.p.add_continuous(name, lower, upper)
-
-    def add_binary(self, name: str) -> str:
-        return self.p.add_binary(name)
-
-    def bounds_of(self, name: str) -> tuple[float, float]:
-        return self.p.bounds_of(name)
-
-    def index_of(self, name: str) -> int:
-        return self.p.index_of(name)
 
 
 class _GatedRows:
@@ -558,10 +554,6 @@ def _state_rows(mode, n_gates: int, data_input: bool) -> _GatedRows:
 _NO_COLS = np.zeros(0, dtype=np.intp)
 
 
-def _cols(p: MilpProblem, names) -> np.ndarray:
-    return np.array([p.index_of(v) for v in names], dtype=np.intp)
-
-
 def _keys(hat: np.ndarray) -> list:
     """Nonzero positions of hat, row-major: r for a vector, (r, c) otherwise."""
     index = [ix.tolist() for ix in np.nonzero(hat)]
@@ -569,22 +561,45 @@ def _keys(hat: np.ndarray) -> list:
 
 
 class _AbsCache:
-    """Shared |v| auxiliaries: one (z, binary) pair per underlying variable."""
+    """The exact big-M transform of ``|v| <= hat * |y|``, written here.
+
+    One ``(z, b)`` pair per carrier component (k, c) holds ``z = |y|``:
+
+        tag.zge:  z - y >= 0          tag.zub:  z - y + M b <= M
+        tag.nge:  z + y >= 0          tag.nub:  z + y - M b <= 0
+
+    with ``tag = stem[k][c]``, ``z`` in [0, sup] and ``M = 2 sup``, where
+    sup is the largest ``|y|`` its bounds allow; b = 1 pins ``z = y >= 0``
+    and b = 0 pins ``z = -y >= 0``.  Each product v bounded through it adds
+    the rows ``z.ub[v]: v - hat z <= 0`` and ``z.lb[v]: v + hat z >= 0``.
+    """
 
     def __init__(self, stem: str):
         self.stem = stem
-        self._cache: dict[tuple[int, int], str] = {}
+        self._cache: dict[tuple[int, int], tuple[str, int]] = {}
 
-    def bound(self, sink: _RowSink, var: str, hat: float, k: int, c: int,
-              carrier: str, sup_abs: float) -> None:
-        """Add |var| <= hat * |carrier| through the shared |carrier| of (k, c)."""
+    def bound(self, sink: _RowSink, var: str, col: int, hat: float, k: int,
+              c: int, carrier: int, sup_abs: float) -> None:
+        """Add |var| <= hat * |y| through the shared |y| of (k, c).  ``col``
+        is var's column, ``carrier`` the column of y and ``sup_abs`` the
+        largest |y| its bounds allow."""
         key = (k, c)
         if key not in self._cache:
-            z, _b = add_abs_var(sink, carrier, big_m=2.0 * sup_abs,
-                                tag=f"{self.stem}[{k}][{c}]")
-            self._cache[key] = z
+            p, tag, m = sink.p, f"{self.stem}[{k}][{c}]", 2.0 * sup_abs
+            z = p.add_continuous(f"{tag}.z", 0.0, sup_abs)
+            p.add_binary(f"{tag}.b")
+            zi, bi = p.n_vars - 2, p.n_vars - 1
+            sink.add_rows([f"{tag}.zge", f"{tag}.zub", f"{tag}.nge", f"{tag}.nub"],
+                          [0, 0, 1, 1, 1, 2, 2, 3, 3, 3],
+                          [zi, carrier, zi, carrier, bi, zi, carrier, zi, carrier, bi],
+                          [1.0, -1.0, 1.0, -1.0, m, 1.0, 1.0, 1.0, 1.0, -m],
+                          [GE, LE, GE, LE], [0.0, m, 0.0, 0.0])
+            self._cache[key] = (z, zi)
             sink.var_index[(self.stem, k, c)] = z
-        bound_by_abs(sink, var, hat, self._cache[key])
+        z, zi = self._cache[key]
+        sink.add_rows([f"{z}.ub[{var}]", f"{z}.lb[{var}]"], [0, 0, 1, 1],
+                      [col, zi, col, zi], [1.0, -hat, 1.0, hat], [LE, GE],
+                      [0.0, 0.0])
 
 
 def _add_products(sink: _RowSink, role: str, i: int, k: int, hat: np.ndarray,
@@ -592,21 +607,25 @@ def _add_products(sink: _RowSink, role: str, i: int, k: int, hat: np.ndarray,
                   carrier=None) -> np.ndarray:
     """One ``role[i][k][r][c]`` per nonzero (r, c) of hat in ``keys``: the
     product hat[r, c] * Delta[r, c] * carrier[c], bounded by
-    hat[r, c] * carrier_max[c].  A variable carrier also gets the rows
-    ``|Z| <= hat |carrier|`` through ``absx``; a constant one (an observed
-    input, ``absx=None``) needs the bounds only.  Returns their columns."""
+    hat[r, c] * carrier_max[c].  A variable carrier (its columns) also gets
+    the rows ``|Z| <= hat |carrier|`` through ``absx``; a constant one (an
+    observed input, ``absx=None``) needs the bounds only.  Returns their
+    columns."""
     if not keys:
         return _NO_COLS
+    p = sink.p
     names: dict[tuple[int, int], str] = {}
-    for r, c in keys:
+    cols = np.empty(len(keys), dtype=np.intp)
+    for e, (r, c) in enumerate(keys):
         bound = hat[r, c] * carrier_max[c]
-        z = sink.add_continuous(f"{role}[{i}][{k}][{r}][{c}]", -bound, bound)
+        cols[e] = p.n_vars
+        z = names[(r, c)] = p.add_continuous(f"{role}[{i}][{k}][{r}][{c}]",
+                                             -bound, bound)
         if absx is not None:
-            absx.bound(sink, z, float(hat[r, c]), k, c, carrier[c],
+            absx.bound(sink, z, cols[e], float(hat[r, c]), k, c, carrier[c],
                        carrier_max[c])
-        names[(r, c)] = z
     sink.var_index[(role, i, k)] = names
-    return _cols(sink.p, names.values())
+    return cols
 
 
 def _add_draws(sink: _RowSink, role: str, i: int, k: int,
@@ -633,7 +652,7 @@ def _mode_binaries(sink: _RowSink, role: str, row: str, n_samples: int,
         for choice in np.ndindex(*shape):
             key = tuple(c + 1 for c in choice)
             name = role + "".join(f"[{c}]" for c in key) + f"[{k}]"
-            sink.var_index[(role, *key, k)] = sink.add_binary(name)
+            sink.var_index[(role, *key, k)] = sink.p.add_binary(name)
             cols[(k, *choice)] = sink.p.n_vars - 1
     one_hot = cols[list(steps)].ravel()
     sink.add_rows([f"{row}[{k}]" for k in steps],
@@ -701,7 +720,6 @@ class _Side:
                      for mode in model.modes]
         self.absx = _AbsCache("absx" + suffix)
         self.big_m = 0.0
-        self.names: dict[str, list] = {}
         self.cols: dict[str, list] = {}
         C = model.modes[0].C
         self.C = C if all(not mode.hatC.any() and np.array_equal(mode.C, C)
@@ -754,12 +772,10 @@ class _Side:
         noise = self.model.noise_set
         bounds = self.boxes if role == "x" else \
             [(noise.lower, noise.upper)] * self.n_samples
-        self.names[role], self.cols[role] = [], []
+        self.cols[role] = []
         for k, (lo, hi) in enumerate(bounds):
-            first = p.n_vars
-            names = sink.var_index[(stem, k)] = _add_vars(p, stem, k, lo, hi)
-            self.names[role].append(names)
-            self.cols[role].append(np.arange(first, p.n_vars))
+            sink.var_index[(stem, k)], cols = _add_vars(p, stem, k, lo, hi)
+            self.cols[role].append(cols)
 
     def gate_m(self, lo, hi, expr_lo, expr_hi) -> np.ndarray:
         """``_gate_m`` of one block, kept in ``big_m``."""
@@ -771,7 +787,7 @@ class _Side:
         """Columns of mode i's ``ZC`` products at sample k."""
         return _add_products(sink, "ZC" + self.suffix, i, k,
                              self.model.modes[i - 1].hatC, self.keys[i - 1][2],
-                             self.xmax[k], self.absx, self.names["x"][k])
+                             self.xmax[k], self.absx, self.cols["x"][k])
 
     def emit(self, sink: _RowSink, gates: np.ndarray, outputs=None,
              u=None) -> None:
@@ -780,12 +796,12 @@ class _Side:
         mode) and the gated ``dyn`` rows of every (transition, mode).
 
         ``gates[k, i - 1]`` holds the columns of the binaries that select
-        mode i at sample k.  With a shared input, ``u`` is the triple
-        (names, columns, ``_AbsCache``) of its variables; without it the
+        mode i at sample k.  With a shared input, ``u`` is the pair
+        (columns per step, ``_AbsCache``) of its variables; without it the
         input is data, the lower end of each point box.
         """
         modes, sfx = self.model.modes, self.suffix
-        x, x_cols, eta_cols = self.names["x"], self.cols["x"], self.cols["eta"]
+        x_cols, eta_cols = self.cols["x"], self.cols["eta"]
         fingerprints = [_fingerprint(mode) for mode in modes]
         data, n_gates = u is None, gates.shape[2]
         dyn_rows = [_memo(("state", fp, n_gates, data), _state_rows,
@@ -813,16 +829,16 @@ class _Side:
                 if k == self.n_samples - 1:
                     continue
                 za = _add_products(sink, "ZA" + sfx, i, k, mode.hatA, za_keys,
-                                   self.xmax[k], self.absx, x[k])
+                                   self.xmax[k], self.absx, x_cols[k])
                 df = _add_draws(sink, "Df" + sfx, i, k, df_keys)
                 if data:
-                    u_names, u_cols, absu = None, _NO_COLS, None
+                    u_cols, absu = _NO_COLS, None
                     rhs = mode.B @ self.inputs[0][k] + mode.f
                 else:
-                    u_names, u_cols, absu = u[0][k], u[1][k], u[2]
+                    u_cols, absu = u[0][k], u[1]
                     rhs = mode.f
                 zb = _add_products(sink, "ZB" + sfx, i, k, mode.hatB, b_keys,
-                                   self.umax[k], absu, u_names)
+                                   self.umax[k], absu, u_cols)
                 dyn_rows[i - 1].emit(
                     sink, f"dyn{sfx}[{i}][{k}]",
                     np.concatenate([x_cols[k + 1], x_cols[k], za, df, u_cols,
@@ -914,14 +930,14 @@ def encode_t_detectability(system: SwitchedAffineModel,
     for role in ("x", "eta"):
         for side in sides:
             side.add_vars(sink, role)
-    u = [_add_vars(p, "u", k, U.lower, U.upper) for k in range(T)]
+    u_cols = []
     for k in range(T):
-        sink.var_index[("u", k)] = u[k]
-    u_cols = [_cols(p, names) for names in u]
+        sink.var_index[("u", k)], cols = _add_vars(p, "u", k, U.lower, U.upper)
+        u_cols.append(cols)
 
     d = _mode_binaries(sink, "d", "pair", T + 1, (s1, s2), binary_steps)
 
-    shared_u = (u, u_cols, _AbsCache("absu"))
+    shared_u = (u_cols, _AbsCache("absu"))
     sides[0].emit(sink, d, u=shared_u)
     sides[1].emit(sink, d.transpose(0, 2, 1), u=shared_u)
     M = max(side.big_m for side in sides)

@@ -25,17 +25,22 @@ Two model families ship with the package:
 matching fault variants share the same output map.  All models are also
 shipped as JSON files under ``assets/`` (see ``asset_path``), regenerated by
 ``scripts/generate_assets.py``; the in-code builders are the source of truth.
+
+The builders return the models with their noise and parameter spread.  The
+idealized variants come from ``load_builtin(name, uncertainty=False)``, which
+applies ``strip_uncertainty`` as the CLI's ``--no-uncertainty`` does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .encoder import Indicator, StructuredTuple
 from .model import (AffineMode, HyperRectangle, SwitchedAffineModel,
-                    discretize_affine, submodel)
+                    discretize_affine, strip_uncertainty, submodel)
 
 __all__ = [
     "UnknownName",
@@ -85,45 +90,42 @@ _NUMERIC_FAULT_B = [[1.0], [0.0], [0.0]]
 _NUMERIC_FAULT_F = [2.5, 2.5, 2.5]
 
 
-def _numeric_sets(uncertainty: bool) -> dict:
-    eps = 0.1 if uncertainty else 0.0
+def _numeric_sets() -> dict:
     return {
         "state_set": HyperRectangle([-11.0] * 3, [11.0] * 3),
         "input_set": HyperRectangle([-1000.0], [1000.0]),
-        "noise_set": HyperRectangle([-eps], [eps]),
+        "noise_set": HyperRectangle([-0.1], [0.1]),
     }
 
 
-def numeric_system(*, uncertainty: bool = True) -> SwitchedAffineModel:
+def numeric_system() -> SwitchedAffineModel:
     """The six-mode, three-state benchmark system.
 
-    ``uncertainty=False`` zeroes the measurement-noise box (the mode matrices
-    themselves carry no parameter uncertainty in either setting).
+    Its measurement noise lies in [-0.1, 0.1]; the mode matrices carry no
+    parameter uncertainty.
     """
     modes = [
         AffineMode.certain(A=np.array(a), B=np.array(_NUMERIC_B),
                            C=np.array(_NUMERIC_C), f=np.array(f))
         for a, f in zip(_NUMERIC_A, _NUMERIC_F)
     ]
-    return SwitchedAffineModel(modes, name="numeric6",
-                               **_numeric_sets(uncertainty))
+    return SwitchedAffineModel(modes, name="numeric6", **_numeric_sets())
 
 
-def numeric_fault(*, uncertainty: bool = True) -> SwitchedAffineModel:
+def numeric_fault() -> SwitchedAffineModel:
     """A single-mode affine fault sharing the benchmark system's bounds."""
     mode = AffineMode.certain(A=np.array(_NUMERIC_FAULT_A),
                               B=np.array(_NUMERIC_FAULT_B),
                               C=np.array(_NUMERIC_C),
                               f=np.array(_NUMERIC_FAULT_F))
-    return SwitchedAffineModel([mode], name="numericFault",
-                               **_numeric_sets(uncertainty))
+    return SwitchedAffineModel([mode], name="numericFault", **_numeric_sets())
 
 
-def numeric_family(t: int, *, uncertainty: bool = True) -> SwitchedAffineModel:
+def numeric_family(t: int) -> SwitchedAffineModel:
     """The benchmark system restricted to its first ``t`` modes (1 <= t <= 6)."""
     if not 1 <= t <= 6:
         raise UnknownName(f"numeric family size must be in 1..6, got {t}")
-    reduced = submodel(numeric_system(uncertainty=uncertainty), 1, t)
+    reduced = submodel(numeric_system(), 1, t)
     return SwitchedAffineModel(reduced.modes, state_set=reduced.state_set,
                                noise_set=reduced.noise_set,
                                input_set=reduced.input_set,
@@ -207,49 +209,43 @@ def radiant_continuous(pump1: bool, pump2: bool,
 
 
 def _radiant_mode(pump1: bool, pump2: bool, kw2: float, measured,
-                  uncertainty: bool, method: str) -> AffineMode:
+                  method: str) -> AffineMode:
     Ac, fc, gc = radiant_continuous(pump1, pump2, kw2)
     Ad, Gd, fd = discretize_affine(Ac, gc.reshape(6, 1), fc, _DT, method)
-    hatf = np.abs(Gd.ravel()) * 0.5 if uncertainty else np.zeros(6)
     C = np.eye(6)[list(measured)]
     return AffineMode(A=Ad, B=np.zeros((6, 0)), C=C, f=fd,
                       hatA=np.zeros((6, 6)), hatB=np.zeros((6, 0)),
-                      hatC=np.zeros_like(C), hatf=hatf)
+                      hatC=np.zeros_like(C), hatf=np.abs(Gd.ravel()) * 0.5)
 
 
-def _radiant_sets(measured, uncertainty: bool) -> dict:
+def _radiant_sets(measured) -> dict:
     p = len(measured)
-    eps = 0.05 if uncertainty else 0.0
     return {
         "state_set": HyperRectangle([15.0] * 6, [19.0] * 6),
-        "noise_set": HyperRectangle([-eps] * p, [eps] * p),
+        "noise_set": HyperRectangle([-0.05] * p, [0.05] * p),
         "input_set": HyperRectangle([], []),
     }
 
 
-def radiant_system(*, measured=SENSOR_SCENARIOS[1], uncertainty: bool = True,
-                   method: str = "exact-zoh",
+def radiant_system(*, measured=SENSOR_SCENARIOS[1], method: str = "exact-zoh",
                    name: str = "radiant") -> SwitchedAffineModel:
     """The healthy four-mode radiant heating system."""
-    modes = [_radiant_mode(p1, p2, _KW2, measured, uncertainty, method)
+    modes = [_radiant_mode(p1, p2, _KW2, measured, method)
              for p1, p2 in [(False, False), (True, False),
                             (False, True), (True, True)]]
-    return SwitchedAffineModel(modes, name=name,
-                               **_radiant_sets(measured, uncertainty))
+    return SwitchedAffineModel(modes, name=name, **_radiant_sets(measured))
 
 
-def radiant_fault(*, measured=SENSOR_SCENARIOS[1], uncertainty: bool = True,
-                  method: str = "exact-zoh",
+def radiant_fault(*, measured=SENSOR_SCENARIOS[1], method: str = "exact-zoh",
                   name: str = "radiantFault") -> SwitchedAffineModel:
     """Pump-2 valve stuck half-open: pump 2 always runs at half conductance."""
-    modes = [_radiant_mode(p1, True, _KW2_HALF, measured, uncertainty, method)
+    modes = [_radiant_mode(p1, True, _KW2_HALF, measured, method)
              for p1 in [False, True]]
-    return SwitchedAffineModel(modes, name=name,
-                               **_radiant_sets(measured, uncertainty))
+    return SwitchedAffineModel(modes, name=name, **_radiant_sets(measured))
 
 
 def radiant_weak_fault(*, measured=SENSOR_SCENARIOS[1],
-                       uncertainty: bool = True, method: str = "exact-zoh",
+                       method: str = "exact-zoh",
                        name: str = "radiantWeakFault") -> SwitchedAffineModel:
     """Pump-2 valve limited to half capacity but still able to close.
 
@@ -258,40 +254,28 @@ def radiant_weak_fault(*, measured=SENSOR_SCENARIOS[1],
     behaviour, this fault is only separable on windows where one of the last
     two modes is known to be active (an indicator constraint).
     """
-    modes = [_radiant_mode(False, False, _KW2, measured, uncertainty, method),
-             _radiant_mode(True, False, _KW2, measured, uncertainty, method),
-             _radiant_mode(False, True, _KW2_HALF, measured, uncertainty,
-                           method),
-             _radiant_mode(True, True, _KW2_HALF, measured, uncertainty,
-                           method)]
-    return SwitchedAffineModel(modes, name=name,
-                               **_radiant_sets(measured, uncertainty))
+    modes = [_radiant_mode(False, False, _KW2, measured, method),
+             _radiant_mode(True, False, _KW2, measured, method),
+             _radiant_mode(False, True, _KW2_HALF, measured, method),
+             _radiant_mode(True, True, _KW2_HALF, measured, method)]
+    return SwitchedAffineModel(modes, name=name, **_radiant_sets(measured))
 
 
 # -- builtin registry ----------------------------------------------------------
 
 
-def _sensor_pair(idx: int, uncertainty: bool):
-    measured = SENSOR_SCENARIOS[idx]
-    system = radiant_system(measured=measured, uncertainty=uncertainty,
-                            name=f"sensorScenario{idx}")
-    fault = radiant_fault(measured=measured, uncertainty=uncertainty,
-                          name=f"sensorScenario{idx}Fault")
-    return system, fault
-
-
 _BUILDERS = {
-    "numeric6": lambda unc: numeric_system(uncertainty=unc),
-    "numericFault": lambda unc: numeric_fault(uncertainty=unc),
-    "radiant": lambda unc: radiant_system(uncertainty=unc),
-    "radiantFault": lambda unc: radiant_fault(uncertainty=unc),
-    "radiantWeakFault": lambda unc: radiant_weak_fault(uncertainty=unc),
+    "numeric6": numeric_system,
+    "numericFault": numeric_fault,
+    "radiant": radiant_system,
+    "radiantFault": radiant_fault,
+    "radiantWeakFault": radiant_weak_fault,
 }
-for _i in SENSOR_SCENARIOS:
-    _BUILDERS[f"sensorScenario{_i}"] = \
-        lambda unc, _i=_i: _sensor_pair(_i, unc)[0]
-    _BUILDERS[f"sensorScenario{_i}Fault"] = \
-        lambda unc, _i=_i: _sensor_pair(_i, unc)[1]
+for _i, _measured in SENSOR_SCENARIOS.items():
+    _BUILDERS[f"sensorScenario{_i}"] = partial(
+        radiant_system, measured=_measured, name=f"sensorScenario{_i}")
+    _BUILDERS[f"sensorScenario{_i}Fault"] = partial(
+        radiant_fault, measured=_measured, name=f"sensorScenario{_i}Fault")
 
 #: every name accepted by load_builtin
 BUILTIN_NAMES: tuple[str, ...] = tuple(_BUILDERS)
@@ -310,8 +294,9 @@ def load_builtin(name: str, *,
                  uncertainty: bool = True) -> SwitchedAffineModel:
     """Build a bundled model by name.
 
-    ``uncertainty=False`` returns the idealised variant: zero measurement
-    noise and zero parameter spread.
+    ``uncertainty=False`` returns its idealized variant,
+    ``strip_uncertainty`` of the model: zero measurement noise and zero
+    parameter spread.
     """
     try:
         build = _BUILDERS[name]
@@ -319,7 +304,8 @@ def load_builtin(name: str, *,
         raise UnknownName(
             f"unknown builtin model {name!r}; known names: "
             + ", ".join(sorted(_BUILDERS))) from None
-    return build(uncertainty)
+    model = build()
+    return model if uncertainty else strip_uncertainty(model)
 
 
 def builtin_pair(name: str, *, uncertainty: bool = True

@@ -95,6 +95,8 @@ def _bounds_in(obj, dim: int, where: str) -> HyperRectangle:
     hi = [_num_in(v, where) for v in obj["upper"]]
     if len(lo) != dim or len(hi) != dim:
         raise FileFormatError(f"{where}: expected {dim} entries per side")
+    if any(math.isnan(v) for v in lo + hi):
+        raise FileFormatError(f"{where}: bounds must not be NaN")
     return HyperRectangle(lo, hi)
 
 

@@ -14,7 +14,6 @@ one-row form by variable name.  Readers take the nonzeros as they are
 (``to_arrays``), or rebuild :class:`LinearConstraint` records on demand
 (``constraints``, for the LP writer and tests).  Also here:
 
-* ``encode_abs_leq`` — the exact big-M transform of ``|x| <= c*|y|``;
 * ``export_lp`` / ``parse_lp`` — a deterministic LP-format writer and its
   inverse (17 significant digits, fixed row order, bit-stable);
 * ``verify`` — checks a candidate assignment against every row and bound,
@@ -37,12 +36,8 @@ __all__ = [
     "Witness",
     "DuplicateName",
     "BadBounds",
-    "BadBigM",
     "UnboundedSet",
     "NotSealed",
-    "add_abs_var",
-    "bound_by_abs",
-    "encode_abs_leq",
     "export_lp",
     "parse_lp",
     "verify",
@@ -60,10 +55,6 @@ class DuplicateName(ValueError):
 
 class BadBounds(ValueError):
     """Lower bound exceeds upper bound, or a bound is NaN."""
-
-
-class BadBigM(ValueError):
-    """A big-M constant is too small for the bounds it must dominate."""
 
 
 class UnboundedSet(ValueError):
@@ -322,51 +313,6 @@ class MilpProblem:
         A = np.zeros((len(rel), len(lo)))
         A[row, col] = val
         return A, rel.copy(), b.copy(), lo.copy(), hi.copy(), binary.copy(), names
-
-
-def add_abs_var(p: MilpProblem, y: str, big_m: float,
-                tag: str | None = None) -> tuple[str, str]:
-    """Add z = |y| exactly, via one fresh binary b; returns (z, b).
-
-        0 <= z - y <= M (1 - b),   0 <= z + y <= M b
-
-    pins (b = 1, z = y >= 0) or (b = 0, z = -y >= 0).  ``big_m`` must be at
-    least twice the largest |y| the bounds allow (BadBigM otherwise).  One
-    (z, b) pair can serve every occurrence of |y| in the problem.
-    """
-    lo, hi = p.bounds_of(y)
-    sup_abs_y = max(abs(lo), abs(hi))
-    if not math.isfinite(sup_abs_y):
-        raise UnboundedSet(f"variable {y!r} must be bounded for the abs transform")
-    if big_m < 2.0 * sup_abs_y:
-        raise BadBigM(f"big-M {big_m} < 2 sup|{y}| = {2.0 * sup_abs_y}")
-    tag = tag or f"abs[{y}]"
-    z = p.add_continuous(f"{tag}.z", 0.0, sup_abs_y)
-    b = p.add_binary(f"{tag}.b")
-    zi, yi, bi = p.index_of(z), p.index_of(y), p.index_of(b)
-    p.add_rows([f"{tag}.zge", f"{tag}.zub", f"{tag}.nge", f"{tag}.nub"],
-               [0, 0, 1, 1, 1, 2, 2, 3, 3, 3],
-               [zi, yi, zi, yi, bi, zi, yi, zi, yi, bi],
-               [1.0, -1.0, 1.0, -1.0, big_m, 1.0, 1.0, 1.0, 1.0, -big_m],
-               [GE, LE, GE, LE], [0.0, big_m, 0.0, 0.0])
-    return z, b
-
-
-def bound_by_abs(p: MilpProblem, x: str, c: float, z: str) -> None:
-    """Add -c z <= x <= c z for an existing z = |y| variable."""
-    if c < 0:
-        raise ValueError("the factor c must be nonnegative")
-    xi, zi = p.index_of(x), p.index_of(z)
-    p.add_rows([f"{z}.ub[{x}]", f"{z}.lb[{x}]"], [0, 0, 1, 1], [xi, zi, xi, zi],
-               [1.0, -c, 1.0, c], [LE, GE], [0.0, 0.0])
-
-
-def encode_abs_leq(p: MilpProblem, x: str, c: float, y: str, big_m: float,
-                   tag: str | None = None) -> tuple[str, str]:
-    """Add rows enforcing |x| <= c * |y| exactly; returns the (z, b) pair."""
-    z, b = add_abs_var(p, y, big_m, tag)
-    bound_by_abs(p, x, c, z)
-    return z, b
 
 
 # -- LP-format export ------------------------------------------------------

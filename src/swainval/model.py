@@ -13,8 +13,9 @@ mode index is hidden and may change arbitrarily at every step.
 
 This module provides the data types, validation, exact simulation,
 seeded admissible-trajectory sampling, ZOH/Euler discretization of
-continuous-time affine modes, and constructors for sensor-attack and
-cascaded-fault models.
+continuous-time affine modes, constructors for sensor-attack and
+cascaded-fault models, and the idealized variant of a model
+(``strip_uncertainty``).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "build_attack_model",
     "concat_cascaded",
     "submodel",
+    "strip_uncertainty",
 ]
 
 
@@ -694,3 +696,14 @@ def submodel(model: SwitchedAffineModel, first: int, last: int) -> SwitchedAffin
         raise IndexError(f"mode range {first}..{last} out of 1..{model.s}")
     return replace(model, modes=model.modes[first - 1:last],
                    name=f"{model.name}[{first}..{last}]" if model.name else "")
+
+
+def strip_uncertainty(model: SwitchedAffineModel) -> SwitchedAffineModel:
+    """The idealized model: every uncertainty radius zeroed and the noise
+    set pinned to the origin, all else kept."""
+    modes = tuple(replace(m, hatA=np.zeros_like(m.hatA),
+                          hatB=np.zeros_like(m.hatB),
+                          hatC=np.zeros_like(m.hatC),
+                          hatf=np.zeros_like(m.hatf)) for m in model.modes)
+    return replace(model, modes=modes,
+                   noise_set=HyperRectangle.ball(0.0, model.n_y))

@@ -150,6 +150,17 @@ class TestGolden:
         assert run("invalidate", "--model", model, "--trajectory", window) == (
             1, "", "error: mode 1 field A: entries must be finite\n")
 
+    def test_invalidate_rejects_a_model_file_with_nan_bounds(
+            self, run, tmp_path, data):
+        _, off_input = data
+        doc = json.loads(asset_path("numeric6").read_text())
+        doc["noise_bounds"]["upper"][0] = float("nan")
+        model = tmp_path / "numeric6.json"
+        model.write_text(json.dumps(doc))
+        assert run("invalidate", "--model", model,
+                   "--trajectory", off_input) == (
+            1, "", "error: noise_bounds: bounds must not be NaN\n")
+
     def test_invalidate_bad_window(self, run, data):
         faulty, _ = data
         assert run("invalidate", "--model", "radiant", "--trajectory", faulty,
@@ -187,6 +198,14 @@ class TestGolden:
             0, "detectable: smallest horizon T=1\n  T=1: infeasible\n"
                "  T=2: infeasible\n"
                "  confirmation one step past the answer: infeasible\n", "")
+
+    def test_find_t_rejects_an_empty_counting_indicator(self, run):
+        # "fewer than 0 hits" admits no mode word
+        assert run("find-t", "--model", "radiant", "--fault",
+                   "radiantWeakFault", "--no-uncertainty", "--indicator",
+                   "S=3,4;W=1;m=0;O=<", "--tmax", "3") == (
+            1, "", "error: bad inline indicator 'S=3,4;W=1;m=0;O=<': no mode "
+                   "word has fewer than 0 hits (m = 0 with O = '<')\n")
 
     def test_find_t_on_model_files_strips_their_uncertainty(self, run):
         files = ["--model", asset_path("sensorScenario1"),

@@ -16,7 +16,7 @@ from swainval.detectability import (AffineConverseReport, DetectabilityReport,
                                     check_t_detectability, concatenated_system,
                                     find_T, is_observable, matrix_rank_scaled,
                                     observability_matrix)
-from swainval.encoder import ExplicitWords, StructuredTuple
+from swainval.encoder import BadIndicator, ExplicitWords, StructuredTuple
 from swainval.examples import builtin_pair, load_builtin, scenario_specs
 from swainval.model import (AffineMode, HyperRectangle, SimulationDraw,
                             SwitchedAffineModel, simulate)
@@ -199,6 +199,21 @@ class TestFindTWeak:
         assert strong.verdict == "yes" and strong.horizon == 3
         assert weak.verdict == "yes" and weak.horizon == 1
         assert weak.horizon <= strong.horizon
+
+    def test_an_empty_counting_indicator_never_reaches_the_search(
+            self, drift_jump_pair):
+        # "fewer than 0 jumps" admits no mode word, so every probe would be
+        # infeasible and the search would claim T=1
+        system, fault = drift_jump_pair
+        with pytest.raises(BadIndicator):
+            find_T(system, fault, indicator=StructuredTuple([2], 1, 0, "<"),
+                   t_max=4)
+        # "fewer than 1 jump" is no jump at step 0: the drift still hides
+        # for two transitions
+        rep = find_T(system, fault, indicator=StructuredTuple([2], 1, 1, "<"),
+                     t_max=4)
+        assert rep.per_t_status[1] == "feasible"
+        assert rep.verdict == "yes" and rep.horizon == 3
 
     def test_prefix_band_weakens_early_horizons(self, drift_jump_pair):
         system, fault = drift_jump_pair

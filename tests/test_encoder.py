@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from swainval.encoder import (BadIndicator, BadMode, CountBand,
-                              EmptyInputIntersection, ExplicitWords,
+from swainval.encoder import (_AbsCache, _RowSink, BadIndicator, BadMode,
+                              CountBand, EmptyInputIntersection, ExplicitWords,
                               InputOutsideAdmissibleSet, StructuredTuple,
                               WindowTooLong, apply_indicator,
                               check_invalidation, decode_pair_witness,
                               encode_invalidation, encode_t_detectability,
                               prefix_indicator)
 from swainval.external import solve_lp_problem_with_scipy
-from swainval.milp import encode_abs_leq, MilpProblem
+from swainval.milp import EQ, MilpProblem, Witness, verify
 from swainval.model import (AffineMode, DimensionError, HyperRectangle,
                             RandomPolicy, SwitchedAffineModel, Trajectory,
                             simulate, simulate_random)
@@ -451,6 +451,11 @@ class TestIndicators:
             StructuredTuple([1], window=2, count=1, relation="!")
         with pytest.raises(BadIndicator):
             StructuredTuple([], window=2, count=1, relation="=")
+        # "fewer than 0 hits" admits no mode word at all
+        with pytest.raises(BadIndicator, match="fewer than 0"):
+            StructuredTuple([1], window=2, count=0, relation="<")
+        for relation in ("=", ">"):
+            assert StructuredTuple([1], 2, 0, relation).count == 0
 
     def test_prefix_restriction_of_counting_indicators(self):
         exact = StructuredTuple([2, 3], window=5, count=3, relation="=")
@@ -594,15 +599,76 @@ class TestBinaryOrder:
             binary_order(enc), enc.binary_steps, len(words.words) if words else 0)
 
 
-class TestAbsGridEquivalence:
-    def test_abs_encoding_decides_the_grid_exactly(self):
+def abs_problem(hat: float, y_box=(-0.75, 0.75), x_box=(-10.0, 10.0),
+                pins=()) -> MilpProblem:
+    """``|x| <= hat |y|`` written by ``_AbsCache.bound`` on a problem with
+    the variables y and x, plus the rows ``pin.v: v = value`` of ``pins``."""
+    p = MilpProblem()
+    p.add_continuous("y", *y_box)
+    p.add_continuous("x", *x_box)
+    sink = _RowSink(p)
+    _AbsCache("absy").bound(sink, "x", 1, hat, 0, 0, 0,
+                            max(abs(y_box[0]), abs(y_box[1])))
+    sink.flush()
+    for var, value in pins:
+        p.add_constraint(f"pin.{var}", [(1.0, var)], EQ, value)
+    return p.seal()
+
+
+Z, B = "absy[0][0].z", "absy[0][0].b"
+
+
+class TestAbsCache:
+    """The encoder's exact transform of ``|x| <= hat |y|`` (``_AbsCache``)."""
+
+    @pytest.mark.parametrize("b_val, y_vals", [
+        (1.0, (0.0, 0.3, 0.75)), (0.0, (-0.75, -0.3, 0.0))], ids=["b1", "b0"])
+    def test_z_is_abs_y_under_either_binary(self, b_val, y_vals):
+        p = abs_problem(2.0)
+        for y in y_vals:
+            ok, violations = verify(p, Witness(
+                {"y": y, "x": 1.5 * abs(y), Z: abs(y), B: b_val}))
+            assert ok, violations
+            # the binary pins z to |y|: any other z is rejected
+            for z in (abs(y) + 0.5, abs(y) - 0.2):
+                assert not verify(p, Witness(
+                    {"y": y, "x": 0.0, Z: z, B: b_val}))[0]
+            # x beyond hat |y| is rejected
+            assert not verify(p, Witness(
+                {"y": y, "x": -(2.0 * abs(y) + 0.1), Z: abs(y), B: b_val}))[0]
+
+    @pytest.mark.parametrize("y", [-0.5, 0.5])
+    def test_the_wrong_binary_is_rejected(self, y):
+        p = abs_problem(2.0)
+        right = 1.0 if y > 0 else 0.0
+        assert verify(p, Witness({"y": y, "x": 0.0, Z: 0.5, B: right}))[0]
+        ok, violations = verify(p, Witness({"y": y, "x": 0.0, Z: 0.5,
+                                            B: 1.0 - right}))
+        assert not ok and violations
+
+    def test_one_abs_pair_per_carrier_component(self):
+        p = MilpProblem()
+        for name in ("y", "x1", "x2"):
+            p.add_continuous(name, -1.0, 1.0)
+        sink = _RowSink(p)
+        cache = _AbsCache("absy")
+        cache.bound(sink, "x1", 1, 0.5, 0, 0, 0, 1.0)
+        cache.bound(sink, "x2", 2, 0.25, 0, 0, 0, 1.0)
+        sink.flush()
+        assert p.variable_names == ("y", "x1", "x2", Z, B)
+        assert [c.name for c in p.constraints] == [
+            "absy[0][0].zge", "absy[0][0].zub", "absy[0][0].nge",
+            "absy[0][0].nub", f"{Z}.ub[x1]", f"{Z}.lb[x1]", f"{Z}.ub[x2]",
+            f"{Z}.lb[x2]"]
+        assert sink.var_index == {("absy", 0, 0): Z}
+        assert p.bounds_of(Z) == (0.0, 1.0)
+
+    def test_solver_decides_the_grid_exactly(self):
         grid = np.linspace(-2.0, 2.0, 21)
         for xv in grid:
             for yv in grid:
-                p = MilpProblem()
-                p.add_continuous("x", xv, xv)
-                p.add_continuous("y", yv, yv)
-                encode_abs_leq(p, "x", 0.5, "y", big_m=8.0)
-                res = solve_milp(p.seal(), SolverConfig())
+                p = abs_problem(0.5, y_box=(-2.0, 2.0), x_box=(-2.0, 2.0),
+                                pins=[("x", xv), ("y", yv)])
+                res = solve_milp(p, SolverConfig())
                 expect = abs(xv) <= 0.5 * abs(yv) + 1e-9
                 assert res.is_feasible == expect, (xv, yv)

@@ -67,7 +67,7 @@ class TestNumericFamily:
             numeric_family(7)
 
     def test_ideal_variant_zeroes_noise(self):
-        g = numeric_system(uncertainty=False)
+        g = load_builtin("numeric6", uncertainty=False)
         assert np.asarray(g.noise_set.upper).tolist() == [0.0]
 
 
@@ -135,7 +135,7 @@ class TestRadiantDiscrete:
             # room rows carry most of the ambient spread
             assert np.all(mode.hatf[2:] > 0.01)
             assert np.all(mode.hatf <= 0.05)
-        for mode in radiant_system(uncertainty=False).modes:
+        for mode in load_builtin("radiant", uncertainty=False).modes:
             assert not mode.hatf.any()
 
     def test_fault_is_half_capacity_always_on(self):
@@ -162,7 +162,7 @@ class TestRadiantDiscrete:
     def test_noise_box(self):
         assert np.asarray(radiant_system().noise_set.upper).tolist() == \
             [0.05] * 6
-        ideal = radiant_system(uncertainty=False)
+        ideal = load_builtin("radiant", uncertainty=False)
         assert np.asarray(ideal.noise_set.upper).tolist() == [0.0] * 6
 
 

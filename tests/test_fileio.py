@@ -106,6 +106,18 @@ class TestModelFiles:
                            match=f"^mode 2 field {key}: entries must be finite$"):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize("field", ["state_bounds", "noise_bounds",
+                                       "input_bounds"])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_bounds_must_not_be_nan(self, field, side):
+        doc = model_to_dict(sample_model())
+        doc[field][side][0] = math.nan
+        # the JSON NaN literal, as json.dumps writes it, is read back as NaN
+        doc = json.loads(json.dumps(doc))
+        with pytest.raises(FileFormatError,
+                           match=f"^{field}: bounds must not be NaN$"):
+            model_from_dict(doc)
+
     def test_bounds_must_match_dimensions(self):
         doc = model_to_dict(sample_model())
         doc["input_bounds"]["lower"] = [0.0, 0.0]

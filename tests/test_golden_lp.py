@@ -6,11 +6,12 @@ bit for bit: variable order, row order, the term order inside each row,
 coefficients, right-hand sides and bounds.  The toy models below carry
 nonzero ``hatA``, ``hatB``, ``hatC`` and ``hatf`` so that the ``ZA``/
 ``ZB``/``ZC``/``Df`` variables, the shared ``absx``/``absu`` rows and the
-``bound_by_abs`` rows all occur, next to the ``out``/``dyn``/``match``/
-``mode``/``pair`` rows and both indicator forms.  The ``ZB`` of a data
-window multiply observed inputs, those of a pair the shared ``u``.  Three
-more digests pin the benchmark's own encodings: a radiant monitor window,
-a numeric3 window and the ideal sensorScenario3 pair at T=2.
+``|Z| <= hat z`` rows (``z.ub[Z]``/``z.lb[Z]``) all occur, next to the
+``out``/``dyn``/``match``/``mode``/``pair`` rows and both indicator
+forms.  The ``ZB`` of a data window multiply observed inputs, those of a
+pair the shared ``u``.  Three more digests pin the benchmark's own
+encodings: a radiant monitor window, a numeric3 window and the ideal
+sensorScenario3 pair at T=2.
 """
 
 import hashlib

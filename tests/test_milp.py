@@ -1,8 +1,8 @@
-"""Tests for the MILP feasibility container, abs-value transform, the
-encodings' big-M derivation, LP-format round trip and witness verification.
+"""Tests for the MILP feasibility container, the encodings' big-M
+derivation, LP-format round trip and witness verification.
 
-Big-M oracles are hand-computed interval bounds; the abs-value transform is
-checked by exhaustive witness evaluation over a sign/value grid.
+Big-M oracles are hand-computed interval bounds.  The encoder's abs-value
+transform is tested in ``test_encoder.py`` (``TestAbsCache``).
 """
 
 import math
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from swainval.milp import (
     FEAS_TOL,
-    BadBigM,
     BadBounds,
     DuplicateName,
     LinearConstraint,
@@ -22,9 +21,6 @@ from swainval.milp import (
     NotSealed,
     UnboundedSet,
     Witness,
-    add_abs_var,
-    bound_by_abs,
-    encode_abs_leq,
     export_lp,
     parse_lp,
     verify,
@@ -240,74 +236,6 @@ class TestRowStoreAgainstRowByRow:
         for tol in (FEAS_TOL, 0.3):
             assert verify(p, Witness(values), tol) == \
                 verify_by_rows(p, Witness(values), tol)
-
-
-class TestAbsTransform:
-    def test_grid_of_witnesses(self):
-        # z must equal |y| exactly for either binary value, and x must obey
-        # |x| <= c z; check every combination on a sign/value grid.
-        for y_val in (-0.75, -0.3, 0.0, 0.4, 0.75):
-            p = MilpProblem()
-            p.add_continuous("y", -0.75, 0.75)
-            p.add_continuous("x", -10.0, 10.0)
-            z, b = add_abs_var(p, "y", big_m=1.575)
-            bound_by_abs(p, "x", 2.0, z)
-            p.seal()
-            b_val = 1.0 if y_val >= 0 else 0.0
-            good = Witness({"y": y_val, "x": 1.5 * abs(y_val), z: abs(y_val), b: b_val})
-            ok, violations = verify(p, good)
-            assert ok, violations
-            # wrong z (too large) must be rejected
-            bad = Witness({"y": y_val, "x": 0.0, z: abs(y_val) + 0.5, b: b_val})
-            ok, _ = verify(p, bad)
-            assert not ok
-            # x exceeding c |y| must be rejected
-            bad_x = Witness({"y": y_val, "x": 2.0 * abs(y_val) + 0.1,
-                             z: abs(y_val), b: b_val})
-            ok, _ = verify(p, bad_x)
-            assert not ok
-
-    def test_flipped_binary_forces_zero(self):
-        # with b = 1 but y < 0 the rows force z = y < 0 <= z: infeasible
-        p = MilpProblem()
-        p.add_continuous("y", -1.0, 1.0)
-        z, b = add_abs_var(p, "y", big_m=2.0)
-        p.seal()
-        ok, _ = verify(p, Witness({"y": -0.5, z: 0.5, b: 1.0}))
-        assert not ok
-        ok, _ = verify(p, Witness({"y": -0.5, z: 0.5, b: 0.0}))
-        assert ok
-
-    def test_big_m_too_small(self):
-        p = MilpProblem()
-        p.add_continuous("y", -3.0, 3.0)
-        with pytest.raises(BadBigM):
-            add_abs_var(p, "y", big_m=5.9)  # needs >= 6
-
-    def test_unbounded_y(self):
-        p = MilpProblem()
-        p.add_continuous("y", -math.inf, 1.0)
-        with pytest.raises(UnboundedSet):
-            add_abs_var(p, "y", big_m=100.0)
-
-    def test_one_shot_wrapper(self):
-        p = MilpProblem()
-        p.add_continuous("y", -1.0, 1.0)
-        p.add_continuous("x", -5.0, 5.0)
-        z, b = encode_abs_leq(p, "x", 0.5, "y", big_m=2.0)
-        p.seal()
-        ok, _ = verify(p, Witness({"y": 0.8, "x": 0.4, z: 0.8, b: 1.0}))
-        assert ok
-        ok, _ = verify(p, Witness({"y": 0.8, "x": 0.401, z: 0.8, b: 1.0}))
-        assert not ok
-
-    def test_negative_factor_rejected(self):
-        p = MilpProblem()
-        p.add_continuous("y", -1.0, 1.0)
-        p.add_continuous("x", -1.0, 1.0)
-        z, _ = add_abs_var(p, "y", big_m=2.0)
-        with pytest.raises(ValueError):
-            bound_by_abs(p, "x", -1.0, z)
 
 
 def gate_coefficient(enc, row: str) -> float:
