@@ -25,8 +25,6 @@ from .model import (
     simulate,
     simulate_random,
     discretize_affine,
-    build_attack_model,
-    concat_cascaded,
     submodel,
     strip_uncertainty,
 )
@@ -136,7 +134,7 @@ __all__ = [
     "SimulationDraw", "RandomPolicy", "ValidationIssue", "ValidationReport",
     "DimensionError", "StateBoundViolation", "NoAdmissibleDraw",
     "validate_model", "simulate", "simulate_random", "discretize_affine",
-    "build_attack_model", "concat_cascaded", "submodel", "strip_uncertainty",
+    "submodel", "strip_uncertainty",
     # milp
     "MilpProblem", "Witness", "UnboundedSet", "export_lp", "parse_lp",
     "verify",

@@ -15,6 +15,14 @@ Each window gets its own solver budget (10 s and one million nodes by
 default); a window the solver cannot decide within budget is reported as
 ``undecided`` and surfaced in the report rather than silently counted as
 either verdict.
+
+A window costs one encoding and one solve.  Windows of one model, one
+length and the same inputs (every window, for a model without inputs)
+share one cached encoding template (``encoder._WindowTemplate``), so after
+the first such window the encoding only writes the window's outputs.  On
+the radiant trace at horizon 3 that takes 0.08 ms of a 4.1 ms window
+(2%; at horizon 8, 0.14 of 27 ms), measured on a 2-vCPU x86 machine with
+one BLAS thread; the rest is the solve, mostly its root LP.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ import numpy as np
 
 from .encoder import CONSISTENT, INVALIDATED, UNDECIDED, check_invalidation
 from .model import (DimensionError, RandomPolicy, SwitchedAffineModel,
-                    Trajectory, require_finite, simulate_random)
+                    Trajectory, _require_valid, require_finite,
+                    simulate_random)
 from .solver import SolverConfig
 
 __all__ = [
@@ -113,14 +122,14 @@ def run_receding(model: SwitchedAffineModel, trajectory: Trajectory,
     """
     if horizon < 1:
         raise ValueError("the window horizon must be >= 1 (it counts transitions)")
+    det = StreamingDetector(model, horizon, config=config)
     N = len(trajectory)
     if N <= horizon:
         return DetectionReport(horizon, (), notes=(
             f"trajectory has {N} samples, shorter than one full window "
             f"of {horizon + 1}",))
-    return run_streaming(model, zip(trajectory.inputs, trajectory.outputs),
-                         horizon, config=config,
-                         halt_on_first_alarm=halt_on_first_alarm)
+    return _feed(det, zip(trajectory.inputs, trajectory.outputs),
+                 halt_on_first_alarm)
 
 
 class StreamingDetector:
@@ -129,12 +138,15 @@ class StreamingDetector:
     ``push`` returns ``"pending"`` until the first window is complete and
     afterwards the verdict of the window ending at the pushed sample; the
     verdicts match a batch ``run_receding`` over the same data exactly.
+    The model is validated here, once, and a model that ``validate_model``
+    rejects raises DimensionError before any window.
     """
 
     def __init__(self, model: SwitchedAffineModel, horizon: int, *,
                  config: SolverConfig | None = None):
         if horizon < 1:
             raise ValueError("the window horizon must be >= 1")
+        _require_valid(model)
         self.model = model
         self.horizon = horizon
         self.config = config or default_window_config()
@@ -178,7 +190,12 @@ def run_streaming(model: SwitchedAffineModel, samples: Iterable[tuple],
                   horizon: int, *, config: SolverConfig | None = None,
                   halt_on_first_alarm: bool = False) -> DetectionReport:
     """Feed (u, y) pairs through a StreamingDetector and report."""
-    det = StreamingDetector(model, horizon, config=config)
+    return _feed(StreamingDetector(model, horizon, config=config), samples,
+                 halt_on_first_alarm)
+
+
+def _feed(det: StreamingDetector, samples: Iterable[tuple],
+          halt_on_first_alarm: bool) -> DetectionReport:
     halted = False
     for u, y in samples:
         verdict = det.push(u, y)

@@ -69,17 +69,26 @@ one gated block per mode, or per mode pair.
 
 Rows are emitted by index, not term by term.  Each mode's ``out``/``dyn``/
 ``match`` rows come from a template (``_GatedRows``) that holds the sparsity
-of A, C, B and hatf as column slots, built once per distinct mode and
-shared by later encodings of the same model; a (mode, step) block maps the
-slots to that step's columns and adds its own big-M and rhs vectors.
-Variables go straight into the ``MilpProblem``, and each column is
-recorded as its variable is made.  The rows (these blocks, the ``mode``/
-``pair`` rows and the abs-transform rows) wait in one buffer
+of A, C, B and hatf as column slots, memoized by the mode's matrices; a
+(mode, step) block maps the slots to that step's columns and adds its own
+big-M and rhs vectors.  Variables go straight into the ``MilpProblem``, and
+each column is recorded as its variable is made.  The rows (these blocks,
+the ``mode``/``pair`` rows and the abs-transform rows) wait in one buffer
 (``_RowSink``) that enters the problem through a single
 ``MilpProblem.add_rows`` call.  Rows keep the order in which they are
 emitted and each row its term order, so the exported LP text is
 byte-stable (``tests/test_golden_lp.py`` pins it).  Indicator rows are
 few and are added one by one afterwards.
+
+An invalidation encoding reads its outputs only in the ``out`` rows: their
+rhs and, when the outputs are gated, their big-M.  So
+``encode_invalidation`` builds everything else once per (model by value,
+window length, observed inputs) as a ``_WindowTemplate``, kept in a small
+cache, and binds each window by writing its outputs into a copy that
+shares the template's tables.  A receding-horizon monitor of a model
+without inputs thus builds one template and binds every window from it;
+windows with distinct inputs build one each, and pair encodings are built
+directly.
 """
 
 from __future__ import annotations
@@ -91,7 +100,7 @@ import numpy as np
 
 from .milp import EQ, GE, LE, MilpProblem, UnboundedSet, Witness
 from .model import (DimensionError, HyperRectangle, SimulationDraw,
-                    SwitchedAffineModel, Trajectory)
+                    SwitchedAffineModel, Trajectory, _require_valid)
 from .solver import (FEASIBLE, INFEASIBLE, SolveResult, SolverConfig,
                      solve_milp)
 
@@ -404,6 +413,11 @@ class _RowSink:
         self.var_index: dict = {}
         self._names: list[str] = []
         self._parts: list[tuple] = []
+
+    @property
+    def n_rows(self) -> int:
+        """The number of rows queued so far: the index of the next one."""
+        return len(self._names)
 
     def add_rows(self, names, rows, cols, vals, relations, rhs) -> None:
         self._parts.append((np.asarray(rows) + len(self._names), cols, vals,
@@ -789,12 +803,16 @@ class _Side:
                              self.model.modes[i - 1].hatC, self.keys[i - 1][2],
                              self.xmax[k], self.absx, self.cols["x"][k])
 
-    def emit(self, sink: _RowSink, gates: np.ndarray, outputs=None,
+    def emit(self, sink: _RowSink, gates: np.ndarray, outputs: bool = False,
              u=None) -> None:
-        """Add ``out`` rows against ``outputs`` when given (ungated
+        """Add the ``out`` rows when ``outputs`` is set (ungated
         ``out[k][q]`` when the side has one certain ``C``, else gated per
         mode) and the gated ``dyn`` rows of every (transition, mode).
 
+        The ``out`` rows wait for their window's outputs: they get a zero
+        rhs, and a unit big-M when gated, and ``out_rows`` lists the first
+        row of each ``out`` block (per sample, or per (sample, mode) when
+        gated) for ``_WindowTemplate.bind`` to write the window's numbers.
         ``gates[k, i - 1]`` holds the columns of the binaries that select
         mode i at sample k.  With a shared input, ``u`` is the pair
         (columns per step, ``_AbsCache``) of its variables; without it the
@@ -807,25 +825,28 @@ class _Side:
         dyn_rows = [_memo(("state", fp, n_gates, data), _state_rows,
                           mode, n_gates, data)
                     for mode, fp in zip(modes, fingerprints)]
-        gated_out = outputs is not None and self.C is None
+        gated_out = outputs and self.C is None
         if gated_out:
             out_rows = [_memo(("out", fp), _output_rows, mode)
                         for mode, fp in zip(modes, fingerprints)]
+        zeros, ones = np.zeros(self.model.n_y), np.ones(self.model.n_y)
+        self.out_rows = []
         for k in range(self.n_samples):
-            if outputs is not None and not gated_out:
+            if outputs and not gated_out:
+                self.out_rows.append(sink.n_rows)
                 _certain_output_rows(
-                    sink, [f"out{sfx}[{k}][{q}]" for q in range(len(outputs[k]))],
-                    self.C, [x_cols[k]], [eta_cols[k]], [1.0], outputs[k])
+                    sink, [f"out{sfx}[{k}][{q}]" for q in range(self.model.n_y)],
+                    self.C, [x_cols[k]], [eta_cols[k]], [1.0], zeros)
             for i, mode in enumerate(modes, start=1):
                 za_keys, b_keys, _, df_keys = self.keys[i - 1]
                 gate = gates[k, i - 1]
                 if gated_out:
                     zc = self.zc(sink, i, k)
+                    self.out_rows.append(sink.n_rows)
                     out_rows[i - 1].emit(
                         sink, f"out{sfx}[{i}][{k}]",
                         np.concatenate([x_cols[k], eta_cols[k], zc, gate]),
-                        outputs[k],
-                        self.gate_m(outputs[k], outputs[k], *self.out[k][i - 1]))
+                        zeros, ones)
                 if k == self.n_samples - 1:
                     continue
                 za = _add_products(sink, "ZA" + sfx, i, k, mode.hatA, za_keys,
@@ -846,14 +867,125 @@ class _Side:
                     rhs, self.gate_m(*self.boxes[k + 1], *self.dyn[k][i - 1]))
 
 
+def _positions(row: np.ndarray, col: np.ndarray, n_vars: int,
+               rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Where the nonzeros at (rows[e], cols[e]) sit in the COO arrays
+    ``row``/``col``, which hold each (row, col) at most once."""
+    key = row * n_vars + col
+    order = np.argsort(key)
+    return order[np.searchsorted(key[order], rows * n_vars + cols)]
+
+
+class _WindowTemplate:
+    """An invalidation encoding without its outputs.
+
+    Everything but the outputs is fixed by the model, the window length
+    and the observed inputs: the variables and their bounds, the row names,
+    the sparsity, the relations, the envelope and the ``dyn`` rows.  The
+    template builds all of it once, with the ``out`` rows waiting for
+    their numbers (``_Side.emit``), and ``bind`` writes one window's
+    outputs into a copy: the ``out`` rows' rhs and, where the outputs are
+    gated, their big-M coefficients and the encoding's ``big_m``.  The
+    bound problems share the template's tables (``MilpProblem.with_values``).
+    """
+
+    def __init__(self, model: SwitchedAffineModel, inputs: np.ndarray):
+        N = len(inputs)
+        if N < 1:
+            raise ValueError("the data window must contain at least one sample")
+        U = model.input_set
+        for k in range(N):
+            if model.n_u and not U.contains(inputs[k], tol=1e-9):
+                raise InputOutsideAdmissibleSet(k, inputs[k])
+        # an observed input is the point box {u_k}
+        side = _Side(model, N, (inputs, inputs), "")
+        p = MilpProblem(name=f"invalidation[{model.name or 'model'}][N={N}]")
+        sink = _RowSink(p)
+        side.add_vars(sink, "x")
+        side.add_vars(sink, "eta")
+        # with ungated outputs the last sample's mode gates no row
+        self.binary_steps = tuple(range(N - 1 if side.C is not None else N))
+        a = _mode_binaries(sink, "a", "mode", N, (model.s,), self.binary_steps)
+        side.emit(sink, a[:, :, None], outputs=True)
+        sink.flush()
+        self.problem, self.var_index, self.big_m = p, sink.var_index, side.big_m
+        self.gated = side.C is None
+        q = np.arange(model.n_y)
+        first = np.asarray(side.out_rows)
+        if not self.gated:
+            self.rows = (first[:, None] + q).ravel()   # out[k][q], (k, q) order
+            return
+        # out[i][k][q]+ is row first + 2q and out[i][k][q]- the next one, in
+        # (k, i, q) order; the gate a[i][k] carries their big-M
+        self.rows = (first[:, None] + 2 * q).ravel()
+        expr = np.array(side.out)               # (k, i, lower/upper, q)
+        self.expr_lo, self.expr_hi = expr[:, :, 0], expr[:, :, 1]
+        gate_cols = np.repeat(a.ravel(), model.n_y)
+        row, col = p.sparse_arrays()[:2]
+        self.m_at = [_positions(row, col, p.n_vars, self.rows + minus, gate_cols)
+                     for minus in (0, 1)]
+
+    def bind(self, model: SwitchedAffineModel,
+             trajectory: Trajectory) -> InvalidationEncoding:
+        """The encoding of ``trajectory``, a window with the template's
+        inputs, for ``model``, which equals the template's model."""
+        _, _, vals, _, rhs = self.problem.sparse_arrays()[:5]
+        rhs, y, big_m = rhs.copy(), trajectory.outputs, self.big_m
+        if not self.gated:
+            rhs[self.rows] = y.ravel()
+        else:
+            y = y[:, None, :]
+            m = _gate_m(y, y, self.expr_lo, self.expr_hi)
+            big_m = max(big_m, m.max())
+            rhs[self.rows], rhs[self.rows + 1] = (y + m).ravel(), (y - m).ravel()
+            vals = vals.copy()
+            vals[self.m_at[0]], vals[self.m_at[1]] = m.ravel(), -m.ravel()
+        return InvalidationEncoding(self.problem.with_values(vals, rhs),
+                                    dict(self.var_index), big_m, model,
+                                    trajectory, self.binary_steps)
+
+
+_WINDOWS: dict[tuple, _WindowTemplate] = {}
+_WINDOWS_MAX = 4
+
+
+def _box_key(box: HyperRectangle) -> bytes:
+    return np.array(box.lower + box.upper, dtype=float).tobytes()
+
+
+def _window_template(model: SwitchedAffineModel,
+                     inputs: np.ndarray) -> _WindowTemplate:
+    """The template of (model, window length, inputs), built on first use.
+
+    The key holds the model by value, so equal models share templates; a
+    model is validated only where its template is built, and one that fails
+    never enters the cache.  The cache keeps a few templates (a monitor
+    needs one per model and length when its model has no inputs) and drops
+    the oldest first."""
+    key = (model.name, tuple(_fingerprint(mode) for mode in model.modes),
+           *(_box_key(box) for box in (model.state_set, model.noise_set,
+                                       model.input_set)),
+           inputs.shape, inputs.tobytes())
+    template = _WINDOWS.get(key)
+    if template is None:
+        _require_valid(model)
+        template = _WindowTemplate(model, inputs)
+        if len(_WINDOWS) >= _WINDOWS_MAX:
+            del _WINDOWS[next(iter(_WINDOWS))]
+        _WINDOWS[key] = template
+    return template
+
+
 def encode_invalidation(model: SwitchedAffineModel,
                         trajectory: Trajectory) -> InvalidationEncoding:
     """Build the consistency feasibility problem for one data window.
 
-    Raises InputOutsideAdmissibleSet when an observed input violates the
-    model's input set (such data can never be explained, whatever the
-    states), and UnboundedSet when the admissible sets are too loose to
-    derive a big-M constant.
+    Raises DimensionError when ``validate_model`` rejects the model,
+    InputOutsideAdmissibleSet when an observed input violates the model's
+    input set (such data can never be explained, whatever the states), and
+    UnboundedSet when the admissible sets are too loose to derive a big-M
+    constant.  The problem is bound from the cached template of the
+    model, the window length and the inputs (``_WindowTemplate``).
 
     The mode binaries ``a[i][k]`` are the first binary columns, step by
     step (k outermost, then i), at every sample whose mode gates a row;
@@ -862,27 +994,7 @@ def encode_invalidation(model: SwitchedAffineModel,
     lowest-index fractional binary, so it decides the modes in time order.
     """
     _check_trajectory(model, trajectory)
-    N = len(trajectory)
-    if N < 1:
-        raise ValueError("the data window must contain at least one sample")
-    U = model.input_set
-    for k in range(N):
-        if model.n_u and not U.contains(trajectory.inputs[k], tol=1e-9):
-            raise InputOutsideAdmissibleSet(k, trajectory.inputs[k])
-
-    # an observed input is the point box {u_k}
-    side = _Side(model, N, (trajectory.inputs, trajectory.inputs), "")
-    p = MilpProblem(name=f"invalidation[{model.name or 'model'}][N={N}]")
-    sink = _RowSink(p)
-    side.add_vars(sink, "x")
-    side.add_vars(sink, "eta")
-    # with ungated outputs the last sample's mode gates no row
-    binary_steps = tuple(range(N - 1 if side.C is not None else N))
-    a = _mode_binaries(sink, "a", "mode", N, (model.s,), binary_steps)
-    side.emit(sink, a[:, :, None], outputs=trajectory.outputs)
-    sink.flush()
-    return InvalidationEncoding(p, sink.var_index, side.big_m, model,
-                                trajectory, binary_steps)
+    return _window_template(model, trajectory.inputs).bind(model, trajectory)
 
 
 def encode_t_detectability(system: SwitchedAffineModel,
@@ -892,8 +1004,9 @@ def encode_t_detectability(system: SwitchedAffineModel,
 
     The problem is feasible iff some input-output window of horizon + 1
     samples lies in both models' behaviours; infeasibility certifies
-    detectability at this horizon.  Raises EmptyInputIntersection when the
-    models share no admissible input at all.
+    detectability at this horizon.  Raises DimensionError when
+    ``validate_model`` rejects either model, and EmptyInputIntersection
+    when the models share no admissible input at all.
 
     The pair binaries ``d[i][j][k]`` are the first binary columns, step by
     step (k outermost, then i, then j); the sign binaries of any ``|x|`` or
@@ -903,6 +1016,8 @@ def encode_t_detectability(system: SwitchedAffineModel,
     """
     if horizon < 1:
         raise ValueError("the horizon must be >= 1 (it counts transitions)")
+    _require_valid(system)
+    _require_valid(fault)
     if system.n_y != fault.n_y:
         raise DimensionError("the two models must share the output dimension")
     if system.n_u != fault.n_u:

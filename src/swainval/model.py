@@ -13,14 +13,12 @@ mode index is hidden and may change arbitrarily at every step.
 
 This module provides the data types, validation, exact simulation,
 seeded admissible-trajectory sampling, ZOH/Euler discretization of
-continuous-time affine modes, constructors for sensor-attack and
-cascaded-fault models, and the idealized variant of a model
-(``strip_uncertainty``).
+continuous-time affine modes, mode subsets (``submodel``) and the
+idealized variant of a model (``strip_uncertainty``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
@@ -44,8 +42,6 @@ __all__ = [
     "simulate",
     "simulate_random",
     "discretize_affine",
-    "build_attack_model",
-    "concat_cascaded",
     "submodel",
     "strip_uncertainty",
 ]
@@ -427,9 +423,12 @@ def validate_model(model: SwitchedAffineModel) -> ValidationReport:
 
 
 def _require_valid(model: SwitchedAffineModel) -> None:
+    """Raise DimensionError, naming every issue on one line, when
+    ``validate_model`` rejects the model."""
     report = validate_model(model)
     if not report.valid:
-        raise DimensionError(f"invalid model: {report}")
+        raise DimensionError("invalid model: " + "; ".join(
+            f"{issue.where}: {issue.message}" for issue in report.issues))
 
 
 def simulate(model: SwitchedAffineModel, inputs, draw: SimulationDraw,
@@ -577,117 +576,6 @@ def discretize_affine(Ac, Bc, fc, dt: float, method: str = "exact-zoh",
     blk[:n, n + n_u] = fc
     E = expm(blk * dt)
     return E[:n, :n], E[:n, n:n + n_u], E[:n, n + n_u]
-
-
-def build_attack_model(A, B, C, noise_set: HyperRectangle, a: int,
-                       eps: float = 0.0, attack_cap: float | None = None,
-                       state_set: HyperRectangle | None = None,
-                       input_set: HyperRectangle | None = None,
-                       ) -> SwitchedAffineModel:
-    """Model an adversary corrupting up to ``a`` of the n_y sensors.
-
-    Each mode fixes a nonempty sensor subset of size <= a; the attacked
-    sensors read y_i = (C x)_i + v_i + eta_i with v_i free in the mode's
-    offset interval at every step.  Offsets are realized as augmented states
-    whose next value is drawn through the f/hatf uncertainty machinery, so
-    the magnitude constraint binds from the second sample onward (the initial
-    augmented state is only box-bounded — a deliberate over-approximation).
-
-    With eps == 0 there is one mode per subset: v_i in [-cap, cap], giving
-    sum_{i=1..a} C(n_y, i) modes.  With eps > 0 the set {|v| >= eps} is
-    nonconvex, so each subset splits into two modes with uniform sign,
-    v_i in [eps, cap] or v_i in [-cap, -eps], doubling the count.
-
-    ``attack_cap`` bounds |v|; it defaults to 10 * (1 + max |noise bound|).
-    """
-    base = AffineMode.certain(A, B, C, np.zeros(np.atleast_2d(A).shape[0]))
-    n, n_u, n_y = base.n, base.n_u, base.n_y
-    if not 1 <= a <= n_y:
-        raise ValueError(f"number of attacked sensors must be in 1..{n_y}, got {a}")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if attack_cap is None:
-        finite = [abs(v) for v in noise_set.lower + noise_set.upper if math.isfinite(v)]
-        attack_cap = 10.0 * (1.0 + max(finite, default=0.0))
-    if eps >= attack_cap:
-        raise ValueError("attack_cap must exceed eps")
-    if state_set is None:
-        state_set = HyperRectangle((-math.inf,) * n, (math.inf,) * n)
-    if input_set is None:
-        input_set = HyperRectangle.ball(math.inf, n_u) if n_u else HyperRectangle((), ())
-
-    n_aug = n + a  # a augmented offset slots; unused slots are pinned to 0
-    A_aug = np.zeros((n_aug, n_aug))
-    A_aug[:n, :n] = base.A
-    B_aug = np.vstack([base.B, np.zeros((a, n_u))])
-    signs = ((1.0, -1.0) if eps > 0 else (1.0,))
-    modes: list[AffineMode] = []
-    for size in range(1, a + 1):
-        for subset in itertools.combinations(range(n_y), size):
-            for sign in signs:
-                C_aug = np.zeros((n_y, n_aug))
-                C_aug[:, :n] = base.C
-                for slot, sensor in enumerate(subset):
-                    C_aug[sensor, n + slot] = 1.0
-                f_aug = np.zeros(n_aug)
-                hatf = np.zeros(n_aug)
-                centre = sign * (eps + attack_cap) / 2.0 if eps > 0 else 0.0
-                radius = (attack_cap - eps) / 2.0 if eps > 0 else attack_cap
-                f_aug[n:n + size] = centre
-                hatf[n:n + size] = radius
-                modes.append(AffineMode(
-                    A=A_aug, B=B_aug, C=C_aug, f=f_aug,
-                    hatA=np.zeros_like(A_aug), hatB=np.zeros_like(B_aug),
-                    hatC=np.zeros_like(C_aug), hatf=hatf,
-                ))
-    lo = state_set.lower + (-attack_cap,) * a
-    hi = state_set.upper + (attack_cap,) * a
-    return SwitchedAffineModel(
-        modes, HyperRectangle(lo, hi), noise_set, input_set, name="attack")
-
-
-@dataclass(frozen=True)
-class CascadeOffset:
-    """Where each constituent model's modes land in the concatenated model."""
-
-    entries: tuple[tuple[int, int, int], ...]  # (model index, first global mode, count)
-
-    def global_mode(self, model_index: int, local_mode: int) -> int:
-        for midx, start, count in self.entries:
-            if midx == model_index:
-                if not 0 <= local_mode < count:
-                    raise IndexError(f"local mode {local_mode} out of range")
-                return start + local_mode
-        raise IndexError(f"model index {model_index} out of range")
-
-
-def concat_cascaded(models: Sequence[SwitchedAffineModel],
-                    ) -> tuple[SwitchedAffineModel, CascadeOffset]:
-    """Join fault stages into one model whose mode set is the concatenation.
-
-    All models must share (n, n_u, n_y); the admissible sets of the result
-    are the componentwise hulls of the constituents' sets.
-    """
-    if not models:
-        raise ValueError("need at least one model")
-    n, n_u, n_y = models[0].n, models[0].n_u, models[0].n_y
-    for m in models[1:]:
-        if (m.n, m.n_u, m.n_y) != (n, n_u, n_y):
-            raise DimensionError("all cascaded models must share (n, n_u, n_y)")
-    modes: list[AffineMode] = []
-    entries: list[tuple[int, int, int]] = []
-    state_set, noise_set, input_set = (models[0].state_set, models[0].noise_set,
-                                       models[0].input_set)
-    for idx, m in enumerate(models):
-        entries.append((idx, len(modes), m.s))
-        modes.extend(m.modes)
-        if idx:
-            state_set = state_set.hull(m.state_set)
-            noise_set = noise_set.hull(m.noise_set)
-            input_set = input_set.hull(m.input_set)
-    combined = SwitchedAffineModel(modes, state_set, noise_set, input_set,
-                                   name="+".join(m.name or f"m{i}" for i, m in enumerate(models)))
-    return combined, CascadeOffset(tuple(entries))
 
 
 def submodel(model: SwitchedAffineModel, first: int, last: int) -> SwitchedAffineModel:

@@ -10,12 +10,14 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from swainval import cli
 from swainval.examples import asset_path, numeric_system
-from swainval.fileio import save_trajectory
-from swainval.model import HyperRectangle, RandomPolicy, simulate_random
+from swainval.fileio import save_model, save_trajectory
+from swainval.model import (AffineMode, HyperRectangle, RandomPolicy,
+                            SwitchedAffineModel, simulate_random)
 
 FAULTY_CSV = """\
 k,y_1,y_2,y_3,y_4,y_5,y_6
@@ -325,6 +327,23 @@ class TestLibraryErrors:
                              "--trajectory", faulty, "--window", "1")
         assert (code, out) == (1, "")
         assert err == "error: external solver exited with 1: \n"
+
+    @pytest.mark.parametrize("command", [["invalidate"],
+                                         ["detect", "--window", "1"]])
+    def test_a_model_that_fails_validation(self, run, tmp_path, command):
+        # x+ = x + hatf Df with a negative radius; Df = 0.5 explains the
+        # window below, yet an encoding of this model would invalidate it
+        mode = AffineMode(A=[[1.0]], B=np.zeros((1, 0)), C=[[1.0]], f=[0.0],
+                          hatA=[[0.0]], hatB=np.zeros((1, 0)), hatC=[[0.0]],
+                          hatf=[-0.5])
+        model = tmp_path / "drift.json"
+        save_model(SwitchedAffineModel(
+            [mode], HyperRectangle.ball(0.5, 1), HyperRectangle.ball(0.0, 1),
+            HyperRectangle([], [])), model)
+        trace = tmp_path / "drift.csv"
+        trace.write_text("k,y_1\n0,0.5\n1,0.25\n")
+        assert run(*command, "--model", model, "--trajectory", trace) == (
+            1, "", "error: invalid model: mode 1: hatf has negative entries\n")
 
     @pytest.mark.parametrize("error", [
         "SolverNumericalError", "MonotonicityViolation",

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from swainval import encoder
 from swainval.detectability import find_T
-from swainval.examples import numeric_family
+from swainval.encoder import _WINDOWS, check_invalidation
+from swainval.examples import builtin_pair, numeric_family
 from swainval.detector import (DetectionReport, StreamingDetector,
                                inject_persistent_fault, run_receding,
                                run_streaming)
@@ -264,6 +266,66 @@ class TestInjection:
         assert np.ptp(y[:6]) <= 0.4 + 1e-12
         # the fault drifts upward by at least 0.15 per step
         assert y[-1] - y[6] >= 0.15 * 9 - 0.4 - 1e-12
+
+
+@pytest.fixture(scope="module")
+def radiant_trace():
+    """The radiant monitor's trace: radiantFault from sample 15 on."""
+    system, fault = builtin_pair("radiant")
+    return system, inject_persistent_fault(system, fault, onset=15, total=43,
+                                           seed=0)
+
+
+class TestWindowTemplates:
+    """A monitor binds each window from one cached encoding template."""
+
+    @pytest.mark.parametrize("horizon", [3, 8])
+    def test_monitor_verdicts_match_cold_checks(self, radiant_trace, horizon):
+        system, trace = radiant_trace
+        report = run_receding(system, trace, horizon)
+        assert report.first_alarm == 15
+        for window in report.results:
+            _WINDOWS.clear()
+            cold = check_invalidation(
+                system, trace.window(window.k - horizon, window.k + 1))
+            assert (window.verdict, window.nodes) == (cold.verdict,
+                                                      cold.solve.nodes)
+
+    def test_forty_windows_build_one_envelope(self, radiant_trace,
+                                              monkeypatch):
+        built, init = [], encoder._Side.__init__
+
+        def counted(side, model, n_samples, *args):
+            built.append(n_samples)
+            init(side, model, n_samples, *args)
+
+        monkeypatch.setattr(encoder._Side, "__init__", counted)
+        system, trace = radiant_trace
+        _WINDOWS.clear()
+        report = run_receding(system, trace, 3)
+        assert len(report.results) == 40
+        assert built == [4]
+
+
+class TestAdmission:
+    """A model that validate_model rejects fails before the first window."""
+
+    def negative_drift(self) -> SwitchedAffineModel:
+        mode = AffineMode(A=[[1.0]], B=np.zeros((1, 0)), C=[[1.0]], f=[0.0],
+                          hatA=[[0.0]], hatB=np.zeros((1, 0)), hatC=[[0.0]],
+                          hatf=[-0.5])
+        return autonomous([mode], state_r=0.5)
+
+    def test_run_receding_and_streaming_reject_the_model(self):
+        model = self.negative_drift()
+        message = "invalid model: mode 1: hatf has negative entries"
+        with pytest.raises(DimensionError, match=message):
+            run_receding(model, halving_data(4), 2)
+        with pytest.raises(DimensionError, match=message):
+            # too short for a window, still rejected
+            run_receding(model, halving_data(2), 2)
+        with pytest.raises(DimensionError, match=message):
+            StreamingDetector(model, 2)
 
 
 def test_report_is_a_value_object():

@@ -3,21 +3,25 @@
 import numpy as np
 import pytest
 
-from swainval.encoder import (_AbsCache, _RowSink, BadIndicator, BadMode,
-                              CountBand, EmptyInputIntersection, ExplicitWords,
-                              InputOutsideAdmissibleSet, StructuredTuple,
-                              WindowTooLong, apply_indicator,
+from swainval.detectability import find_T
+from swainval.detector import inject_persistent_fault
+from swainval.encoder import (_WINDOWS, _AbsCache, _RowSink, BadIndicator,
+                              BadMode, CountBand, EmptyInputIntersection,
+                              ExplicitWords, InputOutsideAdmissibleSet,
+                              StructuredTuple, WindowTooLong, apply_indicator,
                               check_invalidation, decode_pair_witness,
                               encode_invalidation, encode_t_detectability,
                               prefix_indicator)
+from swainval.examples import builtin_pair, numeric_family
 from swainval.external import solve_lp_problem_with_scipy
-from swainval.milp import EQ, MilpProblem, Witness, verify
+from swainval.milp import EQ, LE, MilpProblem, Witness, export_lp, verify
 from swainval.model import (AffineMode, DimensionError, HyperRectangle,
                             RandomPolicy, SwitchedAffineModel, Trajectory,
                             simulate, simulate_random)
 from swainval.solver import FEASIBLE, INFEASIBLE, SolverConfig, solve_milp
 
 from oracles import consistent_by_enumeration, pair_feasible_by_enumeration
+from test_golden_lp import SYSTEM, WINDOW
 
 
 def box(radius: float, dim: int) -> HyperRectangle:
@@ -672,3 +676,130 @@ class TestAbsCache:
                 res = solve_milp(p, SolverConfig())
                 expect = abs(xv) <= 0.5 * abs(yv) + 1e-9
                 assert res.is_feasible == expect, (xv, yv)
+
+
+def cold_encode(model, window):
+    """An encoding built from an empty template cache."""
+    _WINDOWS.clear()
+    return encode_invalidation(model, window)
+
+
+def assert_same_encoding(enc, ref):
+    assert export_lp(enc.problem.seal()) == export_lp(ref.problem.seal())
+    got, want = enc.problem.sparse_arrays(), ref.problem.sparse_arrays()
+    # bit for bit, the sign of every zero included
+    assert [a.tobytes() for a in got[:8]] == [a.tobytes() for a in want[:8]]
+    assert got[8] == want[8]
+    assert (enc.big_m, enc.var_index, enc.binary_steps) == \
+        (ref.big_m, ref.var_index, ref.binary_steps)
+    # big_m is the largest coefficient of a mode binary in a gated row
+    assert enc.big_m == max(
+        [abs(coef) for row in enc.problem.constraints
+         if row.name.startswith(("out", "dyn"))
+         for coef, var in row.terms if var.startswith("a[")], default=0.0)
+
+
+def radiant_trace():
+    system, fault = builtin_pair("radiant")
+    return system, inject_persistent_fault(system, fault, onset=15, total=43,
+                                           seed=0)
+
+
+def shifted(window, by: float) -> Trajectory:
+    """The same inputs with other outputs."""
+    return Trajectory(window.inputs, window.outputs + by)
+
+
+class TestWindowTemplate:
+    """Windows of one model, length and inputs share a cached template;
+    binding it must give what a cold encode gives, bit for bit."""
+
+    def test_binds_equal_cold_encodes_in_any_order(self):
+        radiant, trace = radiant_trace()
+        numeric3 = numeric_family(3)
+        numeric_windows = [simulate_random(
+            numeric3, seed=seed, steps=6,
+            policy=RandomPolicy(input_box=HyperRectangle([-1.0], [1.0])))[0]
+            for seed in (0, 1)]
+        # radiant: ungated outputs, no input; numeric3: observed inputs;
+        # SYSTEM: gated outputs, nonzero hatB/hatC and zero input samples,
+        # then outputs far enough off for their big-M to be the largest
+        windows = [(radiant, trace.window(0, 4)),
+                   (numeric3, numeric_windows[0]), (SYSTEM, WINDOW),
+                   (radiant, trace.window(20, 24)),
+                   (numeric3, numeric_windows[1]),
+                   (SYSTEM, shifted(WINDOW, 4.0))]
+        _WINDOWS.clear()
+        warm = [encode_invalidation(model, window) for model, window in windows]
+        assert len(_WINDOWS) == 4
+        assert warm[-1].big_m > warm[2].big_m
+        for enc, (model, window) in zip(warm, windows):
+            assert enc.model is model and enc.trajectory is window
+            assert_same_encoding(enc, cold_encode(model, window))
+
+    def test_a_changed_bound_problem_changes_no_other(self):
+        _WINDOWS.clear()
+        first = encode_invalidation(SYSTEM, WINDOW)
+        before = export_lp(first.problem.seal())
+        window = shifted(WINDOW, -0.1)
+        second = encode_invalidation(SYSTEM, window)
+        second.problem.add_continuous("extra", 0.0, 1.0)
+        second.problem.add_constraint(
+            "extra.row", [(1.0, "extra"), (1.0, "x[0][0]")], LE, 1.0)
+        second.var_index[("extra",)] = "extra"
+        third = encode_invalidation(SYSTEM, window)
+        assert "extra" not in third.problem.variable_names
+        assert_same_encoding(third, cold_encode(SYSTEM, window))
+        assert export_lp(first.problem) == before
+        assert second.problem.n_rows == third.problem.n_rows + 1
+
+
+def drift_model(**fields) -> SwitchedAffineModel:
+    """x+ = x + hatf Df and y = x, with x in [-0.5, 0.5] and no noise;
+    ``fields`` overrides mode fields or the state set."""
+    state = fields.pop("state_set", box(0.5, 1))
+    mode = dict(A=[[1.0]], B=np.zeros((1, 0)), C=[[1.0]], f=[0.0],
+                hatA=[[0.0]], hatB=np.zeros((1, 0)), hatC=[[0.0]], hatf=[0.5])
+    mode.update(fields)
+    return SwitchedAffineModel([AffineMode(**mode)], state, box(0.0, 1),
+                               HyperRectangle([], []), name="drift")
+
+
+DRIFT_DATA = Trajectory(np.zeros((2, 0)), [[0.5], [0.25]])
+
+INVALID_MODELS = [
+    (dict(hatf=[-0.5]), "mode 1: hatf has negative entries"),
+    (dict(hatA=[[-0.1]]), "mode 1: hatA has negative entries"),
+    (dict(hatC=[[-0.1]]), "mode 1: hatC has negative entries"),
+    (dict(A=[[np.inf]]), "mode 1: A has non-finite entries"),
+    (dict(state_set=HyperRectangle([0.5], [-0.5])), "state_set: empty"),
+]
+
+
+class TestAdmission:
+    """An encoder takes only models that validate_model accepts."""
+
+    def test_the_valid_drift_model_explains_the_data(self):
+        # Df = -0.5 gives x_1 = 0.5 + 0.5 * -0.5 = 0.25
+        assert check_invalidation(drift_model(), DRIFT_DATA).is_consistent
+
+    @pytest.mark.parametrize("fields, message", INVALID_MODELS)
+    def test_an_invalid_model_raises_on_every_call(self, fields, message):
+        # the envelope reads hatA @ xmax + hatf as a nonnegative spread, so
+        # with hatf = -0.5 an encoding would call data that Df = 0.5
+        # explains INVALIDATED
+        model = drift_model(**fields)
+        _WINDOWS.clear()
+        for _ in range(2):
+            with pytest.raises(DimensionError, match=f"invalid model: {message}"):
+                check_invalidation(model, DRIFT_DATA)
+        assert not _WINDOWS
+
+    @pytest.mark.parametrize("fields, message", INVALID_MODELS)
+    def test_pair_encodings_reject_either_invalid_model(self, fields, message):
+        bad, good = drift_model(**fields), drift_model()
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(DimensionError, match=message):
+                encode_t_detectability(*pair, 1)
+        with pytest.raises(DimensionError, match=message):
+            find_T(good, bad, t_max=2)

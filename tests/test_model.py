@@ -22,8 +22,6 @@ from swainval.model import (
     StateBoundViolation,
     SwitchedAffineModel,
     Trajectory,
-    build_attack_model,
-    concat_cascaded,
     discretize_affine,
     simulate,
     simulate_random,
@@ -311,86 +309,7 @@ class TestDiscretize:
             discretize_affine([[1.0]], [[1.0]], [0.0], 0.1, method="midpoint")
 
 
-class TestAttackModel:
-    def test_mode_counts(self):
-        box = HyperRectangle.ball(0.1, 5)
-        A, B, C = np.eye(2), np.zeros((2, 1)), np.zeros((5, 2))
-        m = build_attack_model(A, B, C, box, a=1)
-        assert m.s == 5
-        m = build_attack_model(A, B, C, box, a=2)
-        assert m.s == 5 + 10
-        m = build_attack_model(A, B, C, box, a=2, eps=0.05)
-        assert m.s == 2 * (5 + 10)
-        m = build_attack_model(A, B, C, box, a=5)
-        assert m.s == 5 + 10 + 10 + 5 + 1
-
-    def test_augmented_dimensions(self):
-        box = HyperRectangle.ball(0.1, 3)
-        m = build_attack_model(np.eye(2), np.zeros((2, 1)), np.eye(3, 2), box,
-                               a=2, attack_cap=4.0,
-                               state_set=HyperRectangle.ball(1.0, 2))
-        assert m.n == 4 and m.n_y == 3
-        assert m.state_set.lower[-1] == -4.0 and m.state_set.upper[-1] == 4.0
-
-    def test_attack_changes_only_chosen_sensor(self):
-        # static x+ = x, y = I x; attacking sensor 0 leaves sensor 1 clean
-        box = HyperRectangle.point([0.0, 0.0])
-        m = build_attack_model(np.eye(2), np.zeros((2, 0)), np.eye(2), box,
-                               a=1, attack_cap=2.0,
-                               state_set=HyperRectangle.ball(1.0, 2))
-        mode0 = m.modes[0]  # attacks sensor 0
-        x_aug = np.array([0.5, -0.5, 1.5])  # offset slot holds 1.5
-        y = mode0.C @ x_aug
-        np.testing.assert_allclose(y, [0.5 + 1.5, -0.5])
-        # the offset evolves through hatf: next offset free in [-cap, cap]
-        assert mode0.hatf[-1] == 2.0
-        assert np.all(mode0.A[-1] == 0.0)
-
-    def test_eps_sign_split(self):
-        box = HyperRectangle.ball(0.1, 2)
-        m = build_attack_model(np.eye(1), np.zeros((1, 1)), np.eye(2, 1), box,
-                               a=1, eps=0.5, attack_cap=2.0)
-        # modes come in (positive, negative) pairs per subset
-        pos, neg = m.modes[0], m.modes[1]
-        # positive branch: offset in [0.5, 2] -> centre 1.25, radius 0.75
-        assert pos.f[-1] == pytest.approx(1.25)
-        assert pos.hatf[-1] == pytest.approx(0.75)
-        assert neg.f[-1] == pytest.approx(-1.25)
-        assert neg.hatf[-1] == pytest.approx(0.75)
-
-    def test_bad_arguments(self):
-        box = HyperRectangle.ball(0.1, 2)
-        with pytest.raises(ValueError):
-            build_attack_model(np.eye(1), np.zeros((1, 1)), np.eye(2, 1), box, a=0)
-        with pytest.raises(ValueError):
-            build_attack_model(np.eye(1), np.zeros((1, 1)), np.eye(2, 1), box, a=3)
-        with pytest.raises(ValueError):
-            build_attack_model(np.eye(1), np.zeros((1, 1)), np.eye(2, 1), box,
-                               a=1, eps=5.0, attack_cap=1.0)
-
-
 class TestCascadeAndSubmodel:
-    def test_concat(self):
-        m_a = scalar_model(a=0.5)
-        m_b = scalar_model(a=0.7, x_bound=20.0)
-        joined, offsets = concat_cascaded([m_a, m_b])
-        assert joined.s == 2
-        assert offsets.global_mode(0, 0) == 0
-        assert offsets.global_mode(1, 0) == 1
-        assert joined.state_set.upper == (20.0,)
-        with pytest.raises(IndexError):
-            offsets.global_mode(1, 1)
-        with pytest.raises(IndexError):
-            offsets.global_mode(2, 0)
-
-    def test_concat_dimension_mismatch(self):
-        two_state = SwitchedAffineModel(
-            [AffineMode.certain(np.eye(2), np.zeros((2, 1)), np.eye(1, 2), np.zeros(2))],
-            HyperRectangle.ball(1, 2), HyperRectangle.ball(1, 1),
-            HyperRectangle.ball(1, 1))
-        with pytest.raises(DimensionError):
-            concat_cascaded([scalar_model(), two_state])
-
     def test_submodel(self):
         modes = [AffineMode.certain([[float(i)]], [[0.0]], [[1.0]], [0.0])
                  for i in range(1, 7)]
