@@ -39,10 +39,13 @@ It combines
   nonzeros of the rows, which fixes variables, tightens bounds and so also
   propagates the one-active-mode equalities exactly.  Its index arrays are
   built once per solve from the problem's own nonzeros and each round costs
-  time linear in their number.  Every node re-optimises from its parent's
-  final basis, which rides on the DFS stack as index arrays; rows stay in
-  the LP even when presolve finds them redundant, so every basis fits
-  every node.
+  time linear in their number.  Every node re-optimises from the basis the
+  engine ended its last solve in, whichever node that was, with each
+  nonbasic column left at its last value where the new box allows.  So
+  the DFS stack holds bare bound boxes and a backtrack costs no
+  refactorization; only the root starts from the slack basis.  Without an
+  objective any basis is a valid start, and rows stay in the LP even when
+  presolve finds them redundant, so every basis fits every node.
 
 Each node ends *pruned* (presolve empties its box or its LP is
 infeasible), *split* (its children go on the stack as the binaries they
@@ -211,8 +214,9 @@ class _DualSimplex:
     by b_i from above (``<=``), below (``>=``) or both (``=``).  The matrix
     and the row bounds never change; :meth:`solve` re-optimises under new
     structural bounds from a given basis or from the slack basis ``-I``.
-    The engine keeps its last basis and inverse, so a node that starts from
-    the basis the previous solve ended in needs no refactorization.
+    The engine keeps its last basis and inverse.  Branch and bound starts
+    every node after the root from the basis the previous solve ended in,
+    so a node begins without a refactorization.
 
     The leaving row maximizes ``(infeas_i - tol) / sqrt(w_i)`` over dual
     Devex weights ``w``; a solve that returns to a vertex it stood at
@@ -644,10 +648,12 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
 
     if np.any(lo0 > hi0):
         return finish(INFEASIBLE, message="empty variable bounds")
-    # bound boxes, each with the basis its parent's LP ended in; entries are
-    # pushed so the preferred branch pops first
-    stack: list[tuple[np.ndarray, np.ndarray, _Basis | None]] = [
-        (lo0.copy(), hi0.copy(), None)]
+    # bound boxes, pushed so the preferred branch pops first.  Every node LP
+    # starts from the basis the engine's last solve ended in (the root from
+    # the slack basis): with a zero objective any basis is a valid start,
+    # and the engine's own needs no refactorization
+    stack: list[tuple[np.ndarray, np.ndarray]] = [(lo0.copy(), hi0.copy())]
+    start: _Basis | None = None
     branched = False
     try:
         while stack:
@@ -655,12 +661,22 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
                     deadline is not None and time.perf_counter() > deadline):
                 return finish(BUDGET_EXCEEDED,
                               message=f"stopped after {nodes} nodes")
-            lo, hi, start = stack.pop()
+            lo, hi = stack.pop()
             ok, lo, hi = presolver.run(lo, hi, FEAS_TOL)
             res = None
             if ok:
                 nodes += 1
+                if start is not None:
+                    # stay at the engine's vertex where the box allows: the
+                    # snapshot reads a column the last box fixed as at its
+                    # upper bound, which would lift a binary fixed to 0 to
+                    # 1 once freed, so such a column rests at its lower
+                    # bound unless it was fixed at this box's upper one
+                    at_upper = start.at_upper.copy()
+                    at_upper[:len(lo)] &= ~((last_lo == last_hi) & (last_lo < hi))
+                    start = _Basis(start.basic, at_upper)
                 res = lp.solve(lo, hi, start, deadline)
+                start, last_lo, last_hi = res.basis, lo, hi
             if res is None or not res.feasible:
                 if branched:
                     continue
@@ -668,7 +684,7 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
                 # does not certify the original ones, so the LP runs once
                 # more on those; it is feasible when presolve's rounding of
                 # binary bounds alone emptied the box
-                res = lp.solve(lo0, hi0, res and res.basis, deadline)
+                res = lp.solve(lo0, hi0, start, deadline)
                 nodes += 1
                 cert = None
                 if not res.feasible and check_certificate(problem, res.ray,
@@ -703,7 +719,7 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
                 lo_c, hi_c = lo.copy(), hi.copy()
                 lo_c[ones] = 1.0
                 hi_c[zeros] = 0.0
-                stack.append((lo_c, hi_c, res.basis))
+                stack.append((lo_c, hi_c))
     except _OutOfTime:
         return finish(BUDGET_EXCEEDED, message=(
             f"time limit reached in the LP after {nodes} nodes"))
