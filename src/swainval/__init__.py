@@ -43,6 +43,7 @@ from .solver import (
     SolverConfig,
     SolveResult,
     SolverNumericalError,
+    SolverSession,
     solve_milp,
     check_certificate,
 )
@@ -140,7 +141,8 @@ __all__ = [
     "verify",
     # solver
     "FEASIBLE", "INFEASIBLE", "BUDGET_EXCEEDED", "SolverConfig",
-    "SolveResult", "SolverNumericalError", "solve_milp", "check_certificate",
+    "SolveResult", "SolverNumericalError", "SolverSession", "solve_milp",
+    "check_certificate",
     # encoder
     "CONSISTENT", "INVALIDATED", "UNDECIDED", "ExplicitWords",
     "StructuredTuple", "CountBand", "Indicator", "prefix_indicator",

@@ -19,10 +19,14 @@ either verdict.
 A window costs one encoding and one solve.  Windows of one model, one
 length and the same inputs (every window, for a model without inputs)
 share one cached encoding template (``encoder._WindowTemplate``), so after
-the first such window the encoding only writes the window's outputs.  On
-the radiant trace at horizon 3 that takes 0.08 ms of a 4.1 ms window
-(2%; at horizon 8, 0.14 of 27 ms), measured on a 2-vCPU x86 machine with
-one BLAS thread; the rest is the solve, mostly its root LP.
+the first such window the encoding only writes the window's outputs.  A
+detector's windows share one ``SolverSession``, so a window whose matrix
+equals the last one's starts its first LP from the basis the last window
+ended in.  On the radiant trace a window takes 1.2 ms at horizon 3 and
+8.0 ms at horizon 8 (3.0 and 19 ms with a fresh session per window), of
+which the encoding takes 0.08 and 0.14 ms; the rest is the solve, mostly
+its root LP (``scripts/bench_monitor.py``, a 2-vCPU x86 machine, one BLAS
+thread).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .encoder import CONSISTENT, INVALIDATED, UNDECIDED, check_invalidation
 from .model import (DimensionError, RandomPolicy, SwitchedAffineModel,
                     Trajectory, _require_valid, require_finite,
                     simulate_random)
-from .solver import SolverConfig
+from .solver import SolverConfig, SolverSession
 
 __all__ = [
     "WindowVerdict", "DetectionReport", "default_window_config",
@@ -103,9 +107,9 @@ class DetectionReport:
 
 
 def _check_window(model: SwitchedAffineModel, window: Trajectory, k: int,
-                  config: SolverConfig) -> WindowVerdict:
+                  config: SolverConfig, session: SolverSession) -> WindowVerdict:
     start = time.perf_counter()
-    res = check_invalidation(model, window, config=config)
+    res = check_invalidation(model, window, config=config, session=session)
     ms = 1e3 * (time.perf_counter() - start)
     nodes = res.solve.nodes if res.solve is not None else 0
     return WindowVerdict(k, res.verdict, ms, nodes)
@@ -139,7 +143,9 @@ class StreamingDetector:
     afterwards the verdict of the window ending at the pushed sample; the
     verdicts match a batch ``run_receding`` over the same data exactly.
     The model is validated here, once, and a model that ``validate_model``
-    rejects raises DimensionError before any window.
+    rejects raises DimensionError before any window.  The detector keeps
+    one solver session for its lifetime: a radiant window takes 1.2 ms at
+    horizon 3 and 8.0 ms at horizon 8 with it, 3.0 and 19 ms without.
     """
 
     def __init__(self, model: SwitchedAffineModel, horizon: int, *,
@@ -154,6 +160,7 @@ class StreamingDetector:
         self._outputs: deque = deque(maxlen=horizon + 1)
         self._k = -1
         self._results: list[WindowVerdict] = []
+        self._session = SolverSession()
 
     def push(self, u, y) -> str:
         """Add one sample (``u`` may be None only for a model without
@@ -174,7 +181,8 @@ class StreamingDetector:
         if len(self._outputs) <= self.horizon:
             return "pending"
         window = Trajectory(np.vstack(self._inputs), np.vstack(self._outputs))
-        verdict = _check_window(self.model, window, self._k, self.config)
+        verdict = _check_window(self.model, window, self._k, self.config,
+                                self._session)
         self._results.append(verdict)
         return verdict.verdict
 

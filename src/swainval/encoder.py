@@ -102,7 +102,7 @@ from .milp import EQ, GE, LE, MilpProblem, UnboundedSet, Witness
 from .model import (DimensionError, HyperRectangle, SimulationDraw,
                     SwitchedAffineModel, Trajectory, _require_valid)
 from .solver import (FEASIBLE, INFEASIBLE, SolveResult, SolverConfig,
-                     solve_milp)
+                     SolverSession, solve_milp)
 
 __all__ = [
     "CONSISTENT", "INVALIDATED", "UNDECIDED",
@@ -1308,17 +1308,19 @@ class InvalidationResult:
 
 
 def check_invalidation(model: SwitchedAffineModel, trajectory: Trajectory, *,
-                       config: SolverConfig | None = None) -> InvalidationResult:
+                       config: SolverConfig | None = None,
+                       session: SolverSession | None = None) -> InvalidationResult:
     """Decide whether a data window lies in the model's behaviour set.
 
-    The solve runs on the backend ``config`` names (see :func:`solve_milp`).
+    The solve runs on the backend ``config`` names, on ``session`` when one
+    is given (see :func:`solve_milp`).
     """
     try:
         enc = encode_invalidation(model, trajectory)
     except InputOutsideAdmissibleSet as err:
         return InvalidationResult(INVALIDATED, str(err))
     enc.problem.seal()
-    res = solve_milp(enc.problem, config)
+    res = solve_milp(enc.problem, config, session=session)
     if res.status == FEASIBLE:
         return InvalidationResult(CONSISTENT, "found an admissible explanation",
                                   res, decode_invalidation_witness(enc, res.witness),

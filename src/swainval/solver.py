@@ -4,25 +4,26 @@ The solver answers one question: does a sealed :class:`~swainval.milp.MilpProble
 admit an assignment satisfying every row, bound and integrality restriction?
 It combines
 
-* one bounded dual simplex engine, built once per solve, on the static
-  row-activity form ``[A, -I] (x, r) = 0``: each row variable ``r_i`` carries
-  the row's relation as bounds (``r <= b``, ``r >= b`` or ``r = b``).  The
-  slack basis ``-I`` is always a valid start.  Without an objective every
-  basis is dual feasible, so an iteration only has to pick a leaving row
-  and an entering column (the largest ``|alpha|`` of the right sign).  The
-  leaving row is priced by dual Devex (Forrest & Goldfarb, *Math. Prog.*
-  57, 1992): the largest infeasibility relative to a reference weight of
-  its row of ``B^-1``, which starts at 1 in every solve and is updated in
-  O(m) per pivot.  Without that scaling, the most infeasible row cycled on
-  the sensor-pair LPs.  A 64-bit Zobrist key of the vertex (the basic
-  columns and the nonbasic ones at their upper bound) changes by a few
-  XORs per pivot; the first time a solve repeats a key, Bland's
-  least-index rule takes over, which skips pivots far below the largest
-  because they would ruin the basis.  The slack basis is also the
-  fallback when a warm basis turns out singular.  A row with no entering
-  candidate yields the Farkas ray ``+-e_r^T B^-1`` directly.  The basis
-  inverse is kept explicitly, updated by rank-one steps and refactored
-  through the structural kernel of the basis; and
+* one bounded dual simplex engine, built once per problem structure, on the
+  static row-activity form ``[A, -I] (x, r) = 0``: each row variable ``r_i``
+  carries the row's relation as bounds (``r <= b``, ``r >= b`` or
+  ``r = b``).  The slack basis ``-I`` is always a valid start.  Without an
+  objective every basis is dual feasible, so an iteration only has to pick a
+  leaving row and an entering column (the largest ``|alpha|`` of the right
+  sign).  The leaving row is priced by dual Devex (Forrest & Goldfarb,
+  *Math. Prog.* 57, 1992): the largest infeasibility relative to a reference
+  weight of its row of ``B^-1``, which starts at 1 in every solve, is
+  updated in O(m) per pivot and restarts at 1 when a leaving row's weight
+  passes 1e30, before any could overflow into a NaN price.  Without that
+  scaling, the most infeasible row cycled on the sensor-pair LPs.  A 64-bit
+  Zobrist key of the vertex (the basic columns and the nonbasic ones at
+  their upper bound) changes by a few XORs per pivot; the first time a solve
+  repeats a key, Bland's least-index rule takes over, which skips pivots far
+  below the largest because they would ruin the basis.  The slack basis is
+  also the fallback when a warm basis turns out singular.  A row with no
+  entering candidate yields the Farkas ray ``+-e_r^T B^-1`` directly.  The
+  basis inverse is kept explicitly, updated by rank-one steps and
+  refactored through the structural kernel of the basis; and
 * depth-first branch and bound on the binaries, splitting the lowest-index
   open binary whose relaxation value is fractional (the lowest-index open
   one when none is), the 1-branch explored first.  Both encoders number
@@ -38,14 +39,14 @@ It combines
   interval presolve at every node: activity-bound propagation over the
   nonzeros of the rows, which fixes variables, tightens bounds and so also
   propagates the one-active-mode equalities exactly.  Its index arrays are
-  built once per solve from the problem's own nonzeros and each round costs
-  time linear in their number.  Every node re-optimises from the basis the
-  engine ended its last solve in, whichever node that was, with each
-  nonbasic column left at its last value where the new box allows.  So
-  the DFS stack holds bare bound boxes and a backtrack costs no
-  refactorization; only the root starts from the slack basis.  Without an
-  objective any basis is a valid start, and rows stay in the LP even when
-  presolve finds them redundant, so every basis fits every node.
+  built once per problem structure from the problem's own nonzeros and
+  each round costs time linear in their number.  Every LP re-optimises
+  from the basis the engine ended its last LP in, whichever node that was,
+  with each nonbasic column left at its last value where the new box
+  allows.  So the DFS stack holds bare bound boxes and a backtrack costs
+  no refactorization.  Without an objective any basis is a valid start,
+  and rows stay in the LP even when presolve finds them redundant, so
+  every basis fits every node.
 
 Each node ends *pruned* (presolve empties its box or its LP is
 infeasible), *split* (its children go on the stack as the binaries they
@@ -58,16 +59,24 @@ Presolve rounds binary bounds, so it can empty a root box whose LP
 relaxation is feasible: the answer is INFEASIBLE all the same, without a
 certificate.
 
-A solve scatters the rows into a dense matrix once (``to_arrays``), for the
-simplex's BLAS pivots; presolve, SOS1 detection, the witness re-check and
-the certificate check read the nonzeros instead.
+A :class:`SolverSession` builds, once per problem structure, the dense
+matrix of ``to_arrays`` for the simplex's BLAS pivots, the presolve arrays,
+the candidate SOS1 rows and the engine.  A solve of the same structure
+rebinds only the right-hand sides, and its first LP (the root node LP, or
+the root-proof LP when presolve empties the root) starts from the basis
+the last solve ended in.  The radiant monitor's 28 invalidated windows at
+horizon 3 end in root-proof LPs, which took 30 pivots each from the slack
+basis and 140 in all from the carried one.  Presolve, SOS1 detection, the
+witness re-check and the certificate check read the nonzeros.
 
 Feasible answers always carry a witness that has been re-checked against the
 original problem; infeasible answers at the root carry a dual ray that
 certifies infeasibility against the original rows and bounds.  All rules are
 deterministic: for a fixed BLAS thread count (see the BLAS-thread
-``FOUND`` entry of ``CHANGES.md``), the same problem yields the same
-answer, witness, node and pivot count on every run.
+``FOUND`` entry of ``CHANGES.md``), the same problem from the same session
+state yields the same answer, witness, node and pivot count on every run.
+``solve_milp`` without a session uses a fresh one, so a one-shot solve
+depends on no earlier call.
 
 ``solve_milp`` is the only place that chooses a backend: with
 ``SolverConfig.external_command`` set it hands the problem to that command
@@ -90,6 +99,7 @@ __all__ = [
     "SolverConfig",
     "SolveResult",
     "SolverNumericalError",
+    "SolverSession",
     "FEASIBLE",
     "INFEASIBLE",
     "BUDGET_EXCEEDED",
@@ -162,6 +172,8 @@ _BLAND_PIV = 1e-3     # Bland's rule skips pivots this far below the largest
 _KERNEL_TOL = 1e-7    # largest |K^-1 K - I| entry of a usable refactorization
 _REFACTOR_EVERY = 100  # basis updates between refactorizations
 _ZOBRIST_SEED = 1992   # seed of the vertex keys' stream
+_DEVEX_START = 1.0     # every row's reference weight when a solve starts
+_DEVEX_MAX = 1e30      # a leaving row's weight past this restarts all at 1
 
 _zobrist = np.zeros(0, dtype=np.uint64)
 
@@ -212,11 +224,11 @@ class _DualSimplex:
 
     Column j < n is x_j and column n + i the activity r_i of row i, bounded
     by b_i from above (``<=``), below (``>=``) or both (``=``).  The matrix
-    and the row bounds never change; :meth:`solve` re-optimises under new
-    structural bounds from a given basis or from the slack basis ``-I``.
-    The engine keeps its last basis and inverse.  Branch and bound starts
-    every node after the root from the basis the previous solve ended in,
-    so a node begins without a refactorization.
+    never changes, the row bounds only by :meth:`set_rhs`; :meth:`solve`
+    re-optimises under new structural bounds from a given basis or from the
+    slack basis ``-I``.  The engine keeps its last basis and inverse.
+    Branch and bound starts every LP from the basis the previous one ended
+    in, so an LP begins without a refactorization.
 
     The leaving row maximizes ``(infeas_i - tol) / sqrt(w_i)`` over dual
     Devex weights ``w``; a solve that returns to a vertex it stood at
@@ -225,14 +237,17 @@ class _DualSimplex:
 
     def __init__(self, A: np.ndarray, rel: np.ndarray, b: np.ndarray):
         self.m, self.n = A.shape
-        self.A = A
-        self.row_lo = np.where(rel == LE, -np.inf, b)
-        self.row_hi = np.where(rel == GE, np.inf, b)
+        self.A, self.rel = A, rel
+        self.set_rhs(b)
         self.tol = FEAS_TOL
         self.max_iter = 50 * (self.m + self.n) + 2000
         self.iterations = 0
         self.bland_switches = 0   # solves that found a repeated vertex
         self.basis: np.ndarray | None = None   # set by the first solve
+
+    def set_rhs(self, b: np.ndarray) -> None:
+        self.row_lo = np.where(self.rel == LE, -np.inf, b)
+        self.row_hi = np.where(self.rel == GE, np.inf, b)
 
     def solve(self, lo: np.ndarray, hi: np.ndarray, start: _Basis | None,
               deadline: float | None) -> _LpResult:
@@ -355,7 +370,7 @@ class _DualSimplex:
         n, tol = self.n, self.tol
         lo_B, hi_B = self.lo[self.basis], self.hi[self.basis]
         basic_keys, upper_keys = _zobrist_keys(n + self.m)
-        weights = np.ones(self.m)        # dual Devex reference weights
+        weights = np.full(self.m, _DEVEX_START)   # dual Devex reference weights
         alpha = np.empty(n + self.m)
         self.visited: set[int] = set()
         key = self._vertex_key()
@@ -378,6 +393,8 @@ class _DualSimplex:
                 if p >= 0 and not price[p] > 0.0:
                     p = -1
             if p < 0:
+                if not np.all(infeas <= tol):
+                    raise _NumericalTrouble("a bound violation went unpriced")
                 z = self._values()
                 if self.updates and np.any(
                         np.abs(self.A @ z[:n] - z[n:]) > tol):
@@ -438,6 +455,8 @@ class _DualSimplex:
             scaled = weights[p] / (piv * piv)
             np.maximum(weights, scaled * (col * col), out=weights)
             weights[p] = max(scaled, 1.0)
+            if not scaled <= _DEVEX_MAX:   # also catches inf and NaN
+                weights.fill(1.0)
             pivot_row = rho / piv
             self.B_inv = _dger(-1.0, col, pivot_row, a=self.B_inv, overwrite_a=True)
             self.B_inv[p] = pivot_row
@@ -474,16 +493,17 @@ class _Presolver:
     instead of pushing them past, so presolve accepts what the LP accepts.
     A bound takes a cap only when it tightens by more than 1e-12 of the cap's
     size, so rounding errors cannot creep from round to round.  The work
-    per round is linear in the number of nonzeros.  Built once per solve
-    from the problem's nonzeros ``(row, col, val)``, run per node.
+    per round is linear in the number of nonzeros.  Built once per problem
+    structure from its nonzeros ``(row, col, val)``, with the right-hand
+    sides rebound per solve by :meth:`set_rhs`, and run per node.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
                  rel: np.ndarray, b: np.ndarray, is_bin: np.ndarray):
-        up, down = rel != GE, rel != LE
+        self.up, self.down = up, down = rel != GE, rel != LE
         # the normalized rows: every <= or = row as it is, then every >= or
         # = row negated, each block in row order
-        self.rhs = np.concatenate([b[up], -b[down]])
+        self.set_rhs(b)
         big = np.abs(vals) > 1e-12
         r, c, v = rows[big], cols[big], vals[big]
         in_up, in_down = up[r], down[r]
@@ -497,6 +517,9 @@ class _Presolver:
         self.pos_cols, self.pos_starts = _segments(self.col[:self.n_pos])
         self.neg_cols, self.neg_starts = _segments(self.col[self.n_pos:])
         self.is_bin = is_bin
+
+    def set_rhs(self, b: np.ndarray) -> None:
+        self.rhs = np.concatenate([b[self.up], -b[self.down]])
 
     def run(self, lo: np.ndarray, hi: np.ndarray, feas_tol: float,
             max_rounds: int = 8) -> tuple[bool, np.ndarray, np.ndarray]:
@@ -577,43 +600,101 @@ def check_certificate(problem: MilpProblem, y, tol: float = 1e-7) -> bool:
 
 # -- branch and bound -----------------------------------------------------------
 
-def _sos1_groups(problem: MilpProblem) -> list[tuple[int, ...]]:
+def _sos1_rows(row, col, val, rel, is_bin) -> list[tuple[int, tuple[int, ...]]]:
+    """The EQ rows of +1 coefficients over two or more binaries, as (row,
+    members) in row order, whatever their right-hand side.  Coefficients of
+    magnitude 1e-12 or less count as zero, as in presolve."""
+    keep = (rel == EQ)[row] & (np.abs(val) > 1e-12)
+    rows, cols = row[keep], col[keep]
+    unit = is_bin[cols] & (np.abs(val[keep] - 1.0) <= 1e-12)
+    order = np.lexsort((cols, rows))
+    rows, cols, unit = rows[order], cols[order], unit[order]
+    firsts, starts = _segments(rows)
+    if not starts.size:
+        return []
+    ends = np.append(starts[1:], len(rows))
+    ok = np.logical_and.reduceat(unit, starts) & (ends - starts >= 2)
+    return [(int(r), tuple(int(c) for c in cols[s:e]))
+            for r, s, e in zip(firsts[ok], starts[ok], ends[ok])]
+
+
+def _sos1_groups(problem: MilpProblem, sos1_rows=None) -> list[tuple[int, ...]]:
     """Exactly-one rows over binaries: EQ rows of +1 coefficients, rhs 1.
 
     Any integral solution sets exactly one member of such a group to 1, so
     branching can enumerate the members instead of splitting one binary at
     a time — the branch tree then follows the problem's own choice
     structure (one mode per step) instead of a generic 0/1 tree.  Groups
-    come in row order, each once; the rows are read from the problem's
-    nonzeros, where coefficients of magnitude 1e-12 or less count as zero,
-    as in presolve.
+    come in row order, each once; ``sos1_rows`` are the problem's
+    ``_sos1_rows`` when already known.
     """
     row, col, val, rel, b, _, _, is_bin, _ = problem.sparse_arrays()
-    one_rows = (rel == EQ) & (np.abs(b - 1.0) <= 1e-12)
-    keep = one_rows[row] & (np.abs(val) > 1e-12)
-    rows, cols = row[keep], col[keep]
-    unit = is_bin[cols] & (np.abs(val[keep] - 1.0) <= 1e-12)
-    order = np.lexsort((cols, rows))
-    rows, cols, unit = rows[order], cols[order], unit[order]
-    _, starts = _segments(rows)
-    if not starts.size:
-        return []
-    ends = np.append(starts[1:], len(rows))
-    ok = np.logical_and.reduceat(unit, starts) & (ends - starts >= 2)
-    groups: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for s, e in zip(starts[ok], ends[ok]):
-        key = tuple(int(c) for c in cols[s:e])
-        if key not in seen:
-            seen.add(key)
-            groups.append(key)
-    return groups
+    if sos1_rows is None:
+        sos1_rows = _sos1_rows(row, col, val, rel, is_bin)
+    return list(dict.fromkeys(group for r, group in sos1_rows
+                              if abs(b[r] - 1.0) <= 1e-12))
 
 
-def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
-               ) -> SolveResult:
+class SolverSession:
+    """The bundled solver's set-up for one problem structure, kept across
+    solves (see the module docstring).
+
+    The structure is the nonzeros, the relations and the binary mask,
+    compared by identity first and then by value; a problem of another
+    structure rebuilds the session, which then starts from the slack basis.
+    ``StreamingDetector`` keeps one session for all its windows.
+    """
+
+    def __init__(self):
+        self._structure: tuple | None = None
+        self._start: _Basis | None = None   # the basis of the engine's last LP
+
+    def _bind(self, problem: MilpProblem) -> dict[int, tuple[int, ...]]:
+        """Set up for ``problem``; returns each binary's exactly-one group."""
+        row, col, val, rel, b, _, _, is_bin, _ = problem.sparse_arrays()
+        structure = (row, col, val, rel, is_bin)
+        if self._structure is None or not all(
+                new is old or np.array_equal(new, old)
+                for new, old in zip(structure, self._structure)):
+            self._structure, self._start = structure, None
+            self.presolver = _Presolver(row, col, val, rel, b, is_bin)
+            self.engine = _DualSimplex(problem.to_arrays()[0], rel, b)
+            self._sos1_rows = _sos1_rows(row, col, val, rel, is_bin)
+        else:
+            self.presolver.set_rhs(b)
+            self.engine.set_rhs(b)
+        # a binary in several groups branches by the first
+        return {j: group for group in
+                reversed(_sos1_groups(problem, self._sos1_rows)) for j in group}
+
+    def _lp(self, lo: np.ndarray, hi: np.ndarray,
+            deadline: float | None) -> _LpResult:
+        """The LP on the box [lo, hi], from the basis the engine holds.
+
+        Each nonbasic column stays at the engine's vertex where the box
+        allows: the snapshot reads a column the last box fixed as at its
+        upper bound, which would lift a binary fixed to 0 to 1 once freed,
+        so such a column rests at its lower bound unless it was fixed at
+        this box's upper one.  An LP that raises leaves no basis to carry.
+        """
+        start, self._start = self._start, None
+        if start is not None:
+            at_upper = start.at_upper.copy()
+            last_lo, last_hi = self._last
+            at_upper[:len(lo)] &= ~((last_lo == last_hi) & (last_lo < hi))
+            start = _Basis(start.basic, at_upper)
+        res = self.engine.solve(lo, hi, start, deadline)
+        self._start, self._last = res.basis, (lo, hi)
+        return res
+
+
+def solve_milp(problem: MilpProblem, config: SolverConfig | None = None, *,
+               session: SolverSession | None = None) -> SolveResult:
     """Decide feasibility of a sealed problem on the configured backend;
-    witnesses are re-verified."""
+    witnesses are re-verified.
+
+    The bundled solver runs on ``session`` (see :class:`SolverSession`) or
+    on a fresh one; the external backend ignores it."""
     cfg = config or SolverConfig()
     if not problem.sealed:
         problem.seal()
@@ -621,21 +702,18 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
         from .external import solve_with_command
         return solve_with_command(problem, cfg.external_command,
                                   time_limit=cfg.time_limit)
-    A, rel, b, lo0, hi0, is_bin, names = problem.to_arrays()
-    bin_idx = np.where(is_bin)[0]
-    row, col, val = problem.sparse_arrays()[:3]
-    presolver = _Presolver(row, col, val, rel, b, is_bin)
-    member_group: dict[int, tuple[int, ...]] = {}
-    for group in _sos1_groups(problem):
-        for j in group:
-            member_group.setdefault(j, group)
-    lp = _DualSimplex(A, rel, b)
+    session = SolverSession() if session is None else session
+    member_group = session._bind(problem)
+    presolver, first = session.presolver, session.engine.iterations
+    lo0, hi0, is_bin, names = problem.sparse_arrays()[5:]
+    bin_idx = np.flatnonzero(is_bin)
     t0 = time.perf_counter()
     deadline = None if cfg.time_limit is None else t0 + cfg.time_limit
     nodes = 0
 
     def finish(status, witness=None, message="", certificate=None) -> SolveResult:
-        return SolveResult(status, witness, nodes, lp.iterations,
+        return SolveResult(status, witness, nodes,
+                           session.engine.iterations - first,
                            time.perf_counter() - t0, message, certificate)
 
     def checked_witness(x: np.ndarray) -> Witness:
@@ -648,12 +726,11 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
 
     if np.any(lo0 > hi0):
         return finish(INFEASIBLE, message="empty variable bounds")
-    # bound boxes, pushed so the preferred branch pops first.  Every node LP
-    # starts from the basis the engine's last solve ended in (the root from
-    # the slack basis): with a zero objective any basis is a valid start,
-    # and the engine's own needs no refactorization
+    # bound boxes, pushed so the preferred branch pops first.  Every LP
+    # starts from the basis the engine's last solve ended in (a fresh
+    # session's first from the slack basis): with a zero objective any basis
+    # is a valid start, and the engine's own needs no refactorization
     stack: list[tuple[np.ndarray, np.ndarray]] = [(lo0.copy(), hi0.copy())]
-    start: _Basis | None = None
     branched = False
     try:
         while stack:
@@ -666,17 +743,7 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
             res = None
             if ok:
                 nodes += 1
-                if start is not None:
-                    # stay at the engine's vertex where the box allows: the
-                    # snapshot reads a column the last box fixed as at its
-                    # upper bound, which would lift a binary fixed to 0 to
-                    # 1 once freed, so such a column rests at its lower
-                    # bound unless it was fixed at this box's upper one
-                    at_upper = start.at_upper.copy()
-                    at_upper[:len(lo)] &= ~((last_lo == last_hi) & (last_lo < hi))
-                    start = _Basis(start.basic, at_upper)
-                res = lp.solve(lo, hi, start, deadline)
-                start, last_lo, last_hi = res.basis, lo, hi
+                res = session._lp(lo, hi, deadline)
             if res is None or not res.feasible:
                 if branched:
                     continue
@@ -684,7 +751,7 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None,
                 # does not certify the original ones, so the LP runs once
                 # more on those; it is feasible when presolve's rounding of
                 # binary bounds alone emptied the box
-                res = lp.solve(lo0, hi0, start, deadline)
+                res = session._lp(lo0, hi0, deadline)
                 nodes += 1
                 cert = None
                 if not res.feasible and check_certificate(problem, res.ray,

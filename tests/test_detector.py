@@ -1,19 +1,25 @@
 """Receding-horizon monitoring: soundness, alarm bounds, streaming parity."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from swainval import encoder
+from swainval import detectability, detector, encoder
 from swainval.detectability import find_T
 from swainval.encoder import _WINDOWS, check_invalidation
-from swainval.examples import builtin_pair, numeric_family
+from swainval.examples import builtin_pair, numeric_family, numeric_system
+from swainval.milp import verify
 from swainval.detector import (DetectionReport, StreamingDetector,
                                inject_persistent_fault, run_receding,
                                run_streaming)
 from swainval.model import (AffineMode, DimensionError, HyperRectangle,
                             RandomPolicy, SwitchedAffineModel, Trajectory,
                             simulate_random)
-from swainval.solver import SolverConfig
+from swainval.solver import (SolverConfig, SolverSession, check_certificate,
+                             solve_milp)
+from test_golden_lp import FAULT, SYSTEM
 
 
 def box(radius: float, dim: int) -> HyperRectangle:
@@ -305,6 +311,112 @@ class TestWindowTemplates:
         report = run_receding(system, trace, 3)
         assert len(report.results) == 40
         assert built == [4]
+
+
+def monitor_cases() -> list:
+    """(model, trace, horizon) of three monitors: radiant shares one matrix
+    over all its windows; numeric3 has inputs, so each window gets its own
+    template; the golden model gates its outputs, so its matrix changes
+    with every window."""
+    system, fault = builtin_pair("radiant")
+    policy = RandomPolicy(input_box=HyperRectangle([-1.0], [1.0]))
+    return [
+        pytest.param(system, inject_persistent_fault(
+            system, fault, onset=15, total=43, seed=0), 3, id="radiant"),
+        pytest.param(numeric_family(3), inject_persistent_fault(
+            numeric_family(3), numeric_system(), onset=8, total=20, seed=0,
+            policy=policy), 4, id="numeric3"),
+        pytest.param(SYSTEM, inject_persistent_fault(
+            SYSTEM, FAULT, onset=6, total=14, seed=0), 3, id="golden"),
+    ]
+
+
+class TestSolverSession:
+    """A monitor keeps one solver session over its windows; each window's
+    first LP starts from the basis the last window ended in."""
+
+    @pytest.mark.parametrize("model, trace, horizon", monitor_cases())
+    def test_monitor_verdicts_match_cold_checks(self, model, trace, horizon,
+                                                monkeypatch):
+        results, check = [], detector.check_invalidation
+
+        def recording(*args, **kwargs):
+            results.append(check(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(detector, "check_invalidation", recording)
+        report = run_receding(model, trace, horizon)
+        assert report.alarms and len(report.alarms) < len(report.results)
+        for window, res in zip(report.results, results):
+            cold = check_invalidation(
+                model, trace.window(window.k - horizon, window.k + 1))
+            assert res.verdict == cold.verdict
+            problem = res.encoding.problem
+            if res.is_consistent:
+                assert verify(problem, res.solve.witness)[0]
+            if res.solve.certificate is not None:
+                assert check_certificate(problem, res.solve.certificate)
+
+    def test_a_monitor_pass_takes_at_most_half_the_cold_pivots(
+            self, radiant_trace, monkeypatch):
+        system, trace = radiant_trace
+        cold = sum(check_invalidation(system, trace.window(k - 3, k + 1))
+                   .solve.lp_iterations for k in range(3, len(trace)))
+        solves, solve_milp = [], encoder.solve_milp
+
+        def logged(*args, **kwargs):
+            solves.append(solve_milp(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(encoder, "solve_milp", logged)
+        run_receding(system, trace, 3)
+        # 550 against 1,416: the 28 invalidated windows' proof LPs take
+        # about 30 pivots each from the slack basis
+        assert len(solves) == 40
+        assert sum(s.lp_iterations for s in solves) <= cold / 2
+
+    def test_one_shot_calls_carry_no_hidden_state(self, radiant_trace,
+                                                  monkeypatch):
+        system, trace = radiant_trace
+        fault = builtin_pair("radiant")[1]
+        problem = encoder.encode_invalidation(
+            system, trace.window(25, 29)).problem.seal()
+        probes, probe = [], detectability.solve_milp
+
+        def logged(*args, **kwargs):
+            probes.append(probe(*args, **kwargs))
+            return probes[-1]
+
+        monkeypatch.setattr(detectability, "solve_milp", logged)
+
+        def one_shot() -> list:
+            probes.clear()
+            assert find_T(system, fault, t_max=2).verdict == "notUpTo"
+            checks = [check_invalidation(system, trace.window(k - 3, k + 1))
+                      for k in (8, 20)]
+            assert [c.verdict for c in checks] == ["consistent", "invalidated"]
+            return ([c.solve for c in checks] + [solve_milp(problem)]
+                    + probes)
+
+        before = one_shot()
+        sessions, init = [], SolverSession.__init__
+
+        def tracked(session):
+            init(session)
+            sessions.append(weakref.ref(session))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SolverSession, "__init__", tracked)
+            run_receding(system, trace.window(0, 25), 3)
+        gc.collect()
+        # the monitor's session went with its detector: no cache holds one
+        assert len(sessions) == 1 and sessions[0]() is None
+        after = one_shot()
+        assert len(before) == len(after) == 5
+        for a, b in zip(before, after):
+            assert (a.status, a.nodes, a.lp_iterations, a.witness,
+                    a.certificate) == (b.status, b.nodes, b.lp_iterations,
+                                       b.witness, b.certificate)
 
 
 class TestAdmission:

@@ -517,6 +517,26 @@ class TestLeavingRule:
         assert all(incremental == recomputed for incremental, recomputed in keys)
 
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_an_overflowing_devex_weight_restarts_the_weights(self, seed,
+                                                              monkeypatch):
+        # from 1e307 a pivot's update overflows a weight to inf, and
+        # inf * 0 = NaN prices every row out: without the restart the loop
+        # said "feasible" with bounds still violated on 16 of these 40 LPs
+        monkeypatch.setattr(solver, "_DEVEX_START", 1e307)
+        A, rel, b, lo, hi, _, _ = random_bounded_lp(
+            np.random.default_rng(seed)).to_arrays()
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = _DualSimplex(A, rel, b).solve(lo, hi, None, None)
+        assert res.feasible == linprog_feasible(A, rel, b, lo, hi)
+        if res.feasible:
+            tol = 10 * FEAS_TOL
+            assert np.all(res.x >= lo - tol) and np.all(res.x <= hi + tol)
+            assert rows_hold(A, rel, b, res.x, tol)
+        else:
+            assert check_certificate(boxed(A, rel, b, lo, hi), res.ray)
+
+
 def test_benchmark_lps_never_switch_to_bland(monkeypatch, radiant_window):
     made = []
     init = _DualSimplex.__init__
