@@ -29,6 +29,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,8 +41,6 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 def measure(passes: int) -> dict:
     """Time the cases on the ``swainval`` found on ``sys.path``."""
-    import time
-
     import swainval as sv
     from swainval import encoder
 
