@@ -80,11 +80,6 @@ from .detectability import (
     ConversePathsDisagree,
     check_t_detectability,
     find_T,
-    observability_matrix,
-    is_observable,
-    concatenated_system,
-    AffineConverseReport,
-    affine_never_detectable,
 )
 from .detector import (
     WindowVerdict,
@@ -154,8 +149,6 @@ __all__ = [
     # detectability
     "TDetectabilityResult", "DetectabilityReport", "MonotonicityViolation",
     "ConversePathsDisagree", "check_t_detectability", "find_T",
-    "observability_matrix", "is_observable", "concatenated_system",
-    "AffineConverseReport", "affine_never_detectable",
     # detector
     "WindowVerdict", "DetectionReport", "StreamingDetector", "run_receding",
     "run_streaming", "inject_persistent_fault", "default_window_config",

@@ -1,4 +1,4 @@
-"""Minimal-horizon detectability search and never-detectable certificates.
+"""Minimal-horizon detectability search.
 
 A change model is *T-detectable* against a system when no input-output
 window of T transitions lies in both behaviours; the receding-horizon
@@ -6,12 +6,6 @@ monitor then flags any persistent change within T steps.  ``find_T``
 searches the smallest such horizon by solving one coupled feasibility
 problem per candidate and certifying the first infeasible one (plus a
 re-check one step later, since detectability is monotone in the horizon).
-
-The module also hosts the converse tools: mode-sequence observability
-matrices, the concatenated difference system whose unobservable directions
-are exactly the indistinguishable initial conditions, and a closed-form
-never-detectable test for affine (single-mode) pairs that is cross-checked
-against the feasibility encoding.
 """
 
 from __future__ import annotations
@@ -21,12 +15,10 @@ import logging
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .encoder import (CommonBehavior, EmptyInputIntersection, Indicator,
                       decode_pair_witness, encode_t_detectability,
                       prefix_indicator)
-from .model import (AffineMode, HyperRectangle, SwitchedAffineModel)
+from .model import SwitchedAffineModel
 from .solver import (BUDGET_EXCEEDED, FEASIBLE, INFEASIBLE, SolveResult,
                      SolverConfig, solve_milp)
 
@@ -35,8 +27,6 @@ __all__ = [
     "MonotonicityViolation", "ConversePathsDisagree",
     "TDetectabilityResult", "check_t_detectability",
     "DetectabilityReport", "find_T",
-    "observability_matrix", "matrix_rank_scaled", "is_observable",
-    "concatenated_system", "AffineConverseReport", "affine_never_detectable",
 ]
 
 _log = logging.getLogger(__name__)
@@ -44,8 +34,6 @@ _log = logging.getLogger(__name__)
 YES = "yes"
 NOT_UP_TO = "notUpTo"
 UNDECIDED = "undecided"
-
-_RANK_REL_TOL = 1e-9
 
 
 class MonotonicityViolation(RuntimeError):
@@ -57,7 +45,10 @@ class MonotonicityViolation(RuntimeError):
 
 
 class ConversePathsDisagree(RuntimeError):
-    """The closed-form and feasibility-based never-detectable tests split."""
+    """No code raises this any more: the closed-form never-detectable test
+    that did is gone.  It stays only because ``perfbench/workloads.py``
+    names it among the library errors an op may raise; it goes once the
+    benchmark drops it."""
 
 
 @dataclass(frozen=True)
@@ -244,178 +235,3 @@ def find_T(system: SwitchedAffineModel, fault: SwitchedAffineModel, *,
                                last_witness, None, None, indicator,
                                tuple(notes))
 
-
-# -- observability and converse results --------------------------------------
-
-
-def observability_matrix(model: SwitchedAffineModel,
-                         mode_sequence) -> np.ndarray:
-    """Stack C_{s_k} A_{s_{k-1}} ... A_{s_0} blocks along a mode sequence.
-
-    The null space of the stack is exactly the set of initial-state
-    differences invisible in the outputs along that switching path."""
-    seq = [int(i) for i in mode_sequence]
-    if not seq:
-        raise ValueError("the mode sequence must contain at least one mode")
-    if any(not 0 <= i < model.s for i in seq):
-        raise ValueError("mode indices must lie in 0..s-1")
-    prod = np.eye(model.n)
-    blocks = []
-    for k, i in enumerate(seq):
-        if k:
-            prod = model.modes[seq[k - 1]].A @ prod
-        blocks.append(model.modes[i].C @ prod)
-    return np.vstack(blocks)
-
-
-def matrix_rank_scaled(mat: np.ndarray) -> int:
-    """Rank with the tolerance scaled to the largest matrix entry."""
-    if mat.size == 0:
-        return 0
-    biggest = float(np.max(np.abs(mat)))
-    if biggest == 0.0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv > _RANK_REL_TOL * biggest))
-
-
-def is_observable(model: SwitchedAffineModel, mode_sequence) -> bool:
-    return matrix_rank_scaled(observability_matrix(model, mode_sequence)) == model.n
-
-
-def _augmented(mode: AffineMode) -> np.ndarray:
-    """The (n+1)-dimensional lift carrying the affine offset as a state."""
-    n = mode.n
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = mode.A
-    aug[:n, n] = mode.f
-    aug[n, n] = 1.0
-    return aug
-
-
-def concatenated_system(system: SwitchedAffineModel,
-                        fault: SwitchedAffineModel) -> SwitchedAffineModel:
-    """The autonomous difference system on (x, phi, xbar, phibar).
-
-    One mode per mode pair; the output is y - ybar, so a trajectory with
-    identically zero output started at phi = phibar = 1 is exactly a pair
-    of behaviours the two models share without noise.  State and noise
-    carry no box restrictions (the construction serves the unrestricted
-    converse analysis)."""
-    if system.n_y != fault.n_y:
-        raise ValueError("the two models must share the output dimension")
-    n1, n2, n_y = system.n, fault.n, system.n_y
-    dim = n1 + 1 + n2 + 1
-    modes = []
-    for m1 in system.modes:
-        for m2 in fault.modes:
-            A = np.zeros((dim, dim))
-            A[:n1 + 1, :n1 + 1] = _augmented(m1)
-            A[n1 + 1:, n1 + 1:] = _augmented(m2)
-            C = np.zeros((n_y, dim))
-            C[:, :n1] = m1.C
-            C[:, n1 + 1:n1 + 1 + n2] = -m2.C
-            modes.append(AffineMode.certain(A=A, B=np.zeros((dim, 0)), C=C,
-                                            f=np.zeros(dim)))
-    free = HyperRectangle([-np.inf] * dim, [np.inf] * dim)
-    return SwitchedAffineModel(modes, state_set=free,
-                               noise_set=HyperRectangle.point([0.0] * n_y),
-                               input_set=HyperRectangle([], []),
-                               name="difference")
-
-
-@dataclass(frozen=True)
-class AffineConverseReport:
-    """Outcome of the affine never-detectable test.
-
-    ``never_detectable`` comes from the closed-form path: the stacked
-    matching equations along the two affine orbits admit an initial pair
-    iff the residual vanishes.  ``milp_status`` records the cross-check
-    (a feasibility encoding at the saturation horizon 2n+1 with zero
-    noise); the two must agree by construction."""
-
-    never_detectable: bool
-    initial_states: tuple[np.ndarray, np.ndarray] | None
-    residual: float
-    horizon_checked: int
-    milp_status: str
-
-
-def _zero_noise_copy(model: SwitchedAffineModel,
-                     state_box: HyperRectangle) -> SwitchedAffineModel:
-    return SwitchedAffineModel(model.modes, state_set=state_box,
-                               noise_set=HyperRectangle.point([0.0] * model.n_y),
-                               input_set=model.input_set, name=model.name)
-
-
-def affine_never_detectable(system: SwitchedAffineModel,
-                            fault: SwitchedAffineModel, *,
-                            config: SolverConfig | None = None) -> AffineConverseReport:
-    """Exact never-detectable test for a pair of affine (single-mode) models.
-
-    Both models must be single-mode, autonomous and without structured
-    uncertainty; noise is ignored (the question is exact output matching,
-    which is what staying undetectable at *every* horizon means).  The
-    closed-form path solves the stacked matching equations over the first
-    2n+2 samples — past the point where new samples stop adding rank — and
-    the feasibility path re-asks the same question as a coupled encoding at
-    horizon 2n+1 over a box padded around the candidate orbit.  Raises
-    ConversePathsDisagree if they ever split.
-    """
-    for name, model in (("system", system), ("fault", fault)):
-        if model.s != 1:
-            raise ValueError(f"the {name} must be single-mode (affine)")
-        if model.has_uncertainty:
-            raise ValueError(f"the {name} must carry no structured uncertainty")
-        if model.n_u:
-            raise ValueError("the affine test covers autonomous models")
-    if system.n_y != fault.n_y:
-        raise ValueError("the two models must share the output dimension")
-    n1, n2, n_y = system.n, fault.n, system.n_y
-    n = max(n1, n2)
-    horizon = 2 * n + 1
-    samples = horizon + 1
-
-    aug1, aug2 = _augmented(system.modes[0]), _augmented(fault.modes[0])
-    C1, C2 = system.modes[0].C, fault.modes[0].C
-    rows, rhs = [], []
-    P1, P2 = np.eye(n1 + 1), np.eye(n2 + 1)
-    for _k in range(samples):
-        row = np.zeros((n_y, n1 + n2))
-        row[:, :n1] = C1 @ P1[:n1, :n1]
-        row[:, n1:] = -(C2 @ P2[:n2, :n2])
-        rows.append(row)
-        rhs.append(-(C1 @ P1[:n1, n1]) + C2 @ P2[:n2, n2])
-        P1, P2 = aug1 @ P1, aug2 @ P2
-    A = np.vstack(rows)
-    b = np.concatenate(rhs)
-    w, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.max(np.abs(A @ w - b), initial=0.0))
-    scale = max(1.0, float(np.max(np.abs(A), initial=0.0)),
-                float(np.max(np.abs(b), initial=0.0)))
-    never = residual <= 1e-9 * scale
-    x0, xb0 = w[:n1], w[n1:]
-
-    # cross-check: the same question as a coupled feasibility problem over
-    # a box padded around the candidate orbit
-    orbit_max = 1.0
-    x, xb = x0.copy(), xb0.copy()
-    for _k in range(samples):
-        orbit_max = max(orbit_max, float(np.max(np.abs(x), initial=0.0)),
-                        float(np.max(np.abs(xb), initial=0.0)))
-        x = system.modes[0].A @ x + system.modes[0].f
-        xb = fault.modes[0].A @ xb + fault.modes[0].f
-    radius = 10.0 * (1.0 + orbit_max)
-    boxed_system = _zero_noise_copy(system, HyperRectangle.ball(radius, n1))
-    boxed_fault = _zero_noise_copy(fault, HyperRectangle.ball(radius, n2))
-    milp = check_t_detectability(boxed_system, boxed_fault, horizon,
-                                 config=config)
-    if milp.status in (FEASIBLE, INFEASIBLE):
-        milp_never = milp.status == FEASIBLE
-        if milp_never != never:
-            raise ConversePathsDisagree(
-                f"closed form says never_detectable={never} "
-                f"(residual {residual:.3e}) but the feasibility check "
-                f"returned {milp.status} at T={horizon}")
-    return AffineConverseReport(never, (x0, xb0) if never else None,
-                                residual, horizon, milp.status)

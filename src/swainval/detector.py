@@ -65,10 +65,6 @@ class WindowVerdict:
     solve_ms: float
     nodes: int
 
-    @property
-    def is_alarm(self) -> bool:
-        return self.verdict == INVALIDATED
-
 
 @dataclass(frozen=True)
 class DetectionReport:

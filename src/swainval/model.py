@@ -125,24 +125,12 @@ class HyperRectangle:
         hi = np.asarray(self.upper)
         return bool(np.all(arr >= lo - tol) and np.all(arr <= hi + tol))
 
-    def clip(self, v) -> np.ndarray:
-        arr = _as_vector(v, self.dim, "point")
-        return np.clip(arr, self.lower, self.upper)
-
     def intersect(self, other: "HyperRectangle") -> "HyperRectangle":
         if other.dim != self.dim:
             raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
         return HyperRectangle(
             tuple(max(a, b) for a, b in zip(self.lower, other.lower)),
             tuple(min(a, b) for a, b in zip(self.upper, other.upper)),
-        )
-
-    def hull(self, other: "HyperRectangle") -> "HyperRectangle":
-        if other.dim != self.dim:
-            raise DimensionError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return HyperRectangle(
-            tuple(min(a, b) for a, b in zip(self.lower, other.lower)),
-            tuple(max(a, b) for a, b in zip(self.upper, other.upper)),
         )
 
     def dilate(self, factor: float) -> "HyperRectangle":

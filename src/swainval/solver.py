@@ -167,7 +167,10 @@ class SolveResult:
 
 # -- bounded dual simplex on the row-activity form ----------------------------
 
-_PIV_TOL = 1e-9       # smallest |alpha| a pivot may use, relative to its row
+# smallest |alpha| a pivot may use, relative to its row, and the size below
+# which a ray's coefficient counts as zero.  At 1e-9 a tiny pivot made the
+# basis singular on a radiant T=8 pair node; 1e-7 refuses it.
+_PIV_TOL = 1e-7
 _BLAND_PIV = 1e-3     # Bland's rule skips pivots this far below the largest
 _KERNEL_TOL = 1e-7    # largest |K^-1 K - I| entry of a usable refactorization
 _REFACTOR_EVERY = 100  # basis updates between refactorizations

@@ -1,4 +1,5 @@
-"""Minimal-horizon search, observability tools and converse certificates."""
+"""Minimal-horizon search, fixed-horizon pair checks and the shared
+behaviours they decode."""
 
 import itertools
 import logging
@@ -10,16 +11,13 @@ import numpy as np
 import pytest
 
 from swainval import detectability
-from swainval.detectability import (AffineConverseReport, DetectabilityReport,
-                                    TDetectabilityResult,
-                                    affine_never_detectable,
-                                    check_t_detectability, concatenated_system,
-                                    find_T, is_observable, matrix_rank_scaled,
-                                    observability_matrix)
-from swainval.encoder import BadIndicator, ExplicitWords, StructuredTuple
+from swainval.detectability import (TDetectabilityResult,
+                                    check_t_detectability, find_T)
+from swainval.encoder import (CONSISTENT, BadIndicator, ExplicitWords,
+                              StructuredTuple, check_invalidation)
 from swainval.examples import builtin_pair, load_builtin, scenario_specs
-from swainval.model import (AffineMode, HyperRectangle, SimulationDraw,
-                            SwitchedAffineModel, simulate)
+from swainval.model import (AffineMode, HyperRectangle, SwitchedAffineModel,
+                            Trajectory)
 from swainval.solver import SolverConfig
 
 from oracles import pair_feasible_by_enumeration
@@ -235,132 +233,6 @@ class TestFindTWeak:
         assert rep.horizon == find_T(system, fault, t_max=4).horizon
 
 
-class TestObservability:
-    def test_hand_stacked_blocks(self):
-        model = autonomous([scalar_mode(2.0, 0.0), scalar_mode(3.0, 0.0)],
-                           state_r=100.0)
-        mat = observability_matrix(model, [0, 1, 0])
-        assert np.allclose(mat, [[1.0], [2.0], [6.0]])
-
-    def test_rank_uses_a_scaled_threshold(self):
-        assert matrix_rank_scaled(np.diag([1.0, 1e-7])) == 2
-        assert matrix_rank_scaled(np.diag([1e9, 1e-3])) == 1
-        assert matrix_rank_scaled(np.zeros((3, 2))) == 0
-
-    def test_unobservable_direction_detected(self):
-        hidden = AffineMode.certain(A=[[0.5, 0.0], [0.0, 0.7]],
-                                    B=np.zeros((2, 0)), C=[[1.0, 0.0]],
-                                    f=[0.0, 0.0])
-        model = autonomous([hidden])
-        assert not is_observable(model, [0, 0, 0, 0])
-        seeing = AffineMode.certain(A=[[0.5, 0.1], [0.0, 0.7]],
-                                    B=np.zeros((2, 0)), C=[[1.0, 0.0]],
-                                    f=[0.0, 0.0])
-        assert is_observable(autonomous([seeing]), [0, 0])
-
-    def test_sequence_validation(self):
-        model = autonomous([scalar_mode(1.0, 0.0)])
-        with pytest.raises(ValueError):
-            observability_matrix(model, [])
-        with pytest.raises(ValueError):
-            observability_matrix(model, [1])
-
-
-def similarity_pair(seed: int = 0):
-    """The same affine system written in two coordinate frames."""
-    rng = np.random.default_rng(seed)
-    A = 0.8 * rng.normal(size=(2, 2)) / max(1.0, np.max(np.abs(
-        np.linalg.eigvals(rng.normal(size=(2, 2))))))
-    A = np.array([[0.5, 0.1], [0.0, 0.8]]) if seed == 0 else A * 0.5
-    f = rng.normal(size=2) * 0.3
-    C = rng.normal(size=(1, 2))
-    S = np.eye(2) + 0.5 * rng.normal(size=(2, 2))
-    Sinv = np.linalg.inv(S)
-    orig = AffineMode.certain(A=A, B=np.zeros((2, 0)), C=C, f=f)
-    tran = AffineMode.certain(A=S @ A @ Sinv, B=np.zeros((2, 0)),
-                              C=C @ Sinv, f=S @ f)
-    mk = lambda m: autonomous([m], state_r=50.0)
-    return mk(orig), mk(tran)
-
-
-class TestAffineConverse:
-    def test_similarity_transform_is_never_detectable(self):
-        rep = affine_never_detectable(*similarity_pair())
-        assert rep.never_detectable and rep.milp_status == "feasible"
-        assert rep.residual <= 1e-9
-
-    def test_distinct_offsets_are_detectable(self):
-        rep = affine_never_detectable(autonomous([scalar_mode(0.5, 1.0)], 50.0),
-                                      autonomous([scalar_mode(0.5, 2.0)], 50.0))
-        assert not rep.never_detectable and rep.milp_status == "infeasible"
-        assert rep.initial_states is None
-
-    def test_null_vector_reproduces_matched_outputs(self):
-        ga, gb = similarity_pair()
-        rep = affine_never_detectable(ga, gb)
-        cat = concatenated_system(ga, gb)
-        x0, xb0 = rep.initial_states
-        z0 = np.concatenate([x0, [1.0], xb0, [1.0]])
-        N = 12
-        zeros = SimulationDraw(z0, (0,) * N, np.zeros((N, 1)),
-                               np.zeros((N, cat.n, cat.n)),
-                               np.zeros((N, cat.n, 0)),
-                               np.zeros((N, 1, cat.n)),
-                               np.zeros((N, cat.n)))
-        diff = simulate(cat, np.zeros((N, 0)), zeros, check_bounds=False)
-        assert np.max(np.abs(diff.outputs)) <= 1e-9
-
-    def test_paths_agree_on_random_pairs(self):
-        rng = np.random.default_rng(5)
-        for trial in range(12):
-            if trial % 3 == 0:
-                ga, gb = similarity_pair(seed=trial)
-                expect = True
-            else:
-                mk = lambda: autonomous([AffineMode.certain(
-                    A=0.6 * rng.normal(size=(2, 2)) / 2.0,
-                    B=np.zeros((2, 0)), C=rng.normal(size=(1, 2)),
-                    f=0.4 * rng.normal(size=2))], state_r=50.0)
-                ga, gb = mk(), mk()
-                expect = None  # unknown, but the two paths must still agree
-            rep = affine_never_detectable(ga, gb)  # raises if the paths split
-            if expect is not None:
-                assert rep.never_detectable == expect
-
-    def test_scope_validation(self):
-        two_modes = autonomous([scalar_mode(0.5, 0.0), scalar_mode(0.6, 0.0)])
-        single = autonomous([scalar_mode(0.5, 0.0)])
-        with pytest.raises(ValueError):
-            affine_never_detectable(two_modes, single)
-        uncertain = SwitchedAffineModel(
-            [AffineMode(A=[[0.5]], B=np.zeros((1, 0)), C=[[1.0]], f=[0.0],
-                        hatA=[[0.1]], hatB=np.zeros((1, 0)),
-                        hatC=[[0.0]], hatf=[0.0])],
-            state_set=box(2, 1), noise_set=box(0, 1),
-            input_set=HyperRectangle([], []))
-        with pytest.raises(ValueError):
-            affine_never_detectable(single, uncertain)
-        driven = SwitchedAffineModel(
-            [AffineMode.certain(A=[[0.5]], B=[[1.0]], C=[[1.0]], f=[0.0])],
-            state_set=box(2, 1), noise_set=box(0, 1), input_set=box(1, 1))
-        with pytest.raises(ValueError):
-            affine_never_detectable(driven, driven)
-
-
-class TestConcatenatedSystem:
-    def test_block_structure(self):
-        ga = autonomous([scalar_mode(0.5, 0.3), scalar_mode(0.7, 0.0)])
-        gb = autonomous([scalar_mode(0.9, 0.1)])
-        cat = concatenated_system(ga, gb)
-        assert cat.s == 2 and cat.n == 4 and cat.n_y == 1
-        A = cat.modes[0].A
-        assert A[0, 0] == 0.5 and A[0, 1] == 0.3 and A[1, 1] == 1.0
-        assert A[2, 2] == 0.9 and A[2, 3] == 0.1 and A[3, 3] == 1.0
-        assert np.all(A[:2, 2:] == 0.0) and np.all(A[2:, :2] == 0.0)
-        assert np.allclose(cat.modes[0].C, [[1.0, 0.0, -1.0, 0.0]])
-        assert not cat.state_set.is_bounded
-
-
 class TestSwitchedCertificate:
     """A feasible check at a cap witnesses non-detectability up to it."""
 
@@ -387,3 +259,24 @@ class TestSwitchedCertificate:
         res = check_t_detectability(g1, g2, 3)
         assert res.status == "infeasible" and res.detectable is True
         assert "input sets" in res.note
+
+
+# every feasible probe of the paper's pairs (radiant with uncertainty,
+# the ideal sensor scenarios); T=2 is infeasible for scenarios 3 and 4
+PAPER_FEASIBLE_PROBES = (
+    [("radiant", True, T) for T in range(1, 7)]
+    + [("sensorScenario3", False, 1), ("sensorScenario4", False, 1)]
+    + [("sensorScenario5", False, T) for T in (1, 2)])
+
+
+@pytest.mark.parametrize("pair,uncertainty,T", PAPER_FEASIBLE_PROBES,
+                         ids=[f"{p}-T{T}" for p, _, T in PAPER_FEASIBLE_PROBES])
+def test_shared_behaviour_is_consistent_with_both_models(pair, uncertainty, T):
+    # the pair encoder's witness must replay through the invalidation
+    # encoder of each model on its own
+    system, fault = builtin_pair(pair, uncertainty=uncertainty)
+    res = check_t_detectability(system, fault, T)
+    assert res.status == "feasible"
+    data = Trajectory(res.behavior.inputs, res.behavior.outputs)
+    for model in (system, fault):
+        assert check_invalidation(model, data).verdict == CONSISTENT

@@ -753,6 +753,27 @@ def test_singular_warm_start_falls_back_to_the_slack_basis():
     assert res.feasible and rows_hold(A, rel, b, res.x, 1e-6)
 
 
+def test_a_tiny_pivot_no_longer_makes_the_basis_singular():
+    # a node box of the radiant T=8 pair on which pivots of 1e-9 relative
+    # size made the basis singular, even from the slack basis
+    p = encode_t_detectability(*builtin_pair("radiant"), 8).problem.seal()
+    A, rel, b, lo, hi, _, names = p.to_arrays()
+    row, col, val, _, _, _, _, is_bin, _ = p.sparse_arrays()
+    lo = lo.copy()
+    for name in ("d[1][2][0]", "d[2][2][1]", "d[1][2][6]", "d[3][1][7]"):
+        lo[names.index(name)] = 1.0
+    consistent, lo, hi = solver._Presolver(row, col, val, rel, b, is_bin).run(
+        lo, hi, FEAS_TOL)
+    assert consistent
+    res = _DualSimplex(A, rel, b).solve(lo, hi, None, None)
+    assert not res.feasible and not linprog_feasible(A, rel, b, lo, hi)
+    # the raw ray prices some rows with the wrong sign (up to about 0.8,
+    # against entries of 2e6); without those entries it proves the box empty
+    ray = res.ray.copy()
+    ray[((rel == "<=") & (ray > 0.0)) | ((rel == ">=") & (ray < 0.0))] = 0.0
+    assert check_certificate(boxed(A, rel, b, lo, hi), ray)
+
+
 @pytest.fixture(scope="module")
 def radiant_window() -> MilpProblem:
     system, fault = builtin_pair("radiant")
