@@ -204,7 +204,7 @@ def _cmd_simulate(args) -> int:
         run_fault = _dilate_states(fault, args.state_dilation)
         traj = inject_persistent_fault(run_model, run_fault, onset=args.onset,
                                        total=args.steps, seed=args.seed,
-                                       policy=policy, fault_policy=policy)
+                                       policy=policy)
     else:
         if args.onset is not None:
             raise CliError("--onset needs --fault")

@@ -20,9 +20,9 @@ A window costs one encoding and one solve.  Windows of one model, one
 length and the same inputs (every window, for a model without inputs)
 share one cached encoding template (``encoder._WindowTemplate``), so after
 the first such window the encoding only writes the window's outputs.  A
-detector's windows share one ``SolverSession``, so a window whose matrix
-equals the last one's starts its first LP from the basis the last window
-ended in.  On the radiant trace a window takes 1.2 ms at horizon 3 and
+detector's windows share one ``SolverSession``, so a window bound from the
+last window's template starts its first LP from the vertex the last window
+ended at.  On the radiant trace a window takes 1.2 ms at horizon 3 and
 8.0 ms at horizon 8 (3.0 and 19 ms with a fresh session per window), of
 which the encoding takes 0.08 and 0.14 ms; the rest is the solve, mostly
 its root LP (``scripts/bench_monitor.py``, a 2-vCPU x86 machine, one BLAS
@@ -212,14 +212,15 @@ def _feed(det: StreamingDetector, samples: Iterable[tuple],
 def inject_persistent_fault(system: SwitchedAffineModel,
                             fault: SwitchedAffineModel, *, onset: int,
                             total: int, seed: int,
-                            policy: RandomPolicy | None = None,
-                            fault_policy: RandomPolicy | None = None) -> Trajectory:
+                            policy: RandomPolicy | None = None) -> Trajectory:
     """Simulate data that switches permanently from system to fault dynamics.
 
     Samples 0 .. onset-1 are generated by the system; the transition into
     sample ``onset`` and everything after follows the fault model, started
     from the last healthy state (which must be admissible for the fault).
-    ``onset = 0`` yields pure fault data.  Returns the stitched trajectory;
+    ``onset = 0`` yields pure fault data.  ``policy`` shapes the draws of
+    both segments; after a healthy segment, the fault one draws its own
+    modes.  Returns the stitched trajectory;
     the alarm guarantee for a window of T transitions is
     first_alarm <= onset + T - 1 whenever the pair is detectable at T.
     """
@@ -230,7 +231,7 @@ def inject_persistent_fault(system: SwitchedAffineModel,
     base_policy = policy or RandomPolicy()
     if onset == 0:
         traj, _ = simulate_random(fault, seed=seed, steps=total,
-                                  policy=fault_policy or base_policy)
+                                  policy=base_policy)
         return traj
     healthy, draw = simulate_random(system, seed=seed, steps=onset,
                                     policy=base_policy)
@@ -244,13 +245,9 @@ def inject_persistent_fault(system: SwitchedAffineModel,
         x = A_k @ x + (B_k @ healthy.inputs[k] if system.n_u else 0.0) + f_k
     if onset == total:
         return healthy
-    # the fault segment always starts at the junction state; a caller-supplied
-    # fault_policy contributes the remaining draw choices (modes, input box)
-    if fault_policy is not None:
-        continued = dataclasses.replace(fault_policy, initial_state=x)
-    else:
-        continued = dataclasses.replace(base_policy, initial_state=x,
-                                        mode_sequence=None)
+    # the fault segment starts at the junction state and draws its own modes
+    continued = dataclasses.replace(base_policy, initial_state=x,
+                                    mode_sequence=None)
     faulty, _ = simulate_random(fault, seed=seed + 1,
                                 steps=total - onset + 1, policy=continued)
     inputs = np.vstack([healthy.inputs[:onset - 1], faulty.inputs]) \

@@ -46,8 +46,8 @@ envelope: the state variables of sample k are bounded by the k-step interval
 image of the admissible state box (hulled over modes, intersected with the
 box, padded by a hair against rounding), and every mode-gated row carries
 the smallest big-M constant valid for its own mode, step and row, derived
-from the same intervals.  The ``big_m`` field on an encoding records the
-largest row constant actually used.
+from the same intervals.  The problem holds each constant as the
+coefficient of a mode binary in its gated row.
 
 Each model's part of an encoding is built by one ``_Side``: its envelope,
 the big-M of its gated blocks, its state and noise variables, its ``absx``
@@ -315,7 +315,6 @@ class InvalidationEncoding:
 
     problem: MilpProblem
     var_index: dict
-    big_m: float
     model: SwitchedAffineModel
     trajectory: Trajectory
     binary_steps: tuple[int, ...]
@@ -343,7 +342,6 @@ class PairEncoding:
 
     problem: MilpProblem
     var_index: dict
-    big_m: float
     system: SwitchedAffineModel
     fault: SwitchedAffineModel
     horizon: int
@@ -716,7 +714,7 @@ class _Side:
     by it.  ``boxes[k]`` is the ``(lower, upper)`` pair of sample k;
     ``dyn[k][i - 1]`` and ``out[k][i - 1]`` are mode i's update and output
     expression intervals at step k, from which each gated row's big-M
-    derives.  ``big_m`` is the largest one used.
+    derives.
 
     ``C`` is the certain (``hatC == 0``) output map all modes share, or
     None; such outputs need no mode gate.
@@ -733,7 +731,6 @@ class _Side:
                                              mode.hatf)]
                      for mode in model.modes]
         self.absx = _AbsCache("absx" + suffix)
-        self.big_m = 0.0
         self.cols: dict[str, list] = {}
         C = model.modes[0].C
         self.C = C if all(not mode.hatC.any() and np.array_equal(mode.C, C)
@@ -790,12 +787,6 @@ class _Side:
         for k, (lo, hi) in enumerate(bounds):
             sink.var_index[(stem, k)], cols = _add_vars(p, stem, k, lo, hi)
             self.cols[role].append(cols)
-
-    def gate_m(self, lo, hi, expr_lo, expr_hi) -> np.ndarray:
-        """``_gate_m`` of one block, kept in ``big_m``."""
-        m = _gate_m(lo, hi, expr_lo, expr_hi)
-        self.big_m = max(self.big_m, m.max())
-        return m
 
     def zc(self, sink: _RowSink, i: int, k: int) -> np.ndarray:
         """Columns of mode i's ``ZC`` products at sample k."""
@@ -864,7 +855,7 @@ class _Side:
                     sink, f"dyn{sfx}[{i}][{k}]",
                     np.concatenate([x_cols[k + 1], x_cols[k], za, df, u_cols,
                                     zb, gate]),
-                    rhs, self.gate_m(*self.boxes[k + 1], *self.dyn[k][i - 1]))
+                    rhs, _gate_m(*self.boxes[k + 1], *self.dyn[k][i - 1]))
 
 
 def _positions(row: np.ndarray, col: np.ndarray, n_vars: int,
@@ -885,8 +876,8 @@ class _WindowTemplate:
     template builds all of it once, with the ``out`` rows waiting for
     their numbers (``_Side.emit``), and ``bind`` writes one window's
     outputs into a copy: the ``out`` rows' rhs and, where the outputs are
-    gated, their big-M coefficients and the encoding's ``big_m``.  The
-    bound problems share the template's tables (``MilpProblem.with_values``).
+    gated, their big-M coefficients.  The bound problems share the
+    template's tables (``MilpProblem.with_values``).
     """
 
     def __init__(self, model: SwitchedAffineModel, inputs: np.ndarray):
@@ -908,7 +899,7 @@ class _WindowTemplate:
         a = _mode_binaries(sink, "a", "mode", N, (model.s,), self.binary_steps)
         side.emit(sink, a[:, :, None], outputs=True)
         sink.flush()
-        self.problem, self.var_index, self.big_m = p, sink.var_index, side.big_m
+        self.problem, self.var_index = p, sink.var_index
         self.gated = side.C is None
         q = np.arange(model.n_y)
         first = np.asarray(side.out_rows)
@@ -930,18 +921,17 @@ class _WindowTemplate:
         """The encoding of ``trajectory``, a window with the template's
         inputs, for ``model``, which equals the template's model."""
         _, _, vals, _, rhs = self.problem.sparse_arrays()[:5]
-        rhs, y, big_m = rhs.copy(), trajectory.outputs, self.big_m
+        rhs, y = rhs.copy(), trajectory.outputs
         if not self.gated:
             rhs[self.rows] = y.ravel()
         else:
             y = y[:, None, :]
             m = _gate_m(y, y, self.expr_lo, self.expr_hi)
-            big_m = max(big_m, m.max())
             rhs[self.rows], rhs[self.rows + 1] = (y + m).ravel(), (y - m).ravel()
             vals = vals.copy()
             vals[self.m_at[0]], vals[self.m_at[1]] = m.ravel(), -m.ravel()
         return InvalidationEncoding(self.problem.with_values(vals, rhs),
-                                    dict(self.var_index), big_m, model,
+                                    dict(self.var_index), model,
                                     trajectory, self.binary_steps)
 
 
@@ -1055,7 +1045,6 @@ def encode_t_detectability(system: SwitchedAffineModel,
     shared_u = (u_cols, _AbsCache("absu"))
     sides[0].emit(sink, d, u=shared_u)
     sides[1].emit(sink, d.transpose(0, 2, 1), u=shared_u)
-    M = max(side.big_m for side in sides)
 
     x1_cols, e1_cols = sides[0].cols["x"], sides[0].cols["eta"]
     x2_cols, e2_cols = sides[1].cols["x"], sides[1].cols["eta"]
@@ -1080,7 +1069,6 @@ def encode_t_detectability(system: SwitchedAffineModel,
                 side1 = np.concatenate([x1_cols[k], e1_cols[k], zc1[i - 1]])
                 for j in range(1, s2 + 1):
                     m = _gate_m(*sides[0].out[k][i - 1], *sides[1].out[k][j - 1])
-                    M = max(M, m.max())
                     match_rows[i, j].emit(
                         sink, f"match[{i}][{j}][{k}]",
                         np.concatenate([side1, x2_cols[k], e2_cols[k],
@@ -1088,7 +1076,7 @@ def encode_t_detectability(system: SwitchedAffineModel,
                         np.zeros(n_y), m)
     sink.flush()
 
-    enc = PairEncoding(p, sink.var_index, M, system, fault, T, U, collapsed,
+    enc = PairEncoding(p, sink.var_index, system, fault, T, U, collapsed,
                        binary_steps)
     if indicator is not None:
         apply_indicator(enc, indicator)

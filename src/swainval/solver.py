@@ -19,11 +19,12 @@ It combines
   Zobrist key of the vertex (the basic columns and the nonbasic ones at
   their upper bound) changes by a few XORs per pivot; the first time a solve
   repeats a key, Bland's least-index rule takes over, which skips pivots far
-  below the largest because they would ruin the basis.  The slack basis is
-  also the fallback when a warm basis turns out singular.  A row with no
-  entering candidate yields the Farkas ray ``+-e_r^T B^-1`` directly.  The
-  basis inverse is kept explicitly, updated by rank-one steps and
-  refactored through the structural kernel of the basis; and
+  below the largest because they would ruin the basis.  The slack basis
+  starts an engine's first solve and any solve after one that raised, and
+  is the fallback when a warm start runs into numerical trouble.  A row
+  with no entering candidate yields the Farkas ray ``+-e_r^T B^-1``
+  directly.  The basis inverse is kept explicitly, updated by rank-one
+  steps and refactored through the structural kernel of the basis; and
 * depth-first branch and bound on the binaries, splitting the lowest-index
   open binary whose relaxation value is fractional (the lowest-index open
   one when none is), the 1-branch explored first.  Both encoders number
@@ -40,13 +41,14 @@ It combines
   nonzeros of the rows, which fixes variables, tightens bounds and so also
   propagates the one-active-mode equalities exactly.  Its index arrays are
   built once per problem structure from the problem's own nonzeros and
-  each round costs time linear in their number.  Every LP re-optimises
-  from the basis the engine ended its last LP in, whichever node that was,
-  with each nonbasic column left at its last value where the new box
-  allows.  So the DFS stack holds bare bound boxes and a backtrack costs
-  no refactorization.  Without an objective any basis is a valid start,
-  and rows stay in the LP even when presolve finds them redundant, so
-  every basis fits every node.
+  each round costs time linear in their number.  The engine holds the
+  vertex its last LP ended at, whichever node that was, and every LP
+  continues from it: each nonbasic column stays at its bound where the new
+  box allows, except that one the last box fixed below the new upper bound
+  rests at its lower one.  So the DFS stack holds bare bound boxes and a
+  backtrack costs no refactorization.  Without an objective any basis is a
+  valid start, and rows stay in the LP even when presolve finds them
+  redundant, so every basis fits every node.
 
 Each node ends *pruned* (presolve empties its box or its LP is
 infeasible), *split* (its children go on the stack as the binaries they
@@ -54,7 +56,8 @@ set to 1 and to 0), as a *proof* (the root is pruned) or as a *witness* (a
 leaf, every binary fixed by its bounds, whose LP point with binaries
 rounded passes ``verify``).  There is no rounding heuristic.  The root is
 pruned by the same rules as every other node; its proof adds one LP on the
-original bounds, whose Farkas ray is the certificate when it checks.
+original bounds, whose Farkas ray, with any entry of the wrong sign on an
+inequality row set to zero, is the certificate when it checks.
 Presolve rounds binary bounds, so it can empty a root box whose LP
 relaxation is feasible: the answer is INFEASIBLE all the same, without a
 certificate.
@@ -63,11 +66,12 @@ A :class:`SolverSession` builds, once per problem structure, the dense
 matrix of ``to_arrays`` for the simplex's BLAS pivots, the presolve arrays,
 the candidate SOS1 rows and the engine.  A solve of the same structure
 rebinds only the right-hand sides, and its first LP (the root node LP, or
-the root-proof LP when presolve empties the root) starts from the basis
-the last solve ended in.  The radiant monitor's 28 invalidated windows at
-horizon 3 end in root-proof LPs, which took 30 pivots each from the slack
-basis and 140 in all from the carried one.  Presolve, SOS1 detection, the
-witness re-check and the certificate check read the nonzeros.
+the root-proof LP when presolve empties the root) continues from the
+vertex the engine's last LP ended at.  The radiant monitor's 28
+invalidated windows at horizon 3 end in root-proof LPs, which took 30
+pivots each from the slack basis and 140 in all from the carried one.
+Presolve, SOS1 detection, the witness re-check and the certificate check
+read the nonzeros.
 
 Feasible answers always carry a witness that has been re-checked against the
 original problem; infeasible answers at the root carry a dual ray that
@@ -206,20 +210,10 @@ class _OutOfTime(Exception):
 
 
 @dataclass(frozen=True)
-class _Basis:
-    """A warm start: the basic column of every basis position (the activity
-    of row i is column n + i) and the nonbasic columns at their upper bound."""
-
-    basic: np.ndarray
-    at_upper: np.ndarray
-
-
-@dataclass(frozen=True)
 class _LpResult:
     feasible: bool
     x: np.ndarray | None       # structural values when feasible
     ray: np.ndarray | None     # Farkas multipliers over the rows when infeasible
-    basis: _Basis
 
 
 class _DualSimplex:
@@ -228,10 +222,11 @@ class _DualSimplex:
     Column j < n is x_j and column n + i the activity r_i of row i, bounded
     by b_i from above (``<=``), below (``>=``) or both (``=``).  The matrix
     never changes, the row bounds only by :meth:`set_rhs`; :meth:`solve`
-    re-optimises under new structural bounds from a given basis or from the
-    slack basis ``-I``.  The engine keeps its last basis and inverse.
-    Branch and bound starts every LP from the basis the previous one ended
-    in, so an LP begins without a refactorization.
+    re-optimises under new structural bounds from the vertex the last solve
+    ended at: its basis, its inverse and the bounds its nonbasic columns
+    rest at.  So an LP begins without a refactorization.  The first solve,
+    and every solve after one that raised, starts from the slack basis
+    ``-I``.
 
     The leaving row maximizes ``(infeas_i - tol) / sqrt(w_i)`` over dual
     Devex weights ``w``; a solve that returns to a vertex it stood at
@@ -246,26 +241,30 @@ class _DualSimplex:
         self.max_iter = 50 * (self.m + self.n) + 2000
         self.iterations = 0
         self.bland_switches = 0   # solves that found a repeated vertex
-        self.basis: np.ndarray | None = None   # set by the first solve
+        self.warm = False   # does the engine hold a vertex to continue from?
 
     def set_rhs(self, b: np.ndarray) -> None:
         self.row_lo = np.where(self.rel == LE, -np.inf, b)
         self.row_hi = np.where(self.rel == GE, np.inf, b)
 
-    def solve(self, lo: np.ndarray, hi: np.ndarray, start: _Basis | None,
+    def solve(self, lo: np.ndarray, hi: np.ndarray,
               deadline: float | None) -> _LpResult:
-        """Decide  lo <= x <= hi  against the rows, warm from ``start``.
+        """Decide  lo <= x <= hi  against the rows, from the vertex the last
+        solve ended at.
 
-        A warm start that turns singular is abandoned for the slack basis;
-        only a failure from there raises SolverNumericalError.
+        The first solve, and every solve after one that raised, starts from
+        the slack basis.  A warm start that turns singular is abandoned for
+        the slack basis; only a failure from there raises
+        SolverNumericalError.
         """
+        warm, self.warm = self.warm, False
         try:
-            return self._solve_from(lo, hi, start, deadline)
+            return self._solve_from(lo, hi, warm, deadline)
         except _NumericalTrouble as err:
-            if start is None:
+            if not warm:
                 raise SolverNumericalError(str(err)) from err
         try:
-            return self._solve_from(lo, hi, None, deadline)
+            return self._solve_from(lo, hi, False, deadline)
         except _NumericalTrouble as err:
             raise SolverNumericalError(f"{err} (from the slack basis)") from err
 
@@ -315,21 +314,20 @@ class _DualSimplex:
         z[self.basis] = self.x_B
         return z
 
-    def _snapshot(self) -> _Basis:
-        return _Basis(self.basis.copy(), ~self.is_basic & (self.z >= self.hi))
-
-    def _solve_from(self, lo, hi, start, deadline) -> _LpResult:
+    def _solve_from(self, lo, hi, warm, deadline) -> _LpResult:
+        n = self.n
+        if warm:
+            # a nonbasic column stays at its upper bound, unless the last
+            # box fixed it below the new one: a binary fixed to 0 would
+            # otherwise rise to 1 once freed
+            at_upper = ~self.is_basic & (self.z >= self.hi)
+            at_upper[:n] &= ~((self.lo[:n] == self.hi[:n]) & (self.lo[:n] < hi))
+        else:
+            self.basis = np.arange(n, n + self.m)
+            self._refactor()                      # the slack basis: -I
+            at_upper = np.zeros(n + self.m, dtype=bool)
         self.lo = np.concatenate([lo, self.row_lo])
         self.hi = np.concatenate([hi, self.row_hi])
-        if start is None:
-            self.basis = np.arange(self.n, self.n + self.m)
-            self._refactor()                      # the slack basis: -I
-            at_upper = np.zeros(self.n + self.m, dtype=bool)
-        else:
-            at_upper = start.at_upper
-            if not np.array_equal(start.basic, self.basis):
-                self.basis = start.basic.copy()
-                self._refactor()
         # nonbasics rest at a finite bound (the upper one where the start
         # had it), free ones at zero
         lo_fin, hi_fin = np.isfinite(self.lo), np.isfinite(self.hi)
@@ -341,7 +339,9 @@ class _DualSimplex:
         self.can_up = (~self.is_basic & (self.z < self.hi)).astype(float)
         self.can_down = (~self.is_basic & (self.z > self.lo)).astype(float)
         self._recompute_basics()
-        return self._iterate(deadline)
+        res = self._iterate(deadline)
+        self.warm = True
+        return res
 
     # -- the pivot loop ----------------------------------------------------
 
@@ -403,7 +403,7 @@ class _DualSimplex:
                         np.abs(self.A @ z[:n] - z[n:]) > tol):
                     self._refresh()
                     continue
-                return _LpResult(True, z[:n], None, self._snapshot())
+                return _LpResult(True, z[:n], None)
 
             # leave row p at its violated bound; enter the column whose
             # move pushes x_B[p] toward it with the largest |alpha|
@@ -428,7 +428,7 @@ class _DualSimplex:
                 if self.updates and not self._ray_proves(y):
                     self._refresh()
                     continue
-                return _LpResult(False, None, y, self._snapshot())
+                return _LpResult(False, None, y)
 
             col = (self.B_inv @ self.A[:, q] if q < n
                    else -self.B_inv[:, q - n])
@@ -643,23 +643,22 @@ class SolverSession:
     solves (see the module docstring).
 
     The structure is the nonzeros, the relations and the binary mask,
-    compared by identity first and then by value; a problem of another
-    structure rebuilds the session, which then starts from the slack basis.
+    compared by identity: windows bound from one encoding template share
+    these arrays.  A problem of another structure rebuilds the session,
+    whose new engine then starts from the slack basis.
     ``StreamingDetector`` keeps one session for all its windows.
     """
 
     def __init__(self):
         self._structure: tuple | None = None
-        self._start: _Basis | None = None   # the basis of the engine's last LP
 
     def _bind(self, problem: MilpProblem) -> dict[int, tuple[int, ...]]:
         """Set up for ``problem``; returns each binary's exactly-one group."""
         row, col, val, rel, b, _, _, is_bin, _ = problem.sparse_arrays()
         structure = (row, col, val, rel, is_bin)
         if self._structure is None or not all(
-                new is old or np.array_equal(new, old)
-                for new, old in zip(structure, self._structure)):
-            self._structure, self._start = structure, None
+                new is old for new, old in zip(structure, self._structure)):
+            self._structure = structure
             self.presolver = _Presolver(row, col, val, rel, b, is_bin)
             self.engine = _DualSimplex(problem.to_arrays()[0], rel, b)
             self._sos1_rows = _sos1_rows(row, col, val, rel, is_bin)
@@ -669,26 +668,6 @@ class SolverSession:
         # a binary in several groups branches by the first
         return {j: group for group in
                 reversed(_sos1_groups(problem, self._sos1_rows)) for j in group}
-
-    def _lp(self, lo: np.ndarray, hi: np.ndarray,
-            deadline: float | None) -> _LpResult:
-        """The LP on the box [lo, hi], from the basis the engine holds.
-
-        Each nonbasic column stays at the engine's vertex where the box
-        allows: the snapshot reads a column the last box fixed as at its
-        upper bound, which would lift a binary fixed to 0 to 1 once freed,
-        so such a column rests at its lower bound unless it was fixed at
-        this box's upper one.  An LP that raises leaves no basis to carry.
-        """
-        start, self._start = self._start, None
-        if start is not None:
-            at_upper = start.at_upper.copy()
-            last_lo, last_hi = self._last
-            at_upper[:len(lo)] &= ~((last_lo == last_hi) & (last_lo < hi))
-            start = _Basis(start.basic, at_upper)
-        res = self.engine.solve(lo, hi, start, deadline)
-        self._start, self._last = res.basis, (lo, hi)
-        return res
 
 
 def solve_milp(problem: MilpProblem, config: SolverConfig | None = None, *,
@@ -707,8 +686,9 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None, *,
                                   time_limit=cfg.time_limit)
     session = SolverSession() if session is None else session
     member_group = session._bind(problem)
-    presolver, first = session.presolver, session.engine.iterations
-    lo0, hi0, is_bin, names = problem.sparse_arrays()[5:]
+    presolver, engine = session.presolver, session.engine
+    first = engine.iterations
+    rel, _, lo0, hi0, is_bin, names = problem.sparse_arrays()[3:]
     bin_idx = np.flatnonzero(is_bin)
     t0 = time.perf_counter()
     deadline = None if cfg.time_limit is None else t0 + cfg.time_limit
@@ -716,7 +696,7 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None, *,
 
     def finish(status, witness=None, message="", certificate=None) -> SolveResult:
         return SolveResult(status, witness, nodes,
-                           session.engine.iterations - first,
+                           engine.iterations - first,
                            time.perf_counter() - t0, message, certificate)
 
     def checked_witness(x: np.ndarray) -> Witness:
@@ -746,7 +726,7 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None, *,
             res = None
             if ok:
                 nodes += 1
-                res = session._lp(lo, hi, deadline)
+                res = engine.solve(lo, hi, deadline)
             if res is None or not res.feasible:
                 if branched:
                     continue
@@ -754,12 +734,17 @@ def solve_milp(problem: MilpProblem, config: SolverConfig | None = None, *,
                 # does not certify the original ones, so the LP runs once
                 # more on those; it is feasible when presolve's rounding of
                 # binary bounds alone emptied the box
-                res = session._lp(lo0, hi0, deadline)
+                res = engine.solve(lo0, hi0, deadline)
                 nodes += 1
                 cert = None
-                if not res.feasible and check_certificate(problem, res.ray,
-                                                          FEAS_TOL):
-                    cert = tuple(map(float, res.ray))
+                if not res.feasible:
+                    # rounding can price an inequality row with the wrong
+                    # sign; zero is the right one, and the check re-verifies
+                    # the clipped ray in full
+                    y = np.where(((rel == LE) & (res.ray > 0.0))
+                                 | ((rel == GE) & (res.ray < 0.0)), 0.0, res.ray)
+                    if check_certificate(problem, y, FEAS_TOL):
+                        cert = tuple(map(float, y))
                 return finish(INFEASIBLE, certificate=cert)
             x = res.x
             open_mask = (hi[bin_idx] - lo[bin_idx]) > 0.5   # not yet fixed

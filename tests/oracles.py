@@ -12,7 +12,9 @@ references the sparse versions are compared against.  Likewise
 ``RowByRowProblem`` keeps one record per row and fills the dense matrix in
 a loop, and ``verify_by_rows`` and ``certificate_by_columns`` check
 witnesses and Farkas rays one row and one column at a time: the references
-for the problem's coordinate store and the checks that read it."""
+for the problem's coordinate store and the checks that read it.
+``largest_big_m`` reads an encoding's largest big-M constant off its
+nonzeros."""
 
 from __future__ import annotations
 
@@ -345,6 +347,19 @@ def verify_by_rows(p, w, tol: float = FEAS_TOL,
         elif row.relation == EQ and abs(lhs - row.rhs) > tol:
             violations.append(f"{row.name}: {lhs} != {row.rhs}")
     return not violations, violations
+
+
+def largest_big_m(problem) -> float:
+    """The largest coefficient of a mode binary in a gated row of an
+    encoding.
+
+    A mode binary (``a[...]``, or ``d[...]`` of a pair) enters its gated
+    rows' ``<=``/``>=`` pairs with coefficient +-M; the other rows over
+    mode binaries, the exactly-one rows, are equalities."""
+    row, col, val, rel, _, _, _, _, names = problem.sparse_arrays()
+    mode = np.array([name.startswith(("a[", "d[")) for name in names])
+    gated = mode[col] & (rel[row] != EQ)
+    return float(np.abs(val[gated]).max(initial=0.0))
 
 
 def certificate_by_columns(problem, y, tol: float = 1e-7) -> bool:

@@ -26,7 +26,7 @@ from swainval.milp import (
     verify,
 )
 from swainval.encoder import encode_invalidation, encode_t_detectability
-from oracles import RowByRowProblem, verify_by_rows
+from oracles import RowByRowProblem, largest_big_m, verify_by_rows
 from swainval.model import (AffineMode, HyperRectangle, SwitchedAffineModel,
                             Trajectory)
 
@@ -269,8 +269,8 @@ class TestBigM:
     """Row constants of the encodings, against hand-computed intervals.
 
     Each gated row gets 1.05 times the widest residual its expression can
-    reach over the reachability envelope; the encoding's ``big_m`` is the
-    largest of them."""
+    reach over the reachability envelope; ``largest_big_m`` reads the
+    largest of them off the problem."""
 
     def test_single_model_hand_computed(self):
         model = scalar_model()
@@ -289,7 +289,7 @@ class TestBigM:
                 ((2.0, f"x[{k}][0]"), (1.0, f"eta[{k}][0]")), "=", 0.0)
         assert [name for name in rows if name.startswith("out")] == [
             "out[0][0]", "out[1][0]"]
-        assert enc.big_m == pytest.approx(1.05 * 10.0)
+        assert largest_big_m(enc.problem) == pytest.approx(1.05 * 10.0)
 
     def test_two_output_maps_keep_gated_output_rows(self):
         # the same dynamics, so the same envelope, but outputs 2 x and x
@@ -304,7 +304,7 @@ class TestBigM:
         assert gate_coefficient(enc, "out[1][1][0]") == pytest.approx(1.05 * 12.5)
         assert gate_coefficient(enc, "out[2][0][0]") == pytest.approx(1.05 * 10.5)
         assert gate_coefficient(enc, "out[2][1][0]") == pytest.approx(1.05 * 6.5)
-        assert enc.big_m == pytest.approx(1.05 * 20.5)
+        assert largest_big_m(enc.problem) == pytest.approx(1.05 * 20.5)
 
     def test_pair_sums_output_bounds(self):
         # the matching row couples both outputs: 2 * 10 + 0.5 and 1 * 10 + 0.5
@@ -312,7 +312,7 @@ class TestBigM:
         assert not enc.collapsed
         assert gate_coefficient(enc, "match[1][1][0][0]") == \
             pytest.approx(1.05 * 31.0)
-        assert enc.big_m == pytest.approx(1.05 * 31.0)
+        assert largest_big_m(enc.problem) == pytest.approx(1.05 * 31.0)
 
     def test_pair_uses_input_intersection(self):
         a = scalar_model(u_bound=2.0)
@@ -324,7 +324,8 @@ class TestBigM:
             pytest.approx(-5.0), pytest.approx(7.0))
         assert gate_coefficient(enc, "dyn[1][0][0]") == pytest.approx(1.05 * 12.0)
         # identical certain outputs collapse to ungated matching rows
-        assert enc.collapsed and enc.big_m == pytest.approx(1.05 * 12.0)
+        assert enc.collapsed
+        assert largest_big_m(enc.problem) == pytest.approx(1.05 * 12.0)
 
     def test_uncertainty_radii_enter(self):
         mode = AffineMode(A=[[0.5]], B=[[1.0]], C=[[2.0]], f=[1.0],
@@ -340,7 +341,7 @@ class TestBigM:
         # each output within (2 + 0.3) * 10 + 0.5 = 23.5 of zero
         assert gate_coefficient(enc, "match[1][1][0][0]") == \
             pytest.approx(1.05 * 47.0)
-        assert enc.big_m == pytest.approx(1.05 * 47.0)
+        assert largest_big_m(enc.problem) == pytest.approx(1.05 * 47.0)
 
     def test_unbounded_sets_rejected(self):
         model = SwitchedAffineModel(

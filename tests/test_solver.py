@@ -35,8 +35,9 @@ from swainval.solver import (
     INFEASIBLE,
     SolverConfig,
     SolveResult,
-    _Basis,
+    SolverNumericalError,
     _DualSimplex,
+    _NumericalTrouble,
     _OutOfTime,
     check_certificate,
     solve_milp,
@@ -418,15 +419,13 @@ class TestDualSimplexProperties:
         rng = np.random.default_rng(seed)
         A, rel, b, lo, hi, _, _ = random_bounded_lp(rng).to_arrays()
         engine = _DualSimplex(A, rel, b)
-        first = engine.solve(lo, hi, None, None)
+        engine.solve(lo, hi, None)
         lo2, hi2 = tightened(rng, lo, hi)
         expected = linprog_feasible(A, rel, b, lo2, hi2)
-        cold = _DualSimplex(A, rel, b).solve(lo2, hi2, None, None)
-        # warm in the engine that holds the basis, and in a fresh engine
-        # that has to refactor it
-        warm = engine.solve(lo2, hi2, first.basis, None)
-        refactored = _DualSimplex(A, rel, b).solve(lo2, hi2, first.basis, None)
-        for res in (cold, warm, refactored):
+        cold = _DualSimplex(A, rel, b).solve(lo2, hi2, None)
+        # warm from the vertex the engine's first solve ended at
+        warm = engine.solve(lo2, hi2, None)
+        for res in (cold, warm):
             assert res.feasible == expected
             if res.feasible:
                 tol = 10 * FEAS_TOL
@@ -442,9 +441,9 @@ class TestDualSimplexProperties:
         rng = np.random.default_rng(seed)
         A, rel, b, lo, hi, _, _ = random_bounded_lp(rng).to_arrays()
         engine = _DualSimplex(A, rel, b)
-        box, start = (lo, hi), None
+        box = (lo, hi)
         for _ in range(8):
-            res = engine.solve(*box, start, None)
+            res = engine.solve(*box, None)
             assert res.feasible == linprog_feasible(A, rel, b, *box)
             if res.feasible:
                 tol = 10 * FEAS_TOL
@@ -452,7 +451,6 @@ class TestDualSimplexProperties:
                 assert rows_hold(A, rel, b, res.x, tol)
             else:
                 assert check_certificate(boxed(A, rel, b, *box), res.ray)
-            start = res.basis
             # a sub-box of this one, or of the full box, or the full box
             box = (tightened(rng, *box), tightened(rng, lo, hi),
                    (lo, hi))[int(rng.integers(3))]
@@ -483,7 +481,7 @@ class TestLeavingRule:
         with pytest.MonkeyPatch.context() as mp:
             # every vertex counts as a repeat, so Bland rules from the start
             mp.setattr(_DualSimplex, "_revisited", lambda self, key: True)
-            res = engine.solve(lo, hi, None, None)
+            res = engine.solve(lo, hi, None)
         assert engine.bland_switches == 1
         assert res.feasible == linprog_feasible(A, rel, b, lo, hi)
         if res.feasible:
@@ -508,9 +506,9 @@ class TestLeavingRule:
         engine = _DualSimplex(A, rel, b)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_DualSimplex, "_revisited", checking)
-            first = engine.solve(lo, hi, None, None)
+            engine.solve(lo, hi, None)
             # a warm start that rests nonbasic columns at their upper bound
-            engine.solve(*tightened(rng, lo, hi), first.basis, None)
+            engine.solve(*tightened(rng, lo, hi), None)
         # once at the start of each solve (a singular warm start adds one
         # from the slack basis), then after every pivot
         assert len(keys) >= 2 + engine.iterations
@@ -527,7 +525,7 @@ class TestLeavingRule:
         A, rel, b, lo, hi, _, _ = random_bounded_lp(
             np.random.default_rng(seed)).to_arrays()
         with np.errstate(over="ignore", invalid="ignore"):
-            res = _DualSimplex(A, rel, b).solve(lo, hi, None, None)
+            res = _DualSimplex(A, rel, b).solve(lo, hi, None)
         assert res.feasible == linprog_feasible(A, rel, b, lo, hi)
         if res.feasible:
             tol = 10 * FEAS_TOL
@@ -568,25 +566,44 @@ def test_every_node_lp_starts_from_the_basis_the_engine_holds(monkeypatch):
     # the sensorScenario3 pair at T=2 is infeasible after 73 nodes
     system, fault = builtin_pair("sensorScenario3", uncertainty=False)
     problem = encode_t_detectability(system, fault, 2).problem.seal()
-    solve = _DualSimplex.solve
-    calls = []
+    solve, iterate = _DualSimplex.solve, _DualSimplex._iterate
+    calls, starts = [], []
 
-    def recording(self, lo, hi, start, deadline):
-        held = None if self.basis is None else self._snapshot()
-        calls.append((lo.copy(), hi.copy(), start, held))
-        return solve(self, lo, hi, start, deadline)
+    def recording(self, lo, hi, deadline):
+        # the box and the vertex the engine holds when the solve begins
+        held = self.warm and (self.basis.copy(),
+                              ~self.is_basic & (self.z >= self.hi))
+        calls.append((lo.copy(), hi.copy(), held))
+        return solve(self, lo, hi, deadline)
+
+    def started(self, deadline):
+        starts.append((self.basis.copy(), self.z.copy(), self.lo, self.hi))
+        return iterate(self, deadline)
 
     monkeypatch.setattr(_DualSimplex, "solve", recording)
+    monkeypatch.setattr(_DualSimplex, "_iterate", started)
     res = solve_milp(problem)
     assert res.is_infeasible and res.nodes > 50
-    assert len(calls) == res.nodes and calls[0][2:] == (None, None)
-    for (last_lo, last_hi, _, _), (_, hi, start, held) in zip(calls, calls[1:]):
-        assert np.array_equal(start.basic, held.basic)
+    assert len(calls) == len(starts) == res.nodes and calls[0][2] is False
+    m, n = problem.n_rows, problem.n_vars
+    np.testing.assert_array_equal(starts[0][0], np.arange(n, n + m))
+    moved = 0
+    for last, call, (start, z, lo_all, hi_all) in zip(calls, calls[1:], starts[1:]):
+        (last_lo, last_hi, _), (_, hi, (basis, at_upper)) = last, call
+        np.testing.assert_array_equal(start, basis)
         # only a column the last box fixed below this box's upper bound
-        # leaves the snapshot's upper bound, for its lower one
-        below = np.zeros_like(held.at_upper)
-        below[:len(hi)] = (last_lo == last_hi) & (last_lo < hi)
-        np.testing.assert_array_equal(start.at_upper, held.at_upper & ~below)
+        # leaves its upper bound, for its lower one
+        below = np.zeros_like(at_upper)
+        below[:n] = (last_lo == last_hi) & (last_lo < hi)
+        moved += np.count_nonzero(at_upper & below)
+        up = at_upper & ~below
+        lo_fin, hi_fin = np.isfinite(lo_all), np.isfinite(hi_all)
+        rest = np.where(up & hi_fin, hi_all,
+                        np.where(lo_fin, lo_all, np.where(hi_fin, hi_all, 0.0)))
+        nonbasic = np.ones(n + m, dtype=bool)
+        nonbasic[start] = False
+        np.testing.assert_array_equal(z[nonbasic], rest[nonbasic])
+    assert moved
 
 
 class TestNonzeroReaders:
@@ -740,7 +757,7 @@ def test_sos1_groups_match_the_row_by_row_reference(radiant_window):
         assert groups and groups == sos1_groups_by_rows(A, rel, b, is_bin)
 
 
-def test_singular_warm_start_falls_back_to_the_slack_basis():
+def test_singular_warm_start_falls_back_to_the_slack_basis(monkeypatch):
     p = MilpProblem()
     p.add_continuous("x", 0.0, 2.0)
     p.add_continuous("y", 0.0, 2.0)
@@ -748,9 +765,29 @@ def test_singular_warm_start_falls_back_to_the_slack_basis():
     p.add_constraint("r1", [(2.0, "x"), (2.0, "y")], "<=", 7.0)
     A, rel, b, lo, hi, _, _ = p.seal().to_arrays()
     engine = _DualSimplex(A, rel, b)
-    # x and y have parallel columns, so a basis holding both is singular
-    res = engine.solve(lo, hi, _Basis(np.array([0, 1]), np.zeros(4, dtype=bool)), None)
+    assert engine.solve(lo, hi, None).feasible
+    solve_from, iterate = _DualSimplex._solve_from, _DualSimplex._iterate
+    starts = []
+
+    def recording(self, lo, hi, warm, deadline):
+        starts.append(warm)
+        return solve_from(self, lo, hi, warm, deadline)
+
+    def troubled(self, deadline):
+        # the warm attempt fails once it has set up its start
+        if starts == [True]:
+            raise _NumericalTrouble("singular basis at refactorization")
+        return iterate(self, deadline)
+
+    monkeypatch.setattr(_DualSimplex, "_solve_from", recording)
+    monkeypatch.setattr(_DualSimplex, "_iterate", troubled)
+    lo2, hi2 = np.array([0.0, 1.8]), np.array([1.5, 2.0])
+    res = engine.solve(lo2, hi2, None)
+    assert starts == [True, False]
     assert res.feasible and rows_hold(A, rel, b, res.x, 1e-6)
+    assert np.all(res.x >= lo2 - 1e-9) and np.all(res.x <= hi2 + 1e-9)
+    # the slack start solved, so the next solve continues from its vertex
+    assert engine.solve(lo, hi, None).feasible and starts == [True, False, True]
 
 
 def test_a_tiny_pivot_no_longer_makes_the_basis_singular():
@@ -765,13 +802,38 @@ def test_a_tiny_pivot_no_longer_makes_the_basis_singular():
     consistent, lo, hi = solver._Presolver(row, col, val, rel, b, is_bin).run(
         lo, hi, FEAS_TOL)
     assert consistent
-    res = _DualSimplex(A, rel, b).solve(lo, hi, None, None)
+    res = _DualSimplex(A, rel, b).solve(lo, hi, None)
     assert not res.feasible and not linprog_feasible(A, rel, b, lo, hi)
     # the raw ray prices some rows with the wrong sign (up to about 0.8,
     # against entries of 2e6); without those entries it proves the box empty
     ray = res.ray.copy()
     ray[((rel == "<=") & (ray > 0.0)) | ((rel == ">=") & (ray < 0.0))] = 0.0
     assert check_certificate(boxed(A, rel, b, lo, hi), ray)
+
+
+def test_a_root_proof_clips_wrong_sign_ray_entries(monkeypatch):
+    # x + y >= 3 empties the box [0, 1]^2; the ray prices only that row,
+    # and a wrong-sign entry on the <= row spoils it as returned
+    p = MilpProblem()
+    p.add_continuous("x", 0.0, 1.0)
+    p.add_continuous("y", 0.0, 1.0)
+    p.add_constraint("need", [(1.0, "x"), (1.0, "y")], ">=", 3.0)
+    p.add_constraint("spare", [(1.0, "x"), (-1.0, "y")], "<=", 5.0)
+    p.seal()
+    solve = _DualSimplex.solve
+
+    def wrong_sign(self, lo, hi, deadline):
+        res = solve(self, lo, hi, deadline)
+        assert res.ray[1] == 0.0
+        res.ray[1] = 0.5
+        assert not check_certificate(p, res.ray, FEAS_TOL)
+        return res
+
+    monkeypatch.setattr(_DualSimplex, "solve", wrong_sign)
+    res = solve_milp(p)
+    assert res.is_infeasible and res.nodes == 1
+    assert res.certificate is not None and res.certificate[1] == 0.0
+    assert check_certificate(p, res.certificate)
 
 
 @pytest.fixture(scope="module")
@@ -786,7 +848,7 @@ class TestTimeLimitInsideLp:
         A, rel, b, lo, hi, _, _ = radiant_window.to_arrays()
         engine = _DualSimplex(A, rel, b)
         with pytest.raises(_OutOfTime):
-            engine.solve(lo, hi, None, time.perf_counter() - 1.0)
+            engine.solve(lo, hi, time.perf_counter() - 1.0)
         assert engine.iterations == 0
 
     def test_radiant_window_stops_within_a_pivot_of_the_limit(
@@ -806,6 +868,46 @@ class TestTimeLimitInsideLp:
         # the reading that found the limit passed, then the final one
         assert res.wall_time - limit <= 2.0
 
+    @pytest.mark.parametrize("fault", ["time", "numerics"])
+    def test_the_solve_after_one_that_raised_starts_from_the_slack_basis(
+            self, radiant_window, monkeypatch, fault):
+        A, rel, b, lo, hi, _, names = radiant_window.to_arrays()
+        m, n = A.shape
+        slack = np.arange(n, n + m)
+        engine = _DualSimplex(A, rel, b)
+        assert engine.solve(lo, hi, None).feasible
+        # mode 4 at the first sample: 11 pivots from the root's vertex
+        lo4 = lo.copy()
+        lo4[names.index("a[4][0]")] = 1.0
+        with pytest.MonkeyPatch.context() as mp:
+            if fault == "time":
+                # one clock reading per pivot: the solve stops after 6
+                ticks = itertools.count()
+                mp.setattr(solver, "time", SimpleNamespace(
+                    perf_counter=lambda: float(next(ticks))))
+                with pytest.raises(_OutOfTime):
+                    engine.solve(lo4, hi, 5.0)
+            else:
+                # the pivot cap stops both the warm and the slack start
+                mp.setattr(engine, "max_iter", 5)
+                with pytest.raises(SolverNumericalError, match="slack basis"):
+                    engine.solve(lo4, hi, None)
+        assert not np.array_equal(engine.basis, slack)
+        iterate, starts = _DualSimplex._iterate, []
+
+        def recording(self, deadline):
+            starts.append(self.basis.copy())
+            return iterate(self, deadline)
+
+        monkeypatch.setattr(_DualSimplex, "_iterate", recording)
+        before = engine.iterations
+        res = engine.solve(lo, hi, None)
+        np.testing.assert_array_equal(starts[0], slack)
+        fresh = _DualSimplex(A, rel, b)
+        cold = fresh.solve(lo, hi, None)
+        assert res.feasible and np.array_equal(res.x, cold.x)
+        assert engine.iterations - before == fresh.iterations > 0
+
 
 UNIT_INPUTS = RandomPolicy(input_box=HyperRectangle([-1.0], [1.0]))
 
@@ -820,8 +922,8 @@ def recorded(monkeypatch):
         boxes.append((lo.copy(), hi.copy()))
         return run(self, lo, hi, tol, max_rounds)
 
-    def recording_solve(self, lo, hi, start, deadline):
-        res = solve(self, lo, hi, start, deadline)
+    def recording_solve(self, lo, hi, deadline):
+        res = solve(self, lo, hi, deadline)
         relaxations.append(res)
         return res
 
@@ -869,8 +971,8 @@ class TestBranchingRule:
         p.seal()
         solve = solver._DualSimplex.solve
 
-        def fractional_fixed(self, lo, hi, start, deadline):
-            res = solve(self, lo, hi, start, deadline)
+        def fractional_fixed(self, lo, hi, deadline):
+            res = solve(self, lo, hi, deadline)
             if res.feasible and hi[0] - lo[0] < 0.5:
                 res.x[0] = lo[0] + 0.7
             return res
