@@ -10,14 +10,12 @@ import hashlib
 import io
 import json
 
-import numpy as np
 import pytest
 
 from swainval import cli
 from swainval.examples import asset_path, numeric_system
-from swainval.fileio import save_model, save_trajectory
-from swainval.model import (AffineMode, HyperRectangle, RandomPolicy,
-                            SwitchedAffineModel, simulate_random)
+from swainval.fileio import save_trajectory
+from swainval.model import HyperRectangle, RandomPolicy, simulate_random
 
 FAULTY_CSV = """\
 k,y_1,y_2,y_3,y_4,y_5,y_6
@@ -93,6 +91,26 @@ def data(tmp_path):
     off_input = tmp_path / "off_input.csv"
     off_input.write_text(OFF_INPUT_CSV)
     return faulty, off_input
+
+
+def drift_document(hatf: float, lower: float = -0.5,
+                   upper: float = 0.5) -> dict:
+    """The model document of x+ = x + hatf Df, y = x, with x in
+    [lower, upper], no noise and no input."""
+    return {"n": 1, "n_u": 0, "n_y": 1,
+            "modes": [{"A": [1.0], "B": [], "C": [1.0], "f": [0.0],
+                       "hatf": [hatf]}],
+            "state_bounds": {"lower": [lower], "upper": [upper]},
+            "noise_bounds": {"lower": [0.0], "upper": [0.0]},
+            "input_bounds": {"lower": [], "upper": []}}
+
+
+@pytest.fixture()
+def bad_model(tmp_path):
+    """A negative radius and an empty state set."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(drift_document(-0.5, lower=0.5, upper=-0.5)))
+    return path
 
 
 class TestGolden:
@@ -333,17 +351,24 @@ class TestLibraryErrors:
     def test_a_model_that_fails_validation(self, run, tmp_path, command):
         # x+ = x + hatf Df with a negative radius; Df = 0.5 explains the
         # window below, yet an encoding of this model would invalidate it
-        mode = AffineMode(A=[[1.0]], B=np.zeros((1, 0)), C=[[1.0]], f=[0.0],
-                          hatA=[[0.0]], hatB=np.zeros((1, 0)), hatC=[[0.0]],
-                          hatf=[-0.5])
         model = tmp_path / "drift.json"
-        save_model(SwitchedAffineModel(
-            [mode], HyperRectangle.ball(0.5, 1), HyperRectangle.ball(0.0, 1),
-            HyperRectangle([], [])), model)
+        model.write_text(json.dumps(drift_document(hatf=-0.5)))
         trace = tmp_path / "drift.csv"
         trace.write_text("k,y_1\n0,0.5\n1,0.25\n")
         assert run(*command, "--model", model, "--trajectory", trace) == (
             1, "", "error: invalid model: mode 1: hatf has negative entries\n")
+
+    def test_validate_lists_every_issue_of_an_invalid_model(self, run,
+                                                             bad_model):
+        assert run("validate", "--model", bad_model) == (
+            1, "INVALID\n  mode 1: hatf has negative entries\n"
+               "  state_set: empty (some lower bound exceeds upper)\n", "")
+
+    def test_find_t_names_every_issue_of_an_invalid_model(self, run,
+                                                          bad_model):
+        assert run("find-t", "--model", bad_model, "--fault", bad_model) == (
+            1, "", "error: invalid model: mode 1: hatf has negative entries; "
+                   "state_set: empty (some lower bound exceeds upper)\n")
 
     @pytest.mark.parametrize("error", [
         "SolverNumericalError", "MonotonicityViolation",
