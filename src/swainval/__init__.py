@@ -16,12 +16,9 @@ from .model import (
     Trajectory,
     SimulationDraw,
     RandomPolicy,
-    ValidationIssue,
-    ValidationReport,
     DimensionError,
     StateBoundViolation,
     NoAdmissibleDraw,
-    validate_model,
     simulate,
     simulate_random,
     discretize_affine,
@@ -127,10 +124,9 @@ __version__ = "0.1.0"
 __all__ = [
     # model
     "AffineMode", "HyperRectangle", "SwitchedAffineModel", "Trajectory",
-    "SimulationDraw", "RandomPolicy", "ValidationIssue", "ValidationReport",
-    "DimensionError", "StateBoundViolation", "NoAdmissibleDraw",
-    "validate_model", "simulate", "simulate_random", "discretize_affine",
-    "submodel", "strip_uncertainty",
+    "SimulationDraw", "RandomPolicy", "DimensionError",
+    "StateBoundViolation", "NoAdmissibleDraw", "simulate", "simulate_random",
+    "discretize_affine", "submodel", "strip_uncertainty",
     # milp
     "MilpProblem", "Witness", "UnboundedSet", "export_lp", "parse_lp",
     "verify",

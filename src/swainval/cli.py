@@ -50,7 +50,7 @@ from .fileio import (FileFormatError, load_model, load_trajectory,
 from .milp import UnboundedSet, export_lp
 from .model import (DimensionError, NoAdmissibleDraw, RandomPolicy,
                     SwitchedAffineModel, simulate_random, strip_uncertainty,
-                    submodel, validate_model)
+                    submodel)
 from .solver import SolverConfig, SolverNumericalError
 
 __all__ = ["main", "build_parser", "CliError"]
@@ -138,16 +138,18 @@ def _export(problem, path: str | None) -> None:
 
 
 def _cmd_validate(args) -> int:
-    model = _resolve_model(args)
-    report = validate_model(model)
-    if report.valid:
-        print(f"VALID  name={model.name or '-'} modes={model.s} "
-              f"n={model.n} n_u={model.n_u} n_y={model.n_y}")
-        return EXIT_OK
-    print("INVALID")
-    for issue in report.issues:
-        print(f"  {issue.where}: {issue.message}")
-    return EXIT_ERROR
+    try:
+        model = _resolve_model(args)
+    except DimensionError as err:
+        if not err.issues:
+            raise
+        print("INVALID")
+        for issue in err.issues:
+            print(f"  {issue}")
+        return EXIT_ERROR
+    print(f"VALID  name={model.name or '-'} modes={model.s} "
+          f"n={model.n} n_u={model.n_u} n_y={model.n_y}")
+    return EXIT_OK
 
 
 def _sampling_policy(model: SwitchedAffineModel, input_scale: float,

@@ -96,7 +96,6 @@ def check_t_detectability(system: SwitchedAffineModel,
         return TDetectabilityResult(
             horizon, INFEASIBLE, None, None, time.perf_counter() - start,
             note="the admissible input sets do not intersect")
-    enc.problem.seal()
     res = solve_milp(enc.problem, config)
     behavior = (decode_pair_witness(enc, res.witness)
                 if res.status == FEASIBLE else None)

@@ -100,7 +100,7 @@ import numpy as np
 
 from .milp import EQ, GE, LE, MilpProblem, UnboundedSet, Witness
 from .model import (DimensionError, HyperRectangle, SimulationDraw,
-                    SwitchedAffineModel, Trajectory, _require_valid)
+                    SwitchedAffineModel, Trajectory)
 from .solver import (FEASIBLE, INFEASIBLE, SolveResult, SolverConfig,
                      SolverSession, solve_milp)
 
@@ -947,18 +947,15 @@ def _window_template(model: SwitchedAffineModel,
                      inputs: np.ndarray) -> _WindowTemplate:
     """The template of (model, window length, inputs), built on first use.
 
-    The key holds the model by value, so equal models share templates; a
-    model is validated only where its template is built, and one that fails
-    never enters the cache.  The cache keeps a few templates (a monitor
-    needs one per model and length when its model has no inputs) and drops
-    the oldest first."""
+    The key holds the model by value, so equal models share templates.
+    The cache keeps a few templates (a monitor needs one per model and
+    length when its model has no inputs) and drops the oldest first."""
     key = (model.name, tuple(_fingerprint(mode) for mode in model.modes),
            *(_box_key(box) for box in (model.state_set, model.noise_set,
                                        model.input_set)),
            inputs.shape, inputs.tobytes())
     template = _WINDOWS.get(key)
     if template is None:
-        _require_valid(model)
         template = _WindowTemplate(model, inputs)
         if len(_WINDOWS) >= _WINDOWS_MAX:
             del _WINDOWS[next(iter(_WINDOWS))]
@@ -970,7 +967,8 @@ def encode_invalidation(model: SwitchedAffineModel,
                         trajectory: Trajectory) -> InvalidationEncoding:
     """Build the consistency feasibility problem for one data window.
 
-    Raises DimensionError when ``validate_model`` rejects the model,
+    The model is valid by construction (see :class:`SwitchedAffineModel`).
+    Raises DimensionError when the window misfits the model's dimensions,
     InputOutsideAdmissibleSet when an observed input violates the model's
     input set (such data can never be explained, whatever the states), and
     UnboundedSet when the admissible sets are too loose to derive a big-M
@@ -994,9 +992,10 @@ def encode_t_detectability(system: SwitchedAffineModel,
 
     The problem is feasible iff some input-output window of horizon + 1
     samples lies in both models' behaviours; infeasibility certifies
-    detectability at this horizon.  Raises DimensionError when
-    ``validate_model`` rejects either model, and EmptyInputIntersection
-    when the models share no admissible input at all.
+    detectability at this horizon.  Both models are valid by construction
+    (see :class:`SwitchedAffineModel`).  Raises DimensionError when their
+    input or output dimensions differ, and EmptyInputIntersection when the
+    models share no admissible input at all.
 
     The pair binaries ``d[i][j][k]`` are the first binary columns, step by
     step (k outermost, then i, then j); the sign binaries of any ``|x|`` or
@@ -1006,8 +1005,6 @@ def encode_t_detectability(system: SwitchedAffineModel,
     """
     if horizon < 1:
         raise ValueError("the horizon must be >= 1 (it counts transitions)")
-    _require_valid(system)
-    _require_valid(fault)
     if system.n_y != fault.n_y:
         raise DimensionError("the two models must share the output dimension")
     if system.n_u != fault.n_u:
@@ -1282,18 +1279,6 @@ class InvalidationResult:
     explanation: Explanation | None = None
     encoding: InvalidationEncoding | None = field(default=None, repr=False)
 
-    @property
-    def is_consistent(self) -> bool:
-        return self.verdict == CONSISTENT
-
-    @property
-    def is_invalidated(self) -> bool:
-        return self.verdict == INVALIDATED
-
-    @property
-    def decided(self) -> bool:
-        return self.verdict != UNDECIDED
-
 
 def check_invalidation(model: SwitchedAffineModel, trajectory: Trajectory, *,
                        config: SolverConfig | None = None,
@@ -1307,7 +1292,6 @@ def check_invalidation(model: SwitchedAffineModel, trajectory: Trajectory, *,
         enc = encode_invalidation(model, trajectory)
     except InputOutsideAdmissibleSet as err:
         return InvalidationResult(INVALIDATED, str(err))
-    enc.problem.seal()
     res = solve_milp(enc.problem, config, session=session)
     if res.status == FEASIBLE:
         return InvalidationResult(CONSISTENT, "found an admissible explanation",

@@ -208,10 +208,10 @@ def radiant_continuous(pump1: bool, pump2: bool,
     return A, f, g
 
 
-def _radiant_mode(pump1: bool, pump2: bool, kw2: float, measured,
-                  method: str) -> AffineMode:
+def _radiant_mode(pump1: bool, pump2: bool, kw2: float,
+                  measured) -> AffineMode:
     Ac, fc, gc = radiant_continuous(pump1, pump2, kw2)
-    Ad, Gd, fd = discretize_affine(Ac, gc.reshape(6, 1), fc, _DT, method)
+    Ad, Gd, fd = discretize_affine(Ac, gc.reshape(6, 1), fc, _DT)
     C = np.eye(6)[list(measured)]
     return AffineMode(A=Ad, B=np.zeros((6, 0)), C=C, f=fd,
                       hatA=np.zeros((6, 6)), hatB=np.zeros((6, 0)),
@@ -227,25 +227,24 @@ def _radiant_sets(measured) -> dict:
     }
 
 
-def radiant_system(*, measured=SENSOR_SCENARIOS[1], method: str = "exact-zoh",
+def radiant_system(*, measured=SENSOR_SCENARIOS[1],
                    name: str = "radiant") -> SwitchedAffineModel:
     """The healthy four-mode radiant heating system."""
-    modes = [_radiant_mode(p1, p2, _KW2, measured, method)
+    modes = [_radiant_mode(p1, p2, _KW2, measured)
              for p1, p2 in [(False, False), (True, False),
                             (False, True), (True, True)]]
     return SwitchedAffineModel(modes, name=name, **_radiant_sets(measured))
 
 
-def radiant_fault(*, measured=SENSOR_SCENARIOS[1], method: str = "exact-zoh",
+def radiant_fault(*, measured=SENSOR_SCENARIOS[1],
                   name: str = "radiantFault") -> SwitchedAffineModel:
     """Pump-2 valve stuck half-open: pump 2 always runs at half conductance."""
-    modes = [_radiant_mode(p1, True, _KW2_HALF, measured, method)
+    modes = [_radiant_mode(p1, True, _KW2_HALF, measured)
              for p1 in [False, True]]
     return SwitchedAffineModel(modes, name=name, **_radiant_sets(measured))
 
 
 def radiant_weak_fault(*, measured=SENSOR_SCENARIOS[1],
-                       method: str = "exact-zoh",
                        name: str = "radiantWeakFault") -> SwitchedAffineModel:
     """Pump-2 valve limited to half capacity but still able to close.
 
@@ -254,10 +253,10 @@ def radiant_weak_fault(*, measured=SENSOR_SCENARIOS[1],
     behaviour, this fault is only separable on windows where one of the last
     two modes is known to be active (an indicator constraint).
     """
-    modes = [_radiant_mode(False, False, _KW2, measured, method),
-             _radiant_mode(True, False, _KW2, measured, method),
-             _radiant_mode(False, True, _KW2_HALF, measured, method),
-             _radiant_mode(True, True, _KW2_HALF, measured, method)]
+    modes = [_radiant_mode(False, False, _KW2, measured),
+             _radiant_mode(True, False, _KW2, measured),
+             _radiant_mode(False, True, _KW2_HALF, measured),
+             _radiant_mode(True, True, _KW2_HALF, measured)]
     return SwitchedAffineModel(modes, name=name, **_radiant_sets(measured))
 
 

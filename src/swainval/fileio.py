@@ -26,8 +26,8 @@ import numpy as np
 
 from .encoder import (BadIndicator, CountBand, ExplicitWords, Indicator,
                       StructuredTuple)
-from .model import (AffineMode, HyperRectangle, SwitchedAffineModel,
-                    Trajectory)
+from .model import (AffineMode, DimensionError, HyperRectangle,
+                    SwitchedAffineModel, Trajectory)
 
 __all__ = [
     "FileFormatError",
@@ -158,7 +158,7 @@ def model_from_dict(doc: dict) -> SwitchedAffineModel:
             noise_set=_bounds_in(doc["noise_bounds"], n_y, "noise_bounds"),
             input_set=_bounds_in(doc["input_bounds"], n_u, "input_bounds"),
             name=str(doc.get("name", "")))
-    except FileFormatError:
+    except (FileFormatError, DimensionError):
         raise
     except KeyError as exc:
         raise FileFormatError(f"model document is missing {exc}") from exc

@@ -11,8 +11,15 @@ where ``*`` is the elementwise (Hadamard) product, every uncertainty entry
 measurement noise in ``noise_set`` and inputs in ``input_set``.  The active
 mode index is hidden and may change arbitrarily at every step.
 
-This module provides the data types, validation, exact simulation,
-seeded admissible-trajectory sampling, ZOH/Euler discretization of
+A model is valid once built: ``SwitchedAffineModel`` admits only modes of
+one dimension with finite matrices and nonnegative radii, and sets of the
+right dimensions that are nonempty and free of NaN, and raises
+DimensionError otherwise.  Each mode holds read-only copies of its
+arrays, so a built model stays valid; ``dataclasses.replace`` passes the
+same gate.
+
+This module provides the data types, exact simulation, seeded
+admissible-trajectory sampling, ZOH/Euler discretization of
 continuous-time affine modes, mode subsets (``submodel``) and the
 idealized variant of a model (``strip_uncertainty``).
 """
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -33,12 +40,9 @@ __all__ = [
     "Trajectory",
     "SimulationDraw",
     "RandomPolicy",
-    "ValidationIssue",
-    "ValidationReport",
     "DimensionError",
     "StateBoundViolation",
     "NoAdmissibleDraw",
-    "validate_model",
     "simulate",
     "simulate_random",
     "discretize_affine",
@@ -48,7 +52,15 @@ __all__ = [
 
 
 class DimensionError(ValueError):
-    """A matrix/vector does not have the shape the model dimensions require."""
+    """A matrix/vector does not have the shape the model dimensions require.
+
+    ``issues`` holds one ``"where: message"`` string per reason a model
+    was refused admission, and is empty for any other shape error.
+    """
+
+    def __init__(self, message: str, issues: Sequence[str] = ()):
+        super().__init__(message)
+        self.issues = tuple(issues)
 
 
 class StateBoundViolation(RuntimeError):
@@ -162,7 +174,8 @@ class AffineMode:
 
     ``hatA[r, c]`` is the absolute radius of the (r, c) entry's time-varying
     perturbation; the realized perturbation is ``hatA[r, c] * DA[r, c]`` with
-    ``|DA[r, c]| <= 1`` (likewise for B, C and f).
+    ``|DA[r, c]| <= 1`` (likewise for B, C and f).  The mode holds read-only
+    float copies of the arrays it is given.
     """
 
     A: np.ndarray
@@ -191,7 +204,8 @@ class AffineMode:
 
     def __post_init__(self):
         for name in ("A", "B", "C", "f", "hatA", "hatB", "hatC", "hatf"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         n = self.A.shape[0]
         if self.A.shape != (n, n):
@@ -232,6 +246,11 @@ class SwitchedAffineModel:
 
     ``state_set`` has dimension n, ``noise_set`` dimension n_y and
     ``input_set`` dimension n_u (zero-dimensional for autonomous models).
+    A model is valid once built: the constructor, which
+    ``dataclasses.replace`` also runs, raises DimensionError naming every
+    issue (mode dimensions that differ from mode 1's, negative radii,
+    non-finite matrix entries, sets of the wrong dimension, empty sets or
+    NaN bounds), and the mode arrays are read-only.
     """
 
     modes: tuple[AffineMode, ...]
@@ -249,6 +268,32 @@ class SwitchedAffineModel:
         object.__setattr__(self, "name", name)
         if not self.modes:
             raise DimensionError("a model needs at least one mode")
+        issues = []
+        n, n_u, n_y = self.n, self.n_u, self.n_y
+        for idx, m in enumerate(self.modes):
+            where = f"mode {idx + 1}"
+            if m.n != n or m.n_u != n_u or m.n_y != n_y:
+                issues.append(f"{where}: dimensions ({m.n}, {m.n_u}, {m.n_y})"
+                              f" differ from mode 1 ({n}, {n_u}, {n_y})")
+            for nm in ("hatA", "hatB", "hatC", "hatf"):
+                arr = getattr(m, nm)
+                if arr.size and np.min(arr) < 0:
+                    issues.append(f"{where}: {nm} has negative entries")
+            for nm in ("A", "B", "C", "f", "hatA", "hatB", "hatC", "hatf"):
+                arr = getattr(m, nm)
+                if arr.size and not np.all(np.isfinite(arr)):
+                    issues.append(f"{where}: {nm} has non-finite entries")
+        for nm, box, dim in (("state_set", state_set, n),
+                             ("noise_set", noise_set, n_y),
+                             ("input_set", input_set, n_u)):
+            if box.dim != dim:
+                issues.append(f"{nm}: dimension {box.dim}, expected {dim}")
+            if box.is_empty:
+                issues.append(f"{nm}: empty (some lower bound exceeds upper)")
+            if any(math.isnan(v) for v in box.lower + box.upper):
+                issues.append(f"{nm}: NaN bound")
+        if issues:
+            raise DimensionError("invalid model: " + "; ".join(issues), issues)
 
     @property
     def s(self) -> int:
@@ -363,62 +408,6 @@ STEP_RETRIES = 20   # redraws of one step before the trajectory restarts
 RESTARTS = 20       # whole-trajectory restarts before NoAdmissibleDraw
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    where: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    issues: tuple[ValidationIssue, ...]
-
-    def __str__(self) -> str:
-        if self.valid:
-            return "model ok"
-        return "\n".join(f"{i.where}: {i.message}" for i in self.issues)
-
-
-def validate_model(model: SwitchedAffineModel) -> ValidationReport:
-    """Check dimensional consistency, nonnegative radii and sane bounds."""
-    issues: list[ValidationIssue] = []
-    n, n_u, n_y = model.n, model.n_u, model.n_y
-    for idx, m in enumerate(model.modes):
-        where = f"mode {idx + 1}"
-        if m.n != n or m.n_u != n_u or m.n_y != n_y:
-            issues.append(ValidationIssue(
-                where, f"dimensions ({m.n}, {m.n_u}, {m.n_y}) differ from mode 1"
-                       f" ({n}, {n_u}, {n_y})"))
-        for nm in ("hatA", "hatB", "hatC", "hatf"):
-            arr = getattr(m, nm)
-            if arr.size and np.min(arr) < 0:
-                issues.append(ValidationIssue(where, f"{nm} has negative entries"))
-        for nm in ("A", "B", "C", "f", "hatA", "hatB", "hatC", "hatf"):
-            arr = getattr(m, nm)
-            if arr.size and not np.all(np.isfinite(arr)):
-                issues.append(ValidationIssue(where, f"{nm} has non-finite entries"))
-    for nm, box, dim in (("state_set", model.state_set, n),
-                         ("noise_set", model.noise_set, n_y),
-                         ("input_set", model.input_set, n_u)):
-        if box.dim != dim:
-            issues.append(ValidationIssue(nm, f"dimension {box.dim}, expected {dim}"))
-        if box.is_empty:
-            issues.append(ValidationIssue(nm, "empty (some lower bound exceeds upper)"))
-        if any(math.isnan(v) for v in box.lower + box.upper):
-            issues.append(ValidationIssue(nm, "NaN bound"))
-    return ValidationReport(valid=not issues, issues=tuple(issues))
-
-
-def _require_valid(model: SwitchedAffineModel) -> None:
-    """Raise DimensionError, naming every issue on one line, when
-    ``validate_model`` rejects the model."""
-    report = validate_model(model)
-    if not report.valid:
-        raise DimensionError("invalid model: " + "; ".join(
-            f"{issue.where}: {issue.message}" for issue in report.issues))
-
-
 def simulate(model: SwitchedAffineModel, inputs, draw: SimulationDraw,
              check_bounds: bool = True) -> Trajectory:
     """Replay a draw exactly; raises StateBoundViolation(k) if x[k] leaves X.
@@ -427,7 +416,6 @@ def simulate(model: SwitchedAffineModel, inputs, draw: SimulationDraw,
     the state after the final output, x[N], is also checked against the
     state set (the dynamics hold at every sampled step).
     """
-    _require_valid(model)
     u = np.asarray(inputs, dtype=float).reshape(len(draw), model.n_u)
     if draw.noise.shape != (len(draw), model.n_y):
         raise DimensionError(f"noise must have shape ({len(draw)}, {model.n_y})")
@@ -464,7 +452,6 @@ def simulate_random(model: SwitchedAffineModel, seed: int, steps: int,
     trajectory restarts; raises NoAdmissibleDraw when the restart budget is
     exhausted.
     """
-    _require_valid(model)
     policy = policy or RandomPolicy()
     if steps < 1:
         raise ValueError("steps must be >= 1")

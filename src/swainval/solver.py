@@ -156,17 +156,6 @@ class SolveResult:
     message: str = ""
     certificate: tuple[float, ...] | None = None
 
-    @property
-    def is_feasible(self) -> bool:
-        return self.status == FEASIBLE
-
-    @property
-    def is_infeasible(self) -> bool:
-        return self.status == INFEASIBLE
-
-    @property
-    def decided(self) -> bool:
-        return self.status in (FEASIBLE, INFEASIBLE)
 
 
 # -- bounded dual simplex on the row-activity form ----------------------------
@@ -479,6 +468,9 @@ class _DualSimplex:
 
 # -- interval presolve --------------------------------------------------------
 
+_PRESOLVE_ROUNDS = 8  # propagation rounds per node before presolve stops
+
+
 class _Presolver:
     """Activity-bound propagation over the nonzeros of the rows.
 
@@ -524,11 +516,11 @@ class _Presolver:
     def set_rhs(self, b: np.ndarray) -> None:
         self.rhs = np.concatenate([b[self.up], -b[self.down]])
 
-    def run(self, lo: np.ndarray, hi: np.ndarray, feas_tol: float,
-            max_rounds: int = 8) -> tuple[bool, np.ndarray, np.ndarray]:
+    def run(self, lo: np.ndarray, hi: np.ndarray,
+            feas_tol: float) -> tuple[bool, np.ndarray, np.ndarray]:
         """Returns (consistent, lo, hi); the given arrays are not modified."""
         row, col, val, k = self.row, self.col, self.val, self.n_pos
-        for _ in range(max_rounds):
+        for _ in range(_PRESOLVE_ROUNDS):
             if np.any(lo > hi + 1e-9):
                 return False, lo, hi
             bound = np.concatenate([lo[col[:k]], hi[col[k:]]])

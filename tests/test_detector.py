@@ -8,7 +8,7 @@ import pytest
 
 from swainval import detectability, detector, encoder
 from swainval.detectability import find_T
-from swainval.encoder import _WINDOWS, check_invalidation
+from swainval.encoder import CONSISTENT, _WINDOWS, check_invalidation
 from swainval.examples import builtin_pair, numeric_family, numeric_system
 from swainval.milp import verify
 from swainval.detector import (DetectionReport, StreamingDetector,
@@ -69,7 +69,7 @@ class TestRecedingBasics:
     def test_clean_trace_raises_no_alarms(self):
         report = run_receding(halving_model(), halving_data(10), 2)
         assert report.alarms == () and report.first_alarm is None
-        assert report.all_clear and not report.halted
+        assert report.undecided == () and not report.halted
         assert tuple(r.k for r in report.results) == tuple(range(2, 10))
         assert all(r.verdict == "consistent" for r in report.results)
 
@@ -77,7 +77,6 @@ class TestRecedingBasics:
         report = run_receding(halving_model(), tampered_data(10, at=5), 2)
         assert report.alarms == (5, 6, 7)
         assert report.first_alarm == 5
-        assert not report.all_clear
 
     def test_halt_on_first_alarm_stops_the_sweep(self):
         report = run_receding(halving_model(), tampered_data(10, at=5), 2,
@@ -104,7 +103,6 @@ class TestRecedingBasics:
                               config=SolverConfig(node_limit=0))
         assert report.alarms == ()
         assert report.undecided == tuple(range(2, 8))
-        assert not report.all_clear and report.first_alarm is None
 
 
 class TestAlarmGuarantee:
@@ -135,7 +133,8 @@ class TestAlarmGuarantee:
                 system, system, onset=16, total=16, seed=seed,
                 policy=RandomPolicy(initial_box=box(2.0, 1)))
             report = run_receding(system, traj, 3)
-            assert report.all_clear, f"seed {seed} raised {report.alarms}"
+            assert not report.alarms and not report.undecided, \
+                f"seed {seed} raised {report.alarms}"
 
 
 class TestStreaming:
@@ -352,7 +351,7 @@ class TestSolverSession:
                 model, trace.window(window.k - horizon, window.k + 1))
             assert res.verdict == cold.verdict
             problem = res.encoding.problem
-            if res.is_consistent:
+            if res.verdict == CONSISTENT:
                 assert verify(problem, res.solve.witness)[0]
             if res.solve.certificate is not None:
                 assert check_certificate(problem, res.solve.certificate)
@@ -419,27 +418,6 @@ class TestSolverSession:
                                        b.witness, b.certificate)
 
 
-class TestAdmission:
-    """A model that validate_model rejects fails before the first window."""
-
-    def negative_drift(self) -> SwitchedAffineModel:
-        mode = AffineMode(A=[[1.0]], B=np.zeros((1, 0)), C=[[1.0]], f=[0.0],
-                          hatA=[[0.0]], hatB=np.zeros((1, 0)), hatC=[[0.0]],
-                          hatf=[-0.5])
-        return autonomous([mode], state_r=0.5)
-
-    def test_run_receding_and_streaming_reject_the_model(self):
-        model = self.negative_drift()
-        message = "invalid model: mode 1: hatf has negative entries"
-        with pytest.raises(DimensionError, match=message):
-            run_receding(model, halving_data(4), 2)
-        with pytest.raises(DimensionError, match=message):
-            # too short for a window, still rejected
-            run_receding(model, halving_data(2), 2)
-        with pytest.raises(DimensionError, match=message):
-            StreamingDetector(model, 2)
-
-
 def test_report_is_a_value_object():
     r = DetectionReport(3, ())
-    assert r.alarms == () and r.first_alarm is None and r.all_clear
+    assert r.alarms == r.undecided == () and r.first_alarm is None

@@ -14,8 +14,7 @@ from swainval.fileio import (FileFormatError, indicator_from_dict,
                              save_indicator, save_model, save_trajectory,
                              trajectory_from_csv, trajectory_to_csv)
 from swainval.model import (AffineMode, HyperRectangle, RandomPolicy,
-                            SwitchedAffineModel, Trajectory, simulate_random,
-                            validate_model)
+                            SwitchedAffineModel, Trajectory, simulate_random)
 
 
 def sample_model(uncertain: bool = True) -> SwitchedAffineModel:
@@ -48,7 +47,6 @@ class TestModelFiles:
         assert back.state_set == model.state_set
         assert back.noise_set == model.noise_set
         assert back.input_set == model.input_set
-        assert validate_model(back).valid
 
     def test_infinities_are_spelled_out(self, tmp_path):
         path = tmp_path / "model.json"

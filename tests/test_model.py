@@ -5,13 +5,16 @@ closed-form formulas (scalar zero-order hold) and algebraic identities
 (semigroup property of the discretization map).
 """
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swainval.fileio import FileFormatError, model_from_dict, model_to_dict
 from swainval.model import (
     AffineMode,
     DimensionError,
@@ -26,7 +29,6 @@ from swainval.model import (
     simulate,
     simulate_random,
     submodel,
-    validate_model,
 )
 
 
@@ -115,36 +117,125 @@ class TestAffineMode:
                        hatC=[[0.0]], hatf=[0.0])
 
 
+def drift_mode(**fields) -> AffineMode:
+    """x+ = x + hatf Df and y = x; ``fields`` overrides mode fields."""
+    mode = dict(A=[[1.0]], B=np.zeros((1, 0)), C=[[1.0]], f=[0.0],
+                hatA=[[0.0]], hatB=np.zeros((1, 0)), hatC=[[0.0]], hatf=[0.5])
+    return AffineMode(**{**mode, **fields})
+
+
+def drift_fields() -> dict:
+    """The constructor arguments of the drift model: x in [-0.5, 0.5], no
+    noise and no input."""
+    return dict(modes=[drift_mode()], state_set=HyperRectangle.ball(0.5, 1),
+                noise_set=HyperRectangle.ball(0.0, 1),
+                input_set=HyperRectangle([], []), name="drift")
+
+
+def drift_document(**fields) -> dict:
+    """The drift model's file document with ``fields`` (modes or sets)
+    written over it."""
+    doc = model_to_dict(SwitchedAffineModel(**drift_fields()))
+    for key, value in fields.items():
+        if key == "modes":
+            doc["modes"] = [{nm: np.ravel(getattr(m, nm)).tolist()
+                             for nm in ("A", "B", "C", "f", "hatA", "hatB",
+                                        "hatC", "hatf")} for m in value]
+        else:
+            doc[key.replace("_set", "_bounds")] = {
+                "lower": list(value.lower), "upper": list(value.upper)}
+    return doc
+
+
+# (model fields, the issue they raise); a model document can hold these
+INVALID_DOCUMENTS = [
+    (dict(modes=[drift_mode(hatf=[-0.5])]), "mode 1: hatf has negative entries"),
+    (dict(modes=[drift_mode(hatA=[[-0.1]])]), "mode 1: hatA has negative entries"),
+    (dict(modes=[drift_mode(hatC=[[-0.1]])]), "mode 1: hatC has negative entries"),
+    (dict(state_set=HyperRectangle([0.5], [-0.5])),
+     "state_set: empty (some lower bound exceeds upper)"),
+]
+# and the file reader refuses these itself, as a FileFormatError
+INVALID_MODELS = INVALID_DOCUMENTS + [
+    (dict(modes=[drift_mode(A=[[np.inf]])]), "mode 1: A has non-finite entries"),
+    (dict(modes=[drift_mode(), AffineMode.certain(
+        np.eye(2), np.zeros((2, 0)), [[1.0, 0.0]], [0.0, 0.0])]),
+     "mode 2: dimensions (2, 0, 1) differ from mode 1 (1, 0, 1)"),
+    (dict(noise_set=HyperRectangle.ball(0.0, 2)),
+     "noise_set: dimension 2, expected 1"),
+]
+
+
+def raises_issue(message: str):
+    return pytest.raises(DimensionError,
+                         match=re.escape(f"invalid model: {message}"))
+
+
 class TestValidation:
+    """The constructor is the one admission gate of a model."""
+
     def test_valid_model(self):
-        assert validate_model(scalar_model()).valid
+        model = scalar_model()
+        assert dataclasses.replace(model, name="copy").modes == model.modes
+
+    @pytest.mark.parametrize("fields, message", INVALID_MODELS)
+    def test_the_constructor_refuses(self, fields, message):
+        with raises_issue(message):
+            SwitchedAffineModel(**{**drift_fields(), **fields})
+
+    @pytest.mark.parametrize("fields, message", INVALID_MODELS)
+    def test_replace_refuses(self, fields, message):
+        valid = SwitchedAffineModel(**drift_fields())
+        with raises_issue(message):
+            dataclasses.replace(valid, **fields)
+
+    @pytest.mark.parametrize("fields, message", INVALID_DOCUMENTS)
+    def test_the_file_reader_refuses(self, fields, message):
+        doc = drift_document(**fields)
+        with raises_issue(message) as err:
+            model_from_dict(doc)
+        assert err.value.issues == (message,)
+
+    def test_the_file_reader_refuses_a_non_finite_entry(self):
+        doc = drift_document(modes=[drift_mode(A=[[np.inf]])])
+        with pytest.raises(FileFormatError, match="entries must be finite"):
+            model_from_dict(doc)
 
     def test_negative_radius(self):
-        mode = AffineMode(A=[[1.0]], B=[[1.0]], C=[[1.0]], f=[0.0],
-                          hatA=[[-0.1]], hatB=[[0.0]], hatC=[[0.0]], hatf=[0.0])
-        model = SwitchedAffineModel([mode], HyperRectangle.ball(1, 1),
-                                    HyperRectangle.ball(1, 1), HyperRectangle.ball(1, 1))
-        report = validate_model(model)
-        assert not report.valid
-        assert any("hatA" in i.message for i in report.issues)
+        # a built model holds read-only copies, so no negative radius can be
+        # written into it later
+        hatf = np.array([0.5])
+        model = SwitchedAffineModel(
+            **{**drift_fields(), "modes": [drift_mode(hatf=hatf)]})
+        with pytest.raises(ValueError, match="read-only"):
+            model.modes[0].hatf[0] = -0.5
+        hatf[0] = -0.5
+        assert model.modes[0].hatf[0] == 0.5
 
     def test_mode_dimension_mismatch(self):
         m1 = AffineMode.certain([[1.0]], [1.0], [[1.0]], [0.0])
         m2 = AffineMode.certain([[1.0, 0.0], [0.0, 1.0]], [[1.0], [0.0]],
                                 [[1.0, 0.0]], [0.0, 0.0])
-        model = SwitchedAffineModel([m1, m2], HyperRectangle.ball(1, 1),
-                                    HyperRectangle.ball(1, 1), HyperRectangle.ball(1, 1))
-        assert not validate_model(model).valid
+        m3 = AffineMode.certain([[1.0]], [[1.0, 1.0]], [[1.0]], [0.0])
+        with pytest.raises(DimensionError) as err:
+            SwitchedAffineModel([m1, m2, m1, m3], HyperRectangle.ball(1, 1),
+                                HyperRectangle.ball(1, 1),
+                                HyperRectangle.ball(1, 1))
+        assert err.value.issues == (
+            "mode 2: dimensions (2, 1, 1) differ from mode 1 (1, 1, 1)",
+            "mode 4: dimensions (1, 2, 1) differ from mode 1 (1, 1, 1)")
 
     def test_wrong_box_dims_and_empty(self):
-        model = SwitchedAffineModel(
-            [AffineMode.certain([[1.0]], [1.0], [[1.0]], [0.0])],
-            HyperRectangle.ball(1, 2),                # wrong dim
-            HyperRectangle([1.0], [0.0]),             # empty
-            HyperRectangle.ball(1, 1))
-        report = validate_model(model)
-        where = {i.where for i in report.issues}
-        assert "state_set" in where and "noise_set" in where
+        with pytest.raises(DimensionError) as err:
+            SwitchedAffineModel(
+                [AffineMode.certain([[1.0]], [1.0], [[1.0]], [0.0])],
+                HyperRectangle.ball(1, 2),                # wrong dim
+                HyperRectangle([1.0], [0.0]),             # empty
+                HyperRectangle.ball(1, 1))
+        issues = ("state_set: dimension 2, expected 1",
+                  "noise_set: empty (some lower bound exceeds upper)")
+        assert err.value.issues == issues
+        assert str(err.value) == "invalid model: " + "; ".join(issues)
 
 
 class TestSimulate:

@@ -144,7 +144,7 @@ class TestPureLp:
         p.add_constraint("r", [(1.0, "x")], ">=", 0.5)
         p.seal()
         res = solve_milp(p)
-        assert res.is_feasible
+        assert res.status == FEASIBLE
         assert 0.5 - 1e-9 <= res.witness["x"] <= 1.0 + 1e-9
 
     def test_trivial_infeasible(self):
@@ -153,7 +153,7 @@ class TestPureLp:
         p.add_constraint("r", [(1.0, "x")], ">=", 1.5)
         p.seal()
         res = solve_milp(p)
-        assert res.is_infeasible
+        assert res.status == INFEASIBLE
 
     def test_equality_chain(self):
         # x0 = 1, x_{k+1} = 0.5 x_k + 1 for 10 steps, all within loose bounds
@@ -165,7 +165,7 @@ class TestPureLp:
             p.add_constraint(f"dyn{k}", [(1.0, f"x{k + 1}"), (-0.5, f"x{k}")], "=", 1.0)
         p.seal()
         res = solve_milp(p)
-        assert res.is_feasible
+        assert res.status == FEASIBLE
         x = 1.0
         for k in range(10):
             x = 0.5 * x + 1.0
@@ -176,16 +176,16 @@ class TestPureLp:
         p.add_continuous("x", 2.0, 3.0)
         p.seal()
         res = solve_milp(p)
-        assert res.is_feasible and 2.0 <= res.witness["x"] <= 3.0
+        assert res.status == FEASIBLE and 2.0 <= res.witness["x"] <= 3.0
 
     @pytest.mark.parametrize("seed", range(60))
     def test_against_scipy_linprog(self, seed):
         rng = np.random.default_rng(seed)
         p = random_lp(rng)
         res = solve_milp(p)
-        assert res.decided
-        assert res.is_feasible == scipy_feasible(p), f"seed {seed}"
-        if res.is_feasible:
+        assert res.status == (FEASIBLE if scipy_feasible(p) else INFEASIBLE), \
+            f"seed {seed}"
+        if res.status == FEASIBLE:
             ok, violations = verify(p, res.witness)
             assert ok, violations
 
@@ -197,7 +197,7 @@ class TestPureLp:
         p.add_constraint("r2", [(1.0, "x")], "<=", 100.0)
         p.seal()
         res = solve_milp(p)
-        assert res.is_feasible
+        assert res.status == FEASIBLE
         assert res.witness["x"] + res.witness["y"] == pytest.approx(7.5, abs=1e-7)
 
 
@@ -211,7 +211,7 @@ class TestMixedInteger:
         p.add_constraint("mix", [(1.0, "x"), (-2.0, "d0"), (-1.0, "d1")], "=", 0.0)
         p.seal()
         res = solve_milp(p)
-        assert res.is_feasible
+        assert res.status == FEASIBLE
         assert res.witness["d0"] == 1.0 and res.witness["d1"] == 1.0
 
     def test_integer_infeasible_lp_feasible(self):
@@ -221,7 +221,7 @@ class TestMixedInteger:
         p.add_constraint("r", [(2.0, "d")], "=", 1.0)
         p.seal()
         res = solve_milp(p)
-        assert res.is_infeasible
+        assert res.status == INFEASIBLE
 
     def test_one_active_mode_selection(self):
         # exactly one of three shifted intervals must hold; only mode 2 fits
@@ -236,7 +236,7 @@ class TestMixedInteger:
         p2.add_constraint("pick", [(1.0, f"d{i}") for i in range(3)], "=", 1.0)
         p2.seal()
         res = solve_milp(p2)
-        assert res.is_feasible
+        assert res.status == FEASIBLE
         assert res.witness["d2"] == 1.0
         assert res.witness["d0"] == 0.0 and res.witness["d1"] == 0.0
 
@@ -245,9 +245,9 @@ class TestMixedInteger:
         rng = np.random.default_rng(1000 + seed)
         p = random_mip(rng)
         res = solve_milp(p)
-        assert res.decided
-        assert res.is_feasible == enumerate_feasible(p), f"seed {seed}"
-        if res.is_feasible:
+        assert res.status == (FEASIBLE if enumerate_feasible(p)
+                              else INFEASIBLE), f"seed {seed}"
+        if res.status == FEASIBLE:
             ok, violations = verify(p, res.witness)
             assert ok, violations
 
@@ -256,9 +256,9 @@ class TestMixedInteger:
         rng = np.random.default_rng(2000 + seed)
         p = random_mip(rng, n=6, nb=12, m=10)
         res = solve_milp(p)
-        assert res.decided
-        assert res.is_feasible == scipy_feasible(p), f"seed {seed}"
-        if res.is_feasible:
+        assert res.status == (FEASIBLE if scipy_feasible(p) else INFEASIBLE), \
+            f"seed {seed}"
+        if res.status == FEASIBLE:
             ok, violations = verify(p, res.witness)
             assert ok, violations
 
@@ -280,7 +280,7 @@ class TestDeterminism:
                     for seed in range(15)]
         with_presolve = [solve_milp(p).status for p in problems]
         monkeypatch.setattr(solver._Presolver, "run",
-                            lambda self, lo, hi, tol, max_rounds=8: (True, lo, hi))
+                            lambda self, lo, hi, tol: (True, lo, hi))
         assert [solve_milp(p).status for p in problems] == with_presolve
 
 
@@ -321,7 +321,7 @@ class TestCertificates:
         p.add_constraint("r1", [(1.0, "x"), (1.0, "y")], ">=", 3.0)
         p.seal()
         res = solve_milp(p)
-        assert res.is_infeasible
+        assert res.status == INFEASIBLE
         assert res.certificate is not None
         assert check_certificate(p, res.certificate)
 
@@ -331,7 +331,7 @@ class TestCertificates:
             rng = np.random.default_rng(5000 + seed)
             p = random_lp(rng)
             res = solve_milp(p)
-            if res.is_infeasible and res.certificate is not None:
+            if res.status == INFEASIBLE and res.certificate is not None:
                 assert check_certificate(p, res.certificate), f"seed {seed}"
                 found += 1
         assert found >= 3  # the sampler produces plenty of infeasible LPs
@@ -352,7 +352,7 @@ class TestWitnessQuality:
         rng = np.random.default_rng(seed)
         p = random_mip(rng, n=3, nb=4, m=5)
         res = solve_milp(p)
-        if res.is_feasible:
+        if res.status == FEASIBLE:
             ok, violations = verify(p, res.witness, tol=1e-6)
             assert ok, violations
 
@@ -404,9 +404,9 @@ class TestDualSimplexProperties:
         p = random_bounded_lp(np.random.default_rng(seed))
         A, rel, b, lo, hi, _, _ = p.to_arrays()
         res = solve_milp(p)
-        assert res.decided
-        assert res.is_feasible == linprog_feasible(A, rel, b, lo, hi)
-        if res.is_feasible:
+        assert res.status == (FEASIBLE if linprog_feasible(A, rel, b, lo, hi)
+                              else INFEASIBLE)
+        if res.status == FEASIBLE:
             ok, violations = verify(p, res.witness)
             assert ok, violations
         else:
@@ -554,7 +554,7 @@ def test_benchmark_lps_never_switch_to_bland(monkeypatch, radiant_window):
         assert f"T={rep.horizon}" == spec.expected
         iterations[i] = sum(e.iterations for e in made[first:])
     find_T(*builtin_pair("radiant"), t_max=4)
-    assert solve_milp(radiant_window).decided
+    assert solve_milp(radiant_window).status in (FEASIBLE, INFEASIBLE)
     assert made and all(e.bland_switches == 0 for e in made)
     # the most-infeasible leaving rule took 10,761 pivots here (7,968 with
     # Bland on a repeated vertex, in 18 switches), Devex 5,859 with every
@@ -583,7 +583,7 @@ def test_every_node_lp_starts_from_the_basis_the_engine_holds(monkeypatch):
     monkeypatch.setattr(_DualSimplex, "solve", recording)
     monkeypatch.setattr(_DualSimplex, "_iterate", started)
     res = solve_milp(problem)
-    assert res.is_infeasible and res.nodes > 50
+    assert res.status == INFEASIBLE and res.nodes > 50
     assert len(calls) == len(starts) == res.nodes and calls[0][2] is False
     m, n = problem.n_rows, problem.n_vars
     np.testing.assert_array_equal(starts[0][0], np.arange(n, n + m))
@@ -637,7 +637,7 @@ class TestNonzeroReaders:
 
         monkeypatch.setattr(MilpProblem, "to_arrays", counting)
         feasible = solve_milp(radiant_window)   # verifies its witness
-        assert feasible.is_feasible and len(calls) == 1
+        assert feasible.status == FEASIBLE and len(calls) == 1
         p = MilpProblem()
         p.add_continuous("x", 0.0, 1.0)
         p.add_continuous("y", 0.0, 1.0)
@@ -831,7 +831,7 @@ def test_a_root_proof_clips_wrong_sign_ray_entries(monkeypatch):
 
     monkeypatch.setattr(_DualSimplex, "solve", wrong_sign)
     res = solve_milp(p)
-    assert res.is_infeasible and res.nodes == 1
+    assert res.status == INFEASIBLE and res.nodes == 1
     assert res.certificate is not None and res.certificate[1] == 0.0
     assert check_certificate(p, res.certificate)
 
@@ -918,9 +918,9 @@ def recorded(monkeypatch):
     boxes, relaxations = [], []
     run, solve = solver._Presolver.run, solver._DualSimplex.solve
 
-    def recording_run(self, lo, hi, tol, max_rounds=8):
+    def recording_run(self, lo, hi, tol):
         boxes.append((lo.copy(), hi.copy()))
-        return run(self, lo, hi, tol, max_rounds)
+        return run(self, lo, hi, tol)
 
     def recording_solve(self, lo, hi, deadline):
         res = solve(self, lo, hi, deadline)
