@@ -39,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .encoder import CONSISTENT, INVALIDATED, UNDECIDED, check_invalidation
+from .encoder import INVALIDATED, UNDECIDED, check_invalidation
 from .model import (DimensionError, RandomPolicy, SwitchedAffineModel,
                     Trajectory, require_finite,
                     simulate_random)

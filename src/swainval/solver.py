@@ -157,7 +157,6 @@ class SolveResult:
     certificate: tuple[float, ...] | None = None
 
 
-
 # -- bounded dual simplex on the row-activity form ----------------------------
 
 # smallest |alpha| a pivot may use, relative to its row, and the size below

@@ -8,8 +8,8 @@ import pytest
 
 from swainval.encoder import CountBand, ExplicitWords, StructuredTuple
 from swainval.fileio import (FileFormatError, indicator_from_dict,
-                             indicator_to_dict, load_indicator, load_model,
-                             load_trajectory, model_from_dict, model_to_dict,
+                             load_indicator, load_model, load_trajectory,
+                             model_from_dict, model_to_dict,
                              parse_indicator_arg, parse_tuple_string,
                              save_indicator, save_model, save_trajectory,
                              trajectory_from_csv, trajectory_to_csv)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swainval.fileio import FileFormatError, model_from_dict, model_to_dict
+from swainval.fileio import model_from_dict, model_to_dict
 from swainval.model import (
     AffineMode,
     DimensionError,
@@ -155,7 +155,8 @@ INVALID_DOCUMENTS = [
     (dict(state_set=HyperRectangle([0.5], [-0.5])),
      "state_set: empty (some lower bound exceeds upper)"),
 ]
-# and the file reader refuses these itself, as a FileFormatError
+# and the file reader refuses these itself, as a FileFormatError (see
+# tests/test_fileio.py)
 INVALID_MODELS = INVALID_DOCUMENTS + [
     (dict(modes=[drift_mode(A=[[np.inf]])]), "mode 1: A has non-finite entries"),
     (dict(modes=[drift_mode(), AffineMode.certain(
@@ -175,8 +176,7 @@ class TestValidation:
     """The constructor is the one admission gate of a model."""
 
     def test_valid_model(self):
-        model = scalar_model()
-        assert dataclasses.replace(model, name="copy").modes == model.modes
+        assert dataclasses.replace(scalar_model(), name="copy").name == "copy"
 
     @pytest.mark.parametrize("fields, message", INVALID_MODELS)
     def test_the_constructor_refuses(self, fields, message):
@@ -195,11 +195,6 @@ class TestValidation:
         with raises_issue(message) as err:
             model_from_dict(doc)
         assert err.value.issues == (message,)
-
-    def test_the_file_reader_refuses_a_non_finite_entry(self):
-        doc = drift_document(modes=[drift_mode(A=[[np.inf]])])
-        with pytest.raises(FileFormatError, match="entries must be finite"):
-            model_from_dict(doc)
 
     def test_negative_radius(self):
         # a built model holds read-only copies, so no negative radius can be

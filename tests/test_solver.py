@@ -27,14 +27,13 @@ from swainval.encoder import (CONSISTENT, INVALIDATED, check_invalidation,
 from swainval.detectability import find_T
 from swainval.examples import (builtin_pair, numeric_family, numeric_system,
                                scenario_specs)
-from swainval.milp import FEAS_TOL, INT_TOL, MilpProblem, Witness, verify
+from swainval.milp import FEAS_TOL, INT_TOL, MilpProblem, verify
 from swainval.model import HyperRectangle, RandomPolicy, simulate_random
 from swainval.solver import (
     BUDGET_EXCEEDED,
     FEASIBLE,
     INFEASIBLE,
     SolverConfig,
-    SolveResult,
     SolverNumericalError,
     _DualSimplex,
     _NumericalTrouble,
