@@ -44,10 +44,9 @@ from .encoder import (CONSISTENT, INVALIDATED, InputOutsideAdmissibleSet,
                       encode_t_detectability)
 from .examples import BUILTIN_NAMES, UnknownName, load_builtin
 from .external import ExternalSolverError, external_command_from_env
-from .fileio import (FileFormatError, load_model, load_trajectory,
-                     parse_indicator_arg, save_trajectory, trajectory_from_csv,
-                     trajectory_to_csv)
-from .milp import UnboundedSet, export_lp
+from .fileio import (load_model, load_trajectory, parse_indicator_arg,
+                     save_trajectory, trajectory_from_csv, trajectory_to_csv)
+from .milp import export_lp
 from .model import (DimensionError, NoAdmissibleDraw, RandomPolicy,
                     SwitchedAffineModel, simulate_random, strip_uncertainty,
                     submodel)
@@ -511,9 +510,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, FileFormatError, DimensionError, UnknownName, UnboundedSet,
-            NoAdmissibleDraw, IndexError, ValueError, OSError,
-            SolverNumericalError, MonotonicityViolation,
+    except (CliError, UnknownName, NoAdmissibleDraw, IndexError, ValueError,
+            OSError, SolverNumericalError, MonotonicityViolation,
             ConversePathsDisagree, ExternalSolverError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

@@ -10,7 +10,6 @@ re-check one step later, since detectability is monotone in the horizon).
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -55,9 +54,9 @@ class ConversePathsDisagree(RuntimeError):
 class TDetectabilityResult:
     """Outcome of one coupled feasibility check at a fixed horizon.
 
-    ``status`` is the raw solve status; ``detectable`` translates it
-    (infeasible means every shared window is impossible, hence detectable)
-    and stays None when the solver ran out of budget."""
+    ``status`` is the raw solve status: infeasible means every shared
+    window is impossible, hence detectable, and a budget status leaves the
+    horizon undecided."""
 
     horizon: int
     status: str
@@ -65,14 +64,6 @@ class TDetectabilityResult:
     behavior: CommonBehavior | None
     wall_time: float
     note: str = ""
-
-    @property
-    def detectable(self) -> bool | None:
-        if self.status == INFEASIBLE:
-            return True
-        if self.status == FEASIBLE:
-            return False
-        return None
 
 
 def check_t_detectability(system: SwitchedAffineModel,
@@ -127,10 +118,6 @@ class DetectabilityReport:
     indicator: Indicator | None = None
     notes: tuple[str, ...] = ()
 
-    @property
-    def detectable(self) -> bool | None:
-        return {YES: True, NOT_UP_TO: False}.get(self.verdict)
-
     def to_text(self) -> str:
         if self.verdict == YES:
             head = f"T={self.horizon}"
@@ -159,9 +146,6 @@ class DetectabilityReport:
             "undecided_at": self.undecided_at,
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def __str__(self) -> str:
         return self.to_text()

@@ -177,10 +177,6 @@ class StreamingDetector:
         self._results.append(verdict)
         return verdict.verdict
 
-    @property
-    def alarms(self) -> tuple[int, ...]:
-        return self.report().alarms
-
     def report(self) -> DetectionReport:
         return DetectionReport(self.horizon, tuple(self._results))
 

@@ -69,8 +69,10 @@ one gated block per mode, or per mode pair.
 
 Rows are emitted by index, not term by term.  Each mode's ``out``/``dyn``/
 ``match`` rows come from a template (``_GatedRows``) that holds the sparsity
-of A, C, B and hatf as column slots, memoized by the mode's matrices; a
-(mode, step) block maps the slots to that step's columns and adds its own
+of A, C, B and hatf as column slots.  The templates are never modified and
+sit in an ``lru_cache`` keyed by the modes, which compare by value, so the
+encodings of one model (a monitor's windows, find_T's probes) share them.
+A (mode, step) block maps the slots to that step's columns and adds its own
 big-M and rhs vectors.  Variables go straight into the ``MilpProblem``, and
 each column is recorded as its variable is made.  The rows (these blocks,
 the ``mode``/``pair`` rows and the abs-transform rows) wait in one buffer
@@ -82,18 +84,21 @@ few and are added one by one afterwards.
 
 An invalidation encoding reads its outputs only in the ``out`` rows: their
 rhs and, when the outputs are gated, their big-M.  So
-``encode_invalidation`` builds everything else once per (model by value,
-window length, observed inputs) as a ``_WindowTemplate``, kept in a small
-cache, and binds each window by writing its outputs into a copy that
-shares the template's tables.  A receding-horizon monitor of a model
-without inputs thus builds one template and binds every window from it;
-windows with distinct inputs build one each, and pair encodings are built
-directly.
+``encode_invalidation`` builds everything else once per (model, window
+length, observed inputs) as a ``_WindowTemplate``, kept in a small
+``lru_cache`` keyed by the model itself, so equal models share templates.
+The template's problem is sealed, and each window is bound by writing its
+outputs into a sealed twin that shares the template's tables: neither can
+change, so neither can change the other.  A receding-horizon monitor of a
+model without inputs thus builds one template and binds every window from
+it; windows with distinct inputs build one each, and pair encodings are
+built directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Union
 
 import numpy as np
@@ -297,7 +302,7 @@ def prefix_indicator(indicator: Indicator, horizon: int) -> Indicator:
 
 @dataclass
 class InvalidationEncoding:
-    """A sealed-ready feasibility problem for one model and one data window.
+    """A sealed feasibility problem for one model and one data window.
 
     ``var_index`` maps semantic roles to variable names:
 
@@ -476,28 +481,6 @@ class _GatedRows:
                       colmap[self.slots], vals, self.rel, bounds)
 
 
-_TEMPLATES: dict[tuple, _GatedRows] = {}
-_TEMPLATES_MAX = 256
-
-
-def _fingerprint(mode) -> tuple:
-    """A mode's matrices by value: the key of its templates."""
-    return tuple((a.shape, a.tobytes()) for a in (
-        mode.A, mode.B, mode.C, mode.f, mode.hatA, mode.hatB, mode.hatC, mode.hatf))
-
-
-def _memo(key: tuple, build, *args) -> _GatedRows:
-    """``build(*args)``, once per key.  Templates depend only on mode
-    matrices and are never modified, so the encodings of one model (a
-    monitor's windows, find_T's probes) share them."""
-    template = _TEMPLATES.get(key)
-    if template is None:
-        if len(_TEMPLATES) >= _TEMPLATES_MAX:
-            _TEMPLATES.clear()
-        template = _TEMPLATES[key] = build(*args)
-    return template
-
-
 def _nonzeros(mat: np.ndarray, first_slot: int, sign: float):
     """Terms ``sign * mat[r, c]`` at slot ``first_slot + c``, row-major."""
     r, c = np.nonzero(mat)
@@ -523,12 +506,14 @@ def _output_parts(mode, first_slot: int, sign: float):
     return parts, mode.n + mode.n_y + len(zc_rows)
 
 
+@lru_cache(maxsize=256)
 def _output_rows(mode) -> _GatedRows:
     """Gated rows of ``(C + hatC DC) x + eta = y``; the gate binary last."""
     parts, width = _output_parts(mode, 0, 1.0)
     return _GatedRows(parts, mode.n_y, [width])
 
 
+@lru_cache(maxsize=256)
 def _match_rows(mode1, mode2) -> _GatedRows:
     """Gated rows equating the outputs of mode1 and mode2; the gate last."""
     parts1, width1 = _output_parts(mode1, 0, 1.0)
@@ -536,6 +521,7 @@ def _match_rows(mode1, mode2) -> _GatedRows:
     return _GatedRows(parts1 + parts2, mode1.n_y, [width1 + width2])
 
 
+@lru_cache(maxsize=256)
 def _state_rows(mode, n_gates: int, data_input: bool) -> _GatedRows:
     """Gated rows of ``x_{k+1} = (A + hatA DA) x_k + f + hatf Df
     + (B + hatB DB) u_k``.
@@ -811,15 +797,11 @@ class _Side:
         """
         modes, sfx = self.model.modes, self.suffix
         x_cols, eta_cols = self.cols["x"], self.cols["eta"]
-        fingerprints = [_fingerprint(mode) for mode in modes]
         data, n_gates = u is None, gates.shape[2]
-        dyn_rows = [_memo(("state", fp, n_gates, data), _state_rows,
-                          mode, n_gates, data)
-                    for mode, fp in zip(modes, fingerprints)]
+        dyn_rows = [_state_rows(mode, n_gates, data) for mode in modes]
         gated_out = outputs and self.C is None
         if gated_out:
-            out_rows = [_memo(("out", fp), _output_rows, mode)
-                        for mode, fp in zip(modes, fingerprints)]
+            out_rows = [_output_rows(mode) for mode in modes]
         zeros, ones = np.zeros(self.model.n_y), np.ones(self.model.n_y)
         self.out_rows = []
         for k in range(self.n_samples):
@@ -874,10 +856,11 @@ class _WindowTemplate:
     and the observed inputs: the variables and their bounds, the row names,
     the sparsity, the relations, the envelope and the ``dyn`` rows.  The
     template builds all of it once, with the ``out`` rows waiting for
-    their numbers (``_Side.emit``), and ``bind`` writes one window's
-    outputs into a copy: the ``out`` rows' rhs and, where the outputs are
-    gated, their big-M coefficients.  The bound problems share the
-    template's tables (``MilpProblem.with_values``).
+    their numbers (``_Side.emit``), and seals it; ``bind`` writes one
+    window's outputs into a sealed twin: the ``out`` rows' rhs and, where
+    the outputs are gated, their big-M coefficients.  The twins share the
+    template's tables (``MilpProblem.with_values``), which no one can
+    change, so no window's problem can change another's.
     """
 
     def __init__(self, model: SwitchedAffineModel, inputs: np.ndarray):
@@ -899,7 +882,7 @@ class _WindowTemplate:
         a = _mode_binaries(sink, "a", "mode", N, (model.s,), self.binary_steps)
         side.emit(sink, a[:, :, None], outputs=True)
         sink.flush()
-        self.problem, self.var_index = p, sink.var_index
+        self.problem, self.var_index = p.seal(), sink.var_index
         self.gated = side.C is None
         q = np.arange(model.n_y)
         first = np.asarray(side.out_rows)
@@ -935,32 +918,16 @@ class _WindowTemplate:
                                     trajectory, self.binary_steps)
 
 
-_WINDOWS: dict[tuple, _WindowTemplate] = {}
-_WINDOWS_MAX = 4
+@lru_cache(maxsize=4)
+def _window_template(model: SwitchedAffineModel, shape: tuple,
+                     input_bytes: bytes) -> _WindowTemplate:
+    """The template of (model, window length, inputs), built on first use
+    from the inputs' shape and bytes.
 
-
-def _box_key(box: HyperRectangle) -> bytes:
-    return np.array(box.lower + box.upper, dtype=float).tobytes()
-
-
-def _window_template(model: SwitchedAffineModel,
-                     inputs: np.ndarray) -> _WindowTemplate:
-    """The template of (model, window length, inputs), built on first use.
-
-    The key holds the model by value, so equal models share templates.
-    The cache keeps a few templates (a monitor needs one per model and
-    length when its model has no inputs) and drops the oldest first."""
-    key = (model.name, tuple(_fingerprint(mode) for mode in model.modes),
-           *(_box_key(box) for box in (model.state_set, model.noise_set,
-                                       model.input_set)),
-           inputs.shape, inputs.tobytes())
-    template = _WINDOWS.get(key)
-    if template is None:
-        template = _WindowTemplate(model, inputs)
-        if len(_WINDOWS) >= _WINDOWS_MAX:
-            del _WINDOWS[next(iter(_WINDOWS))]
-        _WINDOWS[key] = template
-    return template
+    Models compare by value, so equal models share templates.  The cache
+    keeps a few templates (a monitor needs one per model and length when
+    its model has no inputs) and drops the least recently used first."""
+    return _WindowTemplate(model, np.frombuffer(input_bytes).reshape(shape))
 
 
 def encode_invalidation(model: SwitchedAffineModel,
@@ -982,7 +949,9 @@ def encode_invalidation(model: SwitchedAffineModel,
     lowest-index fractional binary, so it decides the modes in time order.
     """
     _check_trajectory(model, trajectory)
-    return _window_template(model, trajectory.inputs).bind(model, trajectory)
+    inputs = trajectory.inputs
+    return _window_template(model, inputs.shape,
+                            inputs.tobytes()).bind(model, trajectory)
 
 
 def encode_t_detectability(system: SwitchedAffineModel,
@@ -1053,10 +1022,7 @@ def encode_t_detectability(system: SwitchedAffineModel,
                 [x1_cols[k], x2_cols[k]], [e1_cols[k], e2_cols[k]],
                 [1.0, -1.0], np.zeros(n_y))
     else:
-        fp1 = [_fingerprint(mode) for mode in system.modes]
-        fp2 = [_fingerprint(mode) for mode in fault.modes]
-        match_rows = {(i, j): _memo(("match", fp1[i - 1], fp2[j - 1]),
-                                    _match_rows, mode1, mode2)
+        match_rows = {(i, j): _match_rows(mode1, mode2)
                       for i, mode1 in enumerate(system.modes, start=1)
                       for j, mode2 in enumerate(fault.modes, start=1)}
         for k in range(T + 1):

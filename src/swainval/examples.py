@@ -32,7 +32,7 @@ applies ``strip_uncertainty`` as the CLI's ``--no-uncertainty`` does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -125,11 +125,7 @@ def numeric_family(t: int) -> SwitchedAffineModel:
     """The benchmark system restricted to its first ``t`` modes (1 <= t <= 6)."""
     if not 1 <= t <= 6:
         raise UnknownName(f"numeric family size must be in 1..6, got {t}")
-    reduced = submodel(numeric_system(), 1, t)
-    return SwitchedAffineModel(reduced.modes, state_set=reduced.state_set,
-                               noise_set=reduced.noise_set,
-                               input_set=reduced.input_set,
-                               name=f"numeric{t}")
+    return replace(submodel(numeric_system(), 1, t), name=f"numeric{t}")
 
 
 # -- radiant-floor heating system ---------------------------------------------

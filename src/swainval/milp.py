@@ -9,9 +9,9 @@ The rows are kept in one coordinate (COO) store: the nonzeros
 were first given, plus a relation, a right-hand side and a name per row.
 ``add_rows`` appends a whole block straight from index arrays (the
 encoders emit their row families this way); ``add_constraint`` is its
-one-row form by variable name.  ``with_values`` copies a problem with new
-nonzero values and right-hand sides, sharing its variables, row names and
-sparsity.  Readers take the nonzeros as they are
+one-row form by variable name.  ``with_values`` makes a sealed twin of a
+sealed problem with new nonzero values and right-hand sides, sharing its
+variables, row names and sparsity.  Readers take the nonzeros as they are
 (``sparse_arrays``), scatter them into a dense matrix once
 (``to_arrays``), or rebuild :class:`LinearConstraint` records on demand
 (``constraints``, for the LP writer and tests).  Also here:
@@ -112,8 +112,7 @@ class MilpProblem:
     :attr:`constraints` rebuilds the per-row view on demand.
 
     Problems made by :meth:`with_values` share their variable and row-name
-    tables with their source until one of them adds a variable or a row,
-    which first copies the tables it changes.
+    tables with their source; both are sealed, so neither can change them.
     """
 
     def __init__(self, name: str = "problem"):
@@ -126,25 +125,13 @@ class MilpProblem:
         self._row_name_set: set[str] = set()
         self._blocks: list[tuple[np.ndarray, ...]] = []  # (row, col, val, rel, rhs)
         self._packed: tuple | None = None
-        self._shared = False
         self.sealed = False
 
     # -- construction -----------------------------------------------------
 
-    def _own_tables(self) -> None:
-        """Copy the tables shared with other problems before changing them."""
-        if self._shared:
-            self._var_index = dict(self._var_index)
-            self._lower, self._upper = list(self._lower), list(self._upper)
-            self._binary = list(self._binary)
-            self._row_names = list(self._row_names)
-            self._row_name_set = set(self._row_name_set)
-            self._shared = False
-
     def add_continuous(self, name: str, lower: float, upper: float) -> str:
         if self.sealed:
             raise NotSealed("cannot add variables to a sealed problem")
-        self._own_tables()
         if name in self._var_index:
             raise DuplicateName(f"variable {name!r} already exists")
         lower, upper = float(lower), float(upper)
@@ -160,7 +147,6 @@ class MilpProblem:
     def add_binary(self, name: str) -> str:
         if self.sealed:
             raise NotSealed("cannot add variables to a sealed problem")
-        self._own_tables()
         if name in self._var_index:
             raise DuplicateName(f"variable {name!r} already exists")
         self._var_index[name] = len(self._lower)
@@ -184,7 +170,6 @@ class MilpProblem:
         """
         if self.sealed:
             raise NotSealed("cannot add rows to a sealed problem")
-        self._own_tables()
         names = list(names)
         n_block, n_vars = len(names), len(self._lower)
         rows = np.asarray(rows, dtype=np.intp).reshape(-1)
@@ -261,9 +246,12 @@ class MilpProblem:
                       [relation], [rhs])
 
     def with_values(self, vals, rhs) -> "MilpProblem":
-        """An unsealed copy with the nonzero values ``vals`` and the
-        right-hand sides ``rhs``, both in the order of :meth:`sparse_arrays`;
-        everything else, the sparsity included, is this problem's."""
+        """A sealed twin with the nonzero values ``vals`` and the right-hand
+        sides ``rhs``, both in the order of :meth:`sparse_arrays`;
+        everything else, the sparsity included, is this problem's.  Twin
+        and source share their tables, so the source must be sealed."""
+        if not self.sealed:
+            raise NotSealed("seal the problem before making twins of it")
         row, col, val, rel, b, *rest = self.sparse_arrays()
         vals = np.asarray(vals, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
@@ -273,8 +261,6 @@ class MilpProblem:
         twin = copy.copy(self)
         twin._blocks = [(row, col, vals, rel, rhs)]
         twin._packed = (row, col, vals, rel, rhs, *rest)
-        twin.sealed = False
-        self._shared = twin._shared = True
         return twin
 
     def seal(self) -> "MilpProblem":

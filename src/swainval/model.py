@@ -18,6 +18,11 @@ DimensionError otherwise.  Each mode holds read-only copies of its
 arrays, so a built model stays valid; ``dataclasses.replace`` passes the
 same gate.
 
+Models are values: modes, boxes and whole models compare and hash by
+what they hold, with every array and bound compared by its bits (so
+``0.0`` and ``-0.0`` differ, as they do in an exported LP).  Equal
+models can thus key a cache, whichever object carries them.
+
 This module provides the data types, exact simulation, seeded
 admissible-trajectory sampling, ZOH/Euler discretization of
 continuous-time affine modes, mode subsets (``submodel``) and the
@@ -89,13 +94,27 @@ def _as_vector(value, length: int, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class HyperRectangle:
+class _ByBits:
+    """Equality and hash by ``_bits``, the bytes of the arrays that make
+    up the value, set once at construction."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._bits == other._bits
+
+    def __hash__(self) -> int:
+        return hash(self._bits)
+
+
+@dataclass(frozen=True, eq=False)
+class HyperRectangle(_ByBits):
     """Axis-aligned box {v : lower <= v <= upper}; entries may be +-inf.
 
     A zero-dimensional box is the admissible set of an autonomous model's
     (empty) input.  Degenerate coordinates (lower == upper) are allowed and
-    model exactly-known quantities such as a noise-free output.
+    model exactly-known quantities such as a noise-free output.  Boxes are
+    equal when their bounds are equal bit for bit.
     """
 
     lower: tuple[float, ...]
@@ -108,6 +127,7 @@ class HyperRectangle:
             raise DimensionError(f"bound lengths differ: {len(lo)} vs {len(hi)}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "_bits", np.array(lo + hi).tobytes())
 
     @staticmethod
     def ball(radius: float, dim: int) -> "HyperRectangle":
@@ -168,14 +188,15 @@ class HyperRectangle:
         return rng.uniform(lo, hi) if self.dim else np.zeros(0)
 
 
-@dataclass(frozen=True)
-class AffineMode:
+@dataclass(frozen=True, eq=False)
+class AffineMode(_ByBits):
     """One affine mode: nominal matrices plus nonnegative uncertainty radii.
 
     ``hatA[r, c]`` is the absolute radius of the (r, c) entry's time-varying
     perturbation; the realized perturbation is ``hatA[r, c] * DA[r, c]`` with
     ``|DA[r, c]| <= 1`` (likewise for B, C and f).  The mode holds read-only
-    float copies of the arrays it is given.
+    float copies of the arrays it is given, and compares and hashes by the
+    shape and bits of all eight.
     """
 
     A: np.ndarray
@@ -203,10 +224,13 @@ class AffineMode:
         )
 
     def __post_init__(self):
+        bits = []
         for name in ("A", "B", "C", "f", "hatA", "hatB", "hatC", "hatf"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+            bits.append((arr.shape, arr.tobytes()))
+        object.__setattr__(self, "_bits", tuple(bits))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise DimensionError(f"A must be square, got {self.A.shape}")
@@ -250,7 +274,8 @@ class SwitchedAffineModel:
     ``dataclasses.replace`` also runs, raises DimensionError naming every
     issue (mode dimensions that differ from mode 1's, negative radii,
     non-finite matrix entries, sets of the wrong dimension, empty sets or
-    NaN bounds), and the mode arrays are read-only.
+    NaN bounds), and the mode arrays are read-only.  Models compare and
+    hash by their modes, boxes and name.
     """
 
     modes: tuple[AffineMode, ...]

@@ -2,6 +2,7 @@
 behaviours they decode."""
 
 import itertools
+import json
 import logging
 import re
 import sys
@@ -11,14 +12,15 @@ import numpy as np
 import pytest
 
 from swainval import detectability
-from swainval.detectability import (TDetectabilityResult,
+from swainval.detectability import (NOT_UP_TO, UNDECIDED, YES,
+                                    TDetectabilityResult,
                                     check_t_detectability, find_T)
 from swainval.encoder import (CONSISTENT, BadIndicator, ExplicitWords,
                               StructuredTuple, check_invalidation)
 from swainval.examples import builtin_pair, load_builtin, scenario_specs
 from swainval.model import (AffineMode, HyperRectangle, SwitchedAffineModel,
                             Trajectory)
-from swainval.solver import SolverConfig
+from swainval.solver import FEASIBLE, INFEASIBLE, SolverConfig
 
 from oracles import pair_feasible_by_enumeration
 
@@ -58,8 +60,7 @@ def drift_jump_pair():
 class TestFindT:
     def test_minimal_horizon_with_full_trail(self, contracting_pair):
         rep = find_T(*contracting_pair, t_max=10)
-        assert rep.verdict == "yes" and rep.horizon == 2
-        assert rep.detectable is True
+        assert rep.verdict == YES and rep.horizon == 2
         assert rep.per_t_status[1] == "feasible"
         assert rep.per_t_status[2] == "infeasible"
         assert rep.monotonicity_recheck == "infeasible"
@@ -76,8 +77,8 @@ class TestFindT:
     def test_identical_models_never_split(self, contracting_pair):
         system, _ = contracting_pair
         rep = find_T(system, system, t_max=5)
-        assert rep.verdict == "notUpTo" and rep.searched_up_to == 5
-        assert rep.detectable is False and rep.horizon is None
+        assert rep.verdict == NOT_UP_TO and rep.searched_up_to == 5
+        assert rep.horizon is None
         assert all(s == "feasible" for s in rep.per_t_status.values())
 
     def test_search_window_is_respected(self, contracting_pair):
@@ -92,8 +93,7 @@ class TestFindT:
     def test_budget_exhaustion_reports_undecided(self, contracting_pair):
         rep = find_T(*contracting_pair, t_max=5,
                      config=SolverConfig(node_limit=0))
-        assert rep.verdict == "undecided" and rep.undecided_at == 1
-        assert rep.detectable is None
+        assert rep.verdict == UNDECIDED and rep.undecided_at == 1
 
     def test_time_limit_bounds_the_whole_search(self, contracting_pair,
                                                 monkeypatch):
@@ -133,10 +133,10 @@ class TestFindT:
         text = rep.to_text()
         assert text.startswith("T=2")
         assert "T=1: feasible" in text
-        import json
-        blob = json.loads(rep.to_json())
-        assert blob["verdict"] == "yes" and blob["horizon"] == 2
-        idem = json.loads(find_T(*contracting_pair, t_max=5).to_json())
+        blob = rep.to_json_dict()
+        assert blob["verdict"] == YES and blob["horizon"] == 2
+        assert json.loads(json.dumps(blob)) == blob
+        idem = find_T(*contracting_pair, t_max=5).to_json_dict()
         idem.pop("wall_times"), blob.pop("wall_times")  # timing may vary
         assert idem == blob
 
@@ -239,13 +239,13 @@ class TestSwitchedCertificate:
     def test_self_pair_yields_a_witness_at_the_cap(self, contracting_pair):
         system, _ = contracting_pair
         cert = check_t_detectability(system, system, 4)
-        assert cert.status == "feasible" and cert.detectable is False
+        assert cert.status == FEASIBLE
         assert cert.behavior is not None
         assert cert.behavior.outputs.shape == (5, 1)
 
     def test_detectable_pair_fails_the_cap(self, contracting_pair):
         cert = check_t_detectability(*contracting_pair, 3)
-        assert cert.status == "infeasible" and cert.detectable is True
+        assert cert.status == INFEASIBLE
         assert cert.behavior is None
 
     def test_disjoint_input_sets_are_reported(self):
@@ -257,7 +257,7 @@ class TestSwitchedCertificate:
                                  noise_set=box(0.1, 1),
                                  input_set=HyperRectangle([2.0], [3.0]))
         res = check_t_detectability(g1, g2, 3)
-        assert res.status == "infeasible" and res.detectable is True
+        assert res.status == INFEASIBLE
         assert "input sets" in res.note
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from swainval import detectability, detector, encoder
 from swainval.detectability import find_T
-from swainval.encoder import CONSISTENT, _WINDOWS, check_invalidation
+from swainval.encoder import (CONSISTENT, _window_template,
+                              check_invalidation)
 from swainval.examples import builtin_pair, numeric_family, numeric_system
 from swainval.milp import verify
 from swainval.detector import (DetectionReport, StreamingDetector,
@@ -290,7 +291,7 @@ class TestWindowTemplates:
         report = run_receding(system, trace, horizon)
         assert report.first_alarm == 15
         for window in report.results:
-            _WINDOWS.clear()
+            _window_template.cache_clear()
             cold = check_invalidation(
                 system, trace.window(window.k - horizon, window.k + 1))
             assert (window.verdict, window.nodes) == (cold.verdict,
@@ -306,7 +307,7 @@ class TestWindowTemplates:
 
         monkeypatch.setattr(encoder._Side, "__init__", counted)
         system, trace = radiant_trace
-        _WINDOWS.clear()
+        _window_template.cache_clear()
         report = run_receding(system, trace, 3)
         assert len(report.results) == 40
         assert built == [4]

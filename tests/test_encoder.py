@@ -1,20 +1,24 @@
 """Encoder behaviour: consistency encodings, pair couplings, indicators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from swainval.detector import inject_persistent_fault
-from swainval.encoder import (CONSISTENT, INVALIDATED, UNDECIDED, _WINDOWS,
+from swainval.encoder import (CONSISTENT, INVALIDATED, UNDECIDED,
                               _AbsCache, _RowSink, BadIndicator, BadMode,
                               CountBand, EmptyInputIntersection,
                               ExplicitWords, InputOutsideAdmissibleSet,
-                              StructuredTuple, WindowTooLong, apply_indicator,
+                              StructuredTuple, WindowTooLong, _window_template,
+                              apply_indicator,
                               check_invalidation, decode_pair_witness,
                               encode_invalidation, encode_t_detectability,
                               prefix_indicator)
 from swainval.examples import builtin_pair, numeric_family
 from swainval.external import solve_lp_problem_with_scipy
-from swainval.milp import EQ, LE, MilpProblem, Witness, export_lp, verify
+from swainval.milp import (EQ, LE, MilpProblem, NotSealed, Witness,
+                           export_lp, verify)
 from swainval.model import (AffineMode, DimensionError, HyperRectangle,
                             RandomPolicy, SwitchedAffineModel, Trajectory,
                             simulate, simulate_random)
@@ -682,7 +686,7 @@ class TestAbsCache:
 
 def cold_encode(model, window):
     """An encoding built from an empty template cache."""
-    _WINDOWS.clear()
+    _window_template.cache_clear()
     return encode_invalidation(model, window)
 
 
@@ -731,29 +735,54 @@ class TestWindowTemplate:
                    (radiant, trace.window(20, 24)),
                    (numeric3, numeric_windows[1]),
                    (SYSTEM, shifted(WINDOW, 4.0))]
-        _WINDOWS.clear()
+        _window_template.cache_clear()
         warm = [encode_invalidation(model, window) for model, window in windows]
-        assert len(_WINDOWS) == 4
+        assert _window_template.cache_info().currsize == 4
         assert largest_big_m(warm[-1].problem) > largest_big_m(warm[2].problem)
         for enc, (model, window) in zip(warm, windows):
             assert enc.model is model and enc.trajectory is window
             assert_same_encoding(enc, cold_encode(model, window))
 
-    def test_a_changed_bound_problem_changes_no_other(self):
-        _WINDOWS.clear()
+    def test_equal_models_share_a_template(self):
+        (radiant, trace), (twin, _) = radiant_trace(), radiant_trace()
+        assert radiant is not twin and radiant == twin
+        _window_template.cache_clear()
+        first = encode_invalidation(radiant, trace.window(0, 4))
+        second = encode_invalidation(twin, trace.window(5, 9))
+        info = _window_template.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        assert first.model is radiant and second.model is twin
+        assert_same_encoding(second, cold_encode(twin, trace.window(5, 9)))
+
+    def test_the_sign_of_a_zero_bound_keys_its_own_template(self):
+        # the noise bounds of drift_model() are -0.0 and 0.0
+        signed, unsigned = drift_model(), dataclasses.replace(
+            drift_model(), noise_set=HyperRectangle([0.0], [0.0]))
+        _window_template.cache_clear()
+        first = encode_invalidation(signed, DRIFT_DATA)
+        second = encode_invalidation(unsigned, DRIFT_DATA)
+        assert _window_template.cache_info().currsize == 2
+        assert export_lp(first.problem) != export_lp(second.problem)
+        assert_same_encoding(second, cold_encode(unsigned, DRIFT_DATA))
+
+    def test_a_bound_problem_is_sealed(self):
+        _window_template.cache_clear()
         first = encode_invalidation(SYSTEM, WINDOW)
-        before = export_lp(first.problem.seal())
+        before = export_lp(first.problem)
         window = shifted(WINDOW, -0.1)
         second = encode_invalidation(SYSTEM, window)
-        second.problem.add_continuous("extra", 0.0, 1.0)
-        second.problem.add_constraint(
-            "extra.row", [(1.0, "extra"), (1.0, "x[0][0]")], LE, 1.0)
-        second.var_index[("extra",)] = "extra"
+        assert first.problem.sealed and second.problem.sealed
+        with pytest.raises(NotSealed):
+            second.problem.add_continuous("extra", 0.0, 1.0)
+        with pytest.raises(NotSealed):
+            second.problem.add_constraint(
+                "extra.row", [(1.0, "x[0][0]")], LE, 1.0)
+        second.var_index[("extra",)] = "x[0][0]"
         third = encode_invalidation(SYSTEM, window)
-        assert "extra" not in third.problem.variable_names
+        assert ("extra",) not in third.var_index
         assert_same_encoding(third, cold_encode(SYSTEM, window))
+        assert export_lp(second.problem) == export_lp(third.problem)
         assert export_lp(first.problem) == before
-        assert second.problem.n_rows == third.problem.n_rows + 1
 
 
 def drift_model() -> SwitchedAffineModel:

@@ -1,5 +1,6 @@
 """Bundled models: builder values, shipped assets and scenario descriptions."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,19 +15,6 @@ from swainval.examples import (BUILTIN_NAMES, SENSOR_SCENARIOS, ScenarioSpec,
                                radiant_fault, radiant_system,
                                radiant_weak_fault, scenario_specs)
 from swainval.fileio import load_model, model_to_dict
-
-
-def assert_models_equal(a, b):
-    assert a.name == b.name
-    assert a.s == b.s
-    for ma, mb in zip(a.modes, b.modes):
-        for attr in ("A", "B", "C", "f", "hatA", "hatB", "hatC", "hatf"):
-            assert np.array_equal(getattr(ma, attr), getattr(mb, attr)), attr
-    for box_attr in ("state_set", "noise_set", "input_set"):
-        assert np.array_equal(np.asarray(getattr(a, box_attr).lower),
-                              np.asarray(getattr(b, box_attr).lower))
-        assert np.array_equal(np.asarray(getattr(a, box_attr).upper),
-                              np.asarray(getattr(b, box_attr).upper))
 
 
 class TestNumericFamily:
@@ -62,6 +50,7 @@ class TestNumericFamily:
         g6 = numeric_system()
         for k in range(3):
             assert np.array_equal(g3.modes[k].A, g6.modes[k].A)
+        assert numeric_family(6) == dataclasses.replace(g6, name="numeric6")
         with pytest.raises(UnknownName):
             numeric_family(7)
 
@@ -215,8 +204,8 @@ class TestBuiltinRegistry:
 class TestShippedAssets:
     @pytest.mark.parametrize("name", list(BUILTIN_NAMES))
     def test_assets_match_builders(self, name):
-        shipped = load_model(asset_path(name))
-        assert_models_equal(shipped, load_builtin(name))
+        shipped, built = load_model(asset_path(name)), load_builtin(name)
+        assert shipped == built and hash(shipped) == hash(built)
 
     @pytest.mark.parametrize("name", list(BUILTIN_NAMES))
     def test_assets_validate(self, name):

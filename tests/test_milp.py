@@ -171,24 +171,35 @@ class TestRowStore:
         with pytest.raises(NotSealed):
             p.add_rows(["s"], [0], [0], [1.0], ["<="], [1.0])
 
-    def test_with_values_copies_the_shared_tables_on_write(self):
+    def test_with_values_makes_sealed_twins(self):
         p = self.problem()
         p.add_rows(["r0", "r1"], [0, 0, 1], [0, 1, 2], [1.0, 2.0, 3.0],
                    ["<=", ">="], [1.0, -1.0])
-        q = p.with_values([4.0, 5.0, 6.0], [7.0, -0.0]).seal()
+        with pytest.raises(NotSealed):
+            p.with_values([4.0, 5.0, 6.0], [7.0, -0.0])
+        p.seal()
+        q = p.with_values([4.0, 5.0, 6.0], [7.0, -0.0])
+        r = p.with_values([8.0, 9.0, 10.0], [11.0, 12.0])
+        assert q.sealed and r.sealed
         assert q.constraints == (
             LinearConstraint("r0", ((4.0, "x"), (5.0, "y")), "<=", 7.0),
             LinearConstraint("r1", ((6.0, "z"),), ">=", -0.0))
-        _, _, val, _, b = p.sparse_arrays()[:5]
-        r = p.with_values(val, b)
-        p.add_continuous("w", 0.0, 1.0)
-        r.add_binary("b")
-        r.add_constraint("s", [(1.0, "b")], "<=", 1.0)
-        assert p.variable_names == ("x", "y", "z", "w")
-        assert q.variable_names == ("x", "y", "z")
-        assert r.variable_names == ("x", "y", "z", "b")
-        assert (p.n_rows, q.n_rows, r.n_rows) == (2, 2, 3)
-        assert [c.rhs for c in p.constraints] == [1.0, -1.0]
+        # each twin has its own values and rhs, the source keeps its own
+        for prob, vals, rhs in ((p, [1.0, 2.0, 3.0], [1.0, -1.0]),
+                                (q, [4.0, 5.0, 6.0], [7.0, -0.0]),
+                                (r, [8.0, 9.0, 10.0], [11.0, 12.0])):
+            _, _, val, _, b = prob.sparse_arrays()[:5]
+            assert (val.tolist(), b.tolist()) == (vals, rhs)
+            assert np.signbit(b).tolist() == np.signbit(rhs).tolist()
+        for prob in (p, q, r):
+            with pytest.raises(NotSealed):
+                prob.add_continuous("w", 0.0, 1.0)
+            with pytest.raises(NotSealed):
+                prob.add_binary("b")
+            with pytest.raises(NotSealed):
+                prob.add_constraint("s", [(1.0, "x")], "<=", 1.0)
+            assert prob.variable_names == ("x", "y", "z")
+            assert prob.n_rows == 2
         with pytest.raises(ValueError):
             p.with_values([1.0], [1.0, 1.0])
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swainval.examples import load_builtin
 from swainval.fileio import model_from_dict, model_to_dict
 from swainval.model import (
     AffineMode,
@@ -115,6 +116,47 @@ class TestAffineMode:
         with pytest.raises(DimensionError):
             AffineMode(**good, hatA=[[0.0, 0.0]], hatB=[[0.0]],
                        hatC=[[0.0]], hatf=[0.0])
+
+
+class TestValueIdentity:
+    """Models compare and hash by value, arrays and bounds by their bits."""
+
+    def test_equal_builds_are_one_key(self):
+        a, b = load_builtin("radiant"), load_builtin("radiant")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "radiant"}[b] == "radiant"
+
+    def test_any_change_makes_another_model(self):
+        model = load_builtin("radiant")
+        mode = model.modes[1]
+        A = mode.A.copy()
+        A[2, 1] = np.nextafter(A[2, 1], np.inf)
+        lower, upper = model.state_set.lower, model.state_set.upper
+        modes = (model.modes[0], dataclasses.replace(mode, A=A),
+                 *model.modes[2:])
+        state_set = HyperRectangle(
+            lower, upper[:-1] + (np.nextafter(upper[-1], np.inf),))
+        others = (dataclasses.replace(model, modes=modes),
+                  dataclasses.replace(model, state_set=state_set),
+                  dataclasses.replace(model, name="radiant2"))
+        for other in others:
+            assert other != model and model != other
+
+    def test_the_sign_of_a_zero_counts(self):
+        assert drift_mode(f=[0.0]) != drift_mode(f=[-0.0])
+        assert drift_mode(f=[0.0]) == drift_mode(f=[0.0])
+        assert HyperRectangle([-0.0], [0.0]) != HyperRectangle([0.0], [0.0])
+        zero = SwitchedAffineModel([drift_mode()], HyperRectangle.ball(1.0, 1),
+                                   HyperRectangle([0.0], [0.0]),
+                                   HyperRectangle([], []))
+        ball = HyperRectangle.ball(0.0, 1)    # lower bound -0.0
+        assert dataclasses.replace(zero, noise_set=ball) != zero
+
+    def test_replace_keeps_the_value(self):
+        mode = load_builtin("radiant").modes[0]
+        twin = dataclasses.replace(mode)
+        assert twin is not mode and twin == mode and hash(twin) == hash(mode)
+        assert mode != "mode" and mode != load_builtin("radiant")
 
 
 def drift_mode(**fields) -> AffineMode:
